@@ -138,10 +138,11 @@ class VoxelMap:
         self._cache = None
 
     def _local_arrays(self):
-        """Concatenated local points plus (key, row) back-references, cached."""
+        """Concatenated local points, normals, dyn_prob and labels in sorted
+        voxel order, plus a kd-tree over the points; cached until invalidated."""
         if self._cache is None:
             keys = sorted(self.voxels)
-            pts, normals, dyn, labels, refs = [], [], [], [], []
+            pts, normals, dyn, labels = [], [], [], []
             for k in keys:
                 c = self.voxels[k]
                 if len(c) == 0:
@@ -150,7 +151,6 @@ class VoxelMap:
                 normals.append(c.normals)
                 dyn.append(c.dyn_prob)
                 labels.append(c.labels)
-                refs.extend((k, i) for i in range(len(c)))
             if pts:
                 pts = np.vstack(pts)
                 normals = np.vstack(normals)
@@ -162,14 +162,14 @@ class VoxelMap:
                 dyn = np.zeros(0)
                 labels = np.zeros(0, np.int64)
             tree = cKDTree(pts) if len(pts) else None
-            self._cache = (pts, normals, dyn, labels, refs, tree)
+            self._cache = (pts, normals, dyn, labels, tree)
         return self._cache
 
     def local_tree(self):
-        return self._local_arrays()[5]
+        return self._local_arrays()[4]
 
     def local_cloud(self, with_normals: bool = True) -> PointCloud:
-        pts, normals, dyn, labels, _, _ = self._local_arrays()
+        pts, normals, dyn, labels, _ = self._local_arrays()
         use_normals = with_normals and len(pts) and bool(np.isfinite(normals).all())
         return PointCloud(pts.copy(), FRAME_MAP,
                           normals=normals.copy() if use_normals else None,
@@ -229,8 +229,11 @@ def compute_normals(cloud: PointCloud, n_n: int,
     return out
 
 
-def _normals_for(targets, source, n_n, viewpoints=None):
-    tree = cKDTree(source)
+def _normals_for(targets, source, n_n, viewpoints=None, tree=None):
+    """Normals of targets from their n_n nearest neighbours in source; tree,
+    when given, must be a kd-tree over exactly source."""
+    if tree is None:
+        tree = cKDTree(source)
     _, idx = tree.query(targets, k=min(n_n, len(source)))
     neigh = source[idx]                                  # (n, n_n, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
@@ -247,21 +250,25 @@ def _normals_for(targets, source, n_n, viewpoints=None):
 
 def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets=None) -> None:
     """(Re)compute normals for the given (key, rows) targets, or for every local
-    point lacking one, using the whole local map as the neighborhood source."""
-    pts_all, _, _, _, _, tree = vmap._local_arrays()
+    point lacking one, using the whole local map as the neighborhood source.
+
+    All targets share one neighbour query on the map's cached kd-tree. With no
+    target rows the map, and its cache, are left untouched."""
+    pts_all, _, _, _, tree = vmap._local_arrays()
     if tree is None or len(pts_all) < cfg.n_n:
         return
     if targets is None:
-        targets = []
-        for key, chunk in vmap.voxels.items():
-            rows = np.nonzero(~np.isfinite(chunk.normals).all(axis=1))[0]
-            if len(rows):
-                targets.append((key, rows))
-    for key, rows in targets:
-        chunk = vmap.voxels[key]
-        pts = chunk.points[rows]
-        normals = _normals_for(pts, pts_all, cfg.n_n, chunk.viewpoints[rows])
-        chunk.normals[rows] = normals
+        targets = [(key, np.nonzero(~np.isfinite(chunk.normals).all(axis=1))[0])
+                   for key, chunk in vmap.voxels.items()]
+    parts = [(vmap.voxels[key], rows) for key, rows in targets if len(rows)]
+    if not parts:
+        return
+    pts = np.vstack([chunk.points[rows] for chunk, rows in parts])
+    views = np.vstack([chunk.viewpoints[rows] for chunk, rows in parts])
+    normals = _normals_for(pts, pts_all, cfg.n_n, views, tree=tree)
+    splits = np.cumsum([len(rows) for _, rows in parts])[:-1]
+    for (chunk, rows), part_normals in zip(parts, np.split(normals, splits)):
+        chunk.normals[rows] = part_normals
     vmap._invalidate()
 
 

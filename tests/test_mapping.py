@@ -208,3 +208,65 @@ def test_load_map_missing_voxel_file(tmp_path):
     (tmp_path / "db" / "vx_0_0_0.npcd").unlink()
     with pytest.raises(MapLoadError):
         load_map(tmp_path / "db")
+
+
+def _bumpy_map(tmp_path):
+    """Two scans over a bumpy 18 m square on 5 m voxels: the second leaves
+    rows without normals in each of the 32 voxels it touches."""
+    vmap = VoxelMap(5.0, spill_dir=tmp_path)
+    cfg = _map_cfg()
+    rng = np.random.default_rng(7)
+    for scan, sensor in enumerate(([-3.0, 1.0, 2.0], [4.0, -2.0, 2.5])):
+        if scan:
+            refresh_normals(vmap, cfg)
+        xy = rng.uniform(-9.0, 9.0, (1500, 2))
+        z = 0.3 * np.sin(xy[:, 0]) * np.cos(0.7 * xy[:, 1])
+        insert_scan(vmap, PointCloud(np.column_stack([xy, z]), FRAME_MAP),
+                    sensor, cfg.rho)
+    return vmap, cfg
+
+
+@pytest.mark.parametrize("use_last_inserted", [True, False])
+def test_refresh_normals_matches_per_voxel_calls(tmp_path, use_last_inserted):
+    from trailnav.mapping import _normals_for
+    vmap, cfg = _bumpy_map(tmp_path)
+    pts_all = vmap.local_cloud(with_normals=False).points
+    expected, missing = {}, 0
+    for key, chunk in vmap.voxels.items():
+        rows = np.nonzero(~np.isfinite(chunk.normals).all(axis=1))[0]
+        normals = chunk.normals.copy()
+        if len(rows):
+            missing += 1
+            normals[rows] = _normals_for(chunk.points[rows], pts_all, cfg.n_n,
+                                         chunk.viewpoints[rows])
+        expected[key] = normals
+    assert len(vmap.voxels) >= 4 and missing >= 4
+    refresh_normals(vmap, cfg,
+                    vmap.last_inserted if use_last_inserted else None)
+    for key, chunk in vmap.voxels.items():
+        assert np.array_equal(chunk.normals, expected[key]), key
+
+
+def test_refresh_normals_builds_at_most_one_tree(tmp_path, monkeypatch):
+    import trailnav.mapping as mapping
+    vmap, cfg = _bumpy_map(tmp_path)
+    assert len(vmap.last_inserted) >= 4
+    builds = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mapping, "cKDTree", CountingTree)
+    refresh_normals(vmap, cfg, vmap.last_inserted)
+    assert len(builds) <= 1
+    assert vmap.local_cloud().normals is not None
+    # Nothing left to refresh: the cached arrays and tree survive the call.
+    cache = vmap._local_arrays()
+    builds.clear()
+    refresh_normals(vmap, cfg)
+    refresh_normals(vmap, cfg, [(key, np.zeros(0, np.int64))
+                                for key in vmap.voxels])
+    assert vmap._cache is cache
+    assert builds == []
