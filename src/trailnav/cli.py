@@ -15,10 +15,10 @@ from .config import ConfigError, GlobalConfig, load_config, save_config
 from .controller import Pose2D, Status
 from .geom import FRAME_MAP, transform_cloud
 from .icp import RegistrationFailure, apply_input_filters, register
-from .mapping import MapLoadError, PersistenceError
-from .mission import MissionAbort, load_database
+from .mapping import MapLoadError, PersistenceError, compute_normals
+from .mission import TeachAbort, load_database
 from .npcd import NpcdError
-from .prior import PriorCoverageError
+from .prior import PriorCoverageError, deskew, prior_windows_from_log
 from .runner import load_scan_log, run_repeat, run_replay, run_teach, save_run_log
 from .simworld import WorldParams, generate_world, load_world_spec, save_world_spec
 from .trajectory import ReferenceTrajectory
@@ -214,37 +214,23 @@ def _cmd_curvature_bins(args) -> int:
 
 
 def _registered_scans(args, cfg: GlobalConfig):
-    """Register each logged scan in the database map (teach-style prior chain),
-    yielding (index, T_hat, scan_in_map, vmap)."""
-    from .runner import PriorIntegrator  # lazy import keeps cli light
-    from .prior import OdomSample
+    """Register each logged scan in the database map from the run's logged
+    prior. Returns ([(index, T_hat, scan_in_map)], vmap)."""
     vmap, trajectory = load_database(args.db)
     scans, imu, odom = load_scan_log(args.scans)
-    integ = PriorIntegrator(start_stamp=min(s.stamp for s in imu) - 1e-6,
-                            start_position=trajectory.positions[0],
-                            beta=cfg.prior.beta)
-    odom_stamps = np.array([o.stamp for o in odom])
-    odom_speeds = np.array([o.linear_speed for o in odom])
-    prev = integ.trajectory().stamps[0]
-    for s in imu:
-        dt = s.stamp - prev
-        if dt <= 0:
-            continue
-        integ.step(s, OdomSample(float(np.interp(s.stamp, odom_stamps,
-                                                 odom_speeds)), s.stamp), dt)
-        prev = s.stamp
-    prior = integ.trajectory()
+    windows = prior_windows_from_log(scans, imu, odom,
+                                     start_position=trajectory.positions[0],
+                                     beta=cfg.prior.beta)
     reference = vmap.local_cloud()
-    from .prior import deskew as _deskew
     out = []
-    for i, (stamp, scan) in enumerate(scans):
-        tail = prior.tail(stamp)
-        scan_d = _deskew(scan, tail)
+    for i, ((_, scan), window) in enumerate(zip(scans, windows)):
+        scan_d = deskew(scan, window)
         filtered = apply_input_filters(scan_d, cfg.registration)
         if len(filtered) == 0:
             continue
         result = register(filtered, reference,
-                          tail.pose_at_index(len(tail) - 1), cfg.registration)
+                          window.pose_at_index(len(window) - 1),
+                          cfg.registration)
         out.append((i, result.T_hat, result.reading_in_map))
     return out, vmap
 
@@ -271,7 +257,6 @@ def _cmd_perturbation(args) -> int:
         return EXIT_IO
     _, t_hat, scan_g = matching[0]
     scan_l = transform_cloud(scan_g, t_hat.inverse())
-    from .mapping import MappingConfig, compute_normals
     map_g = vmap.local_cloud()
     if map_g.normals is None:
         map_g = compute_normals(map_g, cfg.mapping.n_n)
@@ -290,7 +275,6 @@ def _cmd_selftest(args) -> int:
     from .controller import (ControllerConfig, FrenetState, compute_command)
     from .geom import FRAME_LIDAR, PointCloud, RigidTransform
     from .icp import RegistrationConfig
-    from .mapping import compute_normals as _cn
     from .npcd import read_npcd, write_npcd
     import tempfile
 
@@ -321,7 +305,8 @@ def _cmd_selftest(args) -> int:
     wall_y = np.column_stack([rng.uniform(-10, 10, 500), np.full(500, 5.0),
                               rng.uniform(0, 3, 500)])
     ref = PointCloud(np.vstack([pts, wall_x, wall_y]), FRAME_MAP)
-    ref = _cn(ref, 15, viewpoints=np.tile([0.0, 0.0, 1.0], (len(ref), 1)))
+    ref = compute_normals(ref, 15,
+                          viewpoints=np.tile([0.0, 0.0, 1.0], (len(ref), 1)))
     reading = PointCloud(ref.points.copy(), FRAME_LIDAR)
     prior = RigidTransform.from_yaw(0.03, [0.2, -0.1, 0.05], "L", "G")
     res = register(reading, ref, prior,
@@ -375,7 +360,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissionAbort, RegistrationFailure, PriorCoverageError) as exc:
+    except (TeachAbort, RegistrationFailure, PriorCoverageError) as exc:
         print(f"mission abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
     except (OSError, MapLoadError, NpcdError, PersistenceError) as exc:

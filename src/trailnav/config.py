@@ -46,15 +46,12 @@ class SimConfig:
 class MissionConfig:
     d_ref: float = 0.05                 # m, trajectory subsampling distance
     init_overlap_floor: float = 40.0    # %, localization init threshold
-    control_rate_hz: float = 10.0
 
     def __post_init__(self):
         if self.d_ref <= 0:
             raise ValueError("d_ref must be positive")
         if not 0.0 <= self.init_overlap_floor <= 100.0:
             raise ValueError("init_overlap_floor must lie in [0, 100]")
-        if self.control_rate_hz <= 0:
-            raise ValueError("control_rate_hz must be positive")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Core geometric types: point clouds, rigid transforms, and the kd-tree index."""
+"""Core geometric types: point clouds, rigid transforms, (w, x, y, z)
+quaternion helpers, and the kd-tree index."""
 
 from __future__ import annotations
 
@@ -21,13 +22,59 @@ class FrameMismatchError(ValueError):
     """A transform was applied to a cloud expressed in a different frame."""
 
 
-def _as_f64(a, shape_tail, name):
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != len(shape_tail) + 1 or arr.shape[1:] != tuple(shape_tail):
-        if shape_tail == () and arr.ndim == 1:
-            return arr
-        raise ValueError(f"{name} must have shape (n, {shape_tail})")
-    return arr
+def _quat_normalize(q):
+    return q / np.linalg.norm(q)
+
+
+def _quat_mul(a, b):
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def _quat_from_rotvec(v):
+    angle = np.linalg.norm(v)
+    if angle < 1e-300:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    axis = v / angle
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+
+
+def _quat_to_matrix(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _matrix_to_quat(m):
+    """Shepperd's method: branch on the largest of trace and diagonal entries."""
+    t = m[0, 0] + m[1, 1] + m[2, 2]
+    if t > max(m[0, 0], m[1, 1], m[2, 2]):
+        s = 2.0 * np.sqrt(1.0 + t)
+        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s,
+                      (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
+    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
+        s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
+        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s,
+                      (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s])
+    elif m[1, 1] >= m[2, 2]:
+        s = 2.0 * np.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2])
+        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s,
+                      0.25 * s, (m[1, 2] + m[2, 1]) / s])
+    else:
+        s = 2.0 * np.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2])
+        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
+                      (m[1, 2] + m[2, 1]) / s, 0.25 * s])
+    return q / np.linalg.norm(q)
 
 
 @dataclass

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import (FRAME_MAP, PointCloud, RigidTransform, SpatialIndex,
-                   build_index, transform_cloud)
+from .geom import (PointCloud, RigidTransform, SpatialIndex, build_index,
+                   transform_cloud)
 
 # Default bounding boxes mask the robot body and its sensor trailer.
 DEFAULT_BBOX_1 = (-1.5, 0.5, -1.0, 1.0, -1.0, 0.5)

@@ -38,11 +38,6 @@ class TeachAbort(RuntimeError):
         self.last_pose = last_pose
 
 
-class MissionAbort(RuntimeError):
-    """A mission-level failure (localization init, safety abort) for callers
-    that want an exception rather than a status."""
-
-
 @dataclass
 class MissionState:
     phase: Phase

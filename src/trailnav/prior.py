@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
-from .geom import FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform
+from .geom import (FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform,
+                   _quat_from_rotvec, _quat_mul, _quat_normalize, _quat_to_matrix)
 
 GRAVITY = 9.81
 DEFAULT_BETA = 0.1
@@ -35,39 +36,6 @@ class ImuSample:
 class OdomSample:
     linear_speed: float   # m/s along robot x
     stamp: float
-
-
-def _quat_normalize(q):
-    return q / np.linalg.norm(q)
-
-
-def _quat_mul(a, b):
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
-
-
-def _quat_from_rotvec(v):
-    angle = np.linalg.norm(v)
-    if angle < 1e-300:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    axis = v / angle
-    half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
-
-
-def _quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
 
 
 @dataclass
@@ -142,15 +110,13 @@ class PriorTrajectory:
         return RigidTransform(_quat_to_matrix(self.quats[i]), self.translations[i],
                               FRAME_LIDAR, FRAME_MAP)
 
-    @property
-    def samples(self):
-        return [(float(self.stamps[i]), self.pose_at_index(i)) for i in range(len(self))]
-
-    def tail(self, t_from: float) -> "PriorTrajectory":
-        """Samples covering [t_from, end], including the sample just before t_from."""
-        i = int(np.searchsorted(self.stamps, t_from, side="right")) - 1
-        i = max(i, 0)
-        return PriorTrajectory(self.stamps[i:], self.translations[i:], self.quats[i:])
+    def window(self, t_from: float, t_to: float) -> "PriorTrajectory":
+        """Samples covering [t_from, t_to]: from the sample at or just before
+        t_from through the first sample at or after t_to."""
+        i = max(int(np.searchsorted(self.stamps, t_from, side="right")) - 1, 0)
+        j = int(np.searchsorted(self.stamps, t_to, side="left")) + 1
+        return PriorTrajectory(self.stamps[i:j], self.translations[i:j],
+                               self.quats[i:j])
 
 
 class PriorIntegrator:
@@ -178,6 +144,41 @@ class PriorIntegrator:
     def trajectory(self) -> PriorTrajectory:
         return PriorTrajectory(np.array(self._stamps), np.array(self._translations),
                                np.array(self._quats))
+
+
+def prior_windows_from_log(scans, imu, odom, start_position=(0.0, 0.0, 0.0),
+                           beta: float = DEFAULT_BETA) -> list[PriorTrajectory]:
+    """Dead-reckon a logged run's prior from its IMU and odometry, and cut it
+    into one window per scan.
+
+    ``scans`` is the run's [(stamp, scan)] list. The prior starts at the first
+    scan's stamp, where the run's first prior window began, so it covers every
+    logged point stamp. Odometry speed is interpolated at each IMU stamp. A
+    scan's window runs from its stamp to its last point, so the window's last
+    pose is the scan-end prior that registration starts from.
+    """
+    if not scans:
+        raise ValueError("a logged run needs at least one scan")
+    start_stamp = scans[0][0]
+    integ = PriorIntegrator(start_stamp=start_stamp,
+                            start_position=start_position, beta=beta)
+    odom_stamps = np.array([o.stamp for o in odom])
+    odom_speeds = np.array([o.linear_speed for o in odom])
+    prev = start_stamp
+    for s in imu:
+        dt = s.stamp - prev
+        if dt <= 0:
+            continue
+        speed = float(np.interp(s.stamp, odom_stamps, odom_speeds))
+        integ.step(s, OdomSample(speed, s.stamp), dt)
+        prev = s.stamp
+    prior = integ.trajectory()
+    windows = []
+    for stamp, scan in scans:
+        ts = scan.timestamps
+        end = float(ts.max()) if ts is not None and len(ts) else stamp
+        windows.append(prior.window(stamp, end))
+    return windows
 
 
 def integrate_prior(position, odom: OdomSample, orientation: OrientationState,

@@ -19,8 +19,8 @@ from .mission import (InitResult, MissionState, RepeatStepResult, finalize_teach
 from .npcd import read_npcd, write_npcd
 from .prior import (GRAVITY, ImuSample, OdomSample, OrientationState,
                     PriorIntegrator, PriorTrajectory, load_imu_csv,
-                    load_odom_csv)
-from .simworld import LidarParams, RobotState, World, simulate_lidar, step_robot
+                    load_odom_csv, prior_windows_from_log)
+from .simworld import RobotState, World, simulate_lidar, step_robot
 from .trajectory import ReferenceTrajectory
 
 RUN_LOG_HEADER = ["stamp", "x", "y", "theta", "x_n", "d_g", "v_x", "omega",
@@ -341,22 +341,8 @@ def run_replay(scans_dir, cfg: GlobalConfig, out_dir) -> Path:
     """Run a logged scan sequence back through the teach pipeline, rebuilding
     the prior from the logged IMU/odometry streams, and persist a database."""
     scans, imu, odom = load_scan_log(scans_dir)
-    if not scans:
-        raise ValueError(f"no scans found in {scans_dir}")
-    integ = PriorIntegrator(start_stamp=min(s.stamp for s in imu) - 1e-6,
-                            beta=cfg.prior.beta)
-    odom_stamps = np.array([o.stamp for o in odom])
-    odom_speeds = np.array([o.linear_speed for o in odom])
-    prev = integ.trajectory().stamps[0]
-    for s in imu:
-        dt = s.stamp - prev
-        if dt <= 0:
-            continue
-        speed = float(np.interp(s.stamp, odom_stamps, odom_speeds))
-        integ.step(s, OdomSample(speed, s.stamp), dt)
-        prev = s.stamp
-    prior = integ.trajectory()
+    windows = prior_windows_from_log(scans, imu, odom, beta=cfg.prior.beta)
     mission = new_teach_state(cfg.registration, cfg.mapping)
-    for stamp, scan in scans:
-        teach_step(mission, scan, prior.tail(stamp))
+    for (_, scan), window in zip(scans, windows):
+        teach_step(mission, scan, window)
     return finalize_teach(mission, cfg.mission.d_ref, out_dir)

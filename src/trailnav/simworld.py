@@ -17,7 +17,6 @@ from .geom import FRAME_LIDAR, PointCloud
 CLASS_GROUND = 1
 CLASS_VEGETATION = 2
 CLASS_BUILDING = 3
-CLASS_DYNAMIC = 4
 CLASS_SNOWFALL = 5
 
 _STREAM_TERRAIN = 11
@@ -141,27 +140,10 @@ class Building:
 
 
 @dataclass
-class DynamicObject:
-    """Moving box; position linearly interpolated along a waypoint schedule."""
-
-    size: tuple                 # (sx, sy, height)
-    schedule: np.ndarray        # (m, 3) rows of (stamp, x, y)
-
-    def box_at(self, t: float, ground: Heightfield) -> Building:
-        s = np.asarray(self.schedule, dtype=np.float64)
-        x = float(np.interp(t, s[:, 0], s[:, 1]))
-        y = float(np.interp(t, s[:, 0], s[:, 2]))
-        zb = float(ground.sample(x, y))
-        sx, sy, h = self.size
-        return Building(x - sx / 2, x + sx / 2, y - sy / 2, y + sy / 2, zb, zb + h)
-
-
-@dataclass
 class World:
     ground: Heightfield
     trees: Trees
     buildings: list
-    dynamic_objects: list
     seed: int
     params: WorldParams
 
@@ -249,7 +231,7 @@ def generate_world(seed: int, params: WorldParams) -> World:
                                   cy + sy / 2, zb, zb + h))
 
     return World(ground=ground, trees=trees, buildings=buildings,
-                 dynamic_objects=[], seed=seed, params=params)
+                 seed=seed, params=params)
 
 
 def step_robot(world: World, state: RobotState, u, dt: float,
@@ -405,18 +387,13 @@ def simulate_lidar(world: World, pose_fn, lp: LidarParams, seed: int,
 
     t_ground = _ray_ground(origins, dirs, world.ground, lp.max_range)
     t_trunk = _ray_cylinders(origins, dirs, world.trees, lp.max_range)
-    boxes = list(world.buildings)
-    dyn_start = len(boxes)
-    boxes += [obj.box_at(t0, world.ground) for obj in world.dynamic_objects]
     t_building = _ray_boxes(origins, dirs, world.buildings, lp.max_range) \
         if world.buildings else np.full(n, np.inf)
-    t_dynamic = _ray_boxes(origins, dirs, boxes[dyn_start:], lp.max_range) \
-        if world.dynamic_objects else np.full(n, np.inf)
 
-    t_solid = np.minimum.reduce([t_ground, t_trunk, t_building, t_dynamic])
+    t_solid = np.minimum.reduce([t_ground, t_trunk, t_building])
     cls = np.select(
-        [t_solid == t_dynamic, t_solid == t_building, t_solid == t_trunk],
-        [CLASS_DYNAMIC, CLASS_BUILDING, CLASS_VEGETATION],
+        [t_solid == t_building, t_solid == t_trunk],
+        [CLASS_BUILDING, CLASS_VEGETATION],
         default=CLASS_GROUND,
     )
 
@@ -501,8 +478,7 @@ def accumulate_snow(world: World, depth: float, class_factors: dict) -> World:
     buildings = [Building(b.xmin, b.xmax, b.ymin, b.ymax, b.z_base,
                           b.z_top + depth * fb) for b in world.buildings]
     return World(ground=ground, trees=trees, buildings=buildings,
-                 dynamic_objects=list(world.dynamic_objects), seed=world.seed,
-                 params=world.params)
+                 seed=world.seed, params=world.params)
 
 
 # -- world spec file ---------------------------------------------------------

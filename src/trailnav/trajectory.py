@@ -8,38 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import FRAME_MAP, FRAME_ROBOT, RigidTransform
-
-
-def _quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def _matrix_to_quat(m):
-    """Shepperd's method: branch on the largest of trace and diagonal entries."""
-    t = m[0, 0] + m[1, 1] + m[2, 2]
-    if t > max(m[0, 0], m[1, 1], m[2, 2]):
-        s = 2.0 * np.sqrt(1.0 + t)
-        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s,
-                      (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s,
-                      (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s])
-    elif m[1, 1] >= m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2])
-        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s,
-                      0.25 * s, (m[1, 2] + m[2, 1]) / s])
-    else:
-        s = 2.0 * np.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2])
-        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
-                      (m[1, 2] + m[2, 1]) / s, 0.25 * s])
-    return q / np.linalg.norm(q)
+from .geom import (FRAME_MAP, FRAME_ROBOT, RigidTransform, _matrix_to_quat,
+                   _quat_to_matrix)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import yaml
 from trailnav.cli import main
 from trailnav.config import (ConfigError, GlobalConfig, config_from_dict,
                              config_to_dict, load_config, save_config)
+from trailnav.mission import TeachAbort
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,7 +29,6 @@ def test_shipped_default_config_matches_code_defaults():
     assert (cfg.prior.beta, cfg.prior.rate_hz) == (0.1, 100.0)
     assert cfg.mission.d_ref == 0.05
     assert cfg.mission.init_overlap_floor == 40.0
-    assert cfg.mission.control_rate_hz == 10.0
 
 
 def test_round_trip_preserves_config(tmp_path):
@@ -103,6 +103,20 @@ def test_cli_missing_database_exit_four(tmp_path):
                "--db", str(tmp_path / "no_such_db"),
                "--world", str(world_dir / "world_spec.txt")])
     assert rc == 4
+
+
+def test_cli_teach_abort_exit_three(tmp_path, monkeypatch):
+    def abort(state, scan, prior_tail):
+        raise TeachAbort("teach registration failed on scan 0", scan_id=0,
+                         last_pose=None)
+
+    monkeypatch.setattr("trailnav.runner.teach_step", abort)
+    world_dir = tmp_path / "w"
+    assert main(["world", "gen", "--out-dir", str(world_dir),
+                 "--trail-length", "10"]) == 0
+    rc = main(["teach", "--out-dir", str(tmp_path / "t"),
+               "--world", str(world_dir / "world_spec.txt")])
+    assert rc == 3
 
 
 def test_cli_selftest_passes(capsys):

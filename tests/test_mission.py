@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from trailnav.config import GlobalConfig
+from trailnav.cli import main
+from trailnav.config import GlobalConfig, save_config
 from trailnav.controller import ControllerConfig, Pose2D, Status
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
 from trailnav.mission import (MissionState, Phase, finalize_teach,
@@ -193,3 +194,22 @@ def test_scan_log_round_trip(taught, tmp_path):
     assert np.array_equal(scans[3][1].timestamps, log.scans[3][1].timestamps)
     assert imu[5].stamp == log.imu[5].stamp
     assert odom[5].linear_speed == log.odom[5].linear_speed
+
+
+def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
+    _, cfg, result = taught
+    scans = result.scan_log.save(tmp_path / "scans")
+    save_config(cfg, tmp_path / "cfg.yaml")
+    common = ["--config", str(tmp_path / "cfg.yaml"), "--scans", str(scans)]
+    assert main(["replay", "--out-dir", str(tmp_path / "replay"),
+                 *common]) == 0
+    assert (tmp_path / "replay" / "db" / "manifest.json").exists()
+    _, replayed = load_database(tmp_path / "replay" / "db")
+    assert replayed.total_length() == pytest.approx(
+        result.state.trajectory.total_length(), abs=0.3)
+    assert main(["analyze", "overlap", "--db", str(result.db_dir),
+                 "--out-dir", str(tmp_path / "overlap"), *common]) == 0
+    pct = np.loadtxt(tmp_path / "overlap" / "overlap.csv", delimiter=",",
+                     skiprows=1)[:, 1]
+    assert len(pct) == len(result.scan_log.scans)
+    assert np.median(pct) > 90.0

@@ -96,11 +96,12 @@ def test_trajectory_requires_increasing_stamps():
                         np.tile([1.0, 0, 0, 0], (2, 1)))
 
 
-def test_tail_includes_sample_before_start():
+def test_window_includes_samples_around_its_span():
     traj = PriorTrajectory(np.arange(5.0), np.zeros((5, 3)),
                            np.tile([1.0, 0, 0, 0], (5, 1)))
-    tail = traj.tail(2.5)
-    assert tail.stamps[0] == 2.0
+    assert np.array_equal(traj.window(2.5, 3.5).stamps, [2.0, 3.0, 4.0])
+    assert np.array_equal(traj.window(2.0, 3.0).stamps, [2.0, 3.0])
+    assert np.array_equal(traj.window(3.5, 9.0).stamps, [3.0, 4.0])
 
 
 def _straight_prior(v, t_hi, n=101):
