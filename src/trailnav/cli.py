@@ -213,24 +213,30 @@ def _cmd_curvature_bins(args) -> int:
     return EXIT_OK
 
 
-def _registered_scans(args, cfg: GlobalConfig):
-    """Register each logged scan in the database map from the run's logged
-    prior. Returns ([(index, T_hat, scan_in_map)], vmap)."""
+def _registered_scans(args, cfg: GlobalConfig, only=None):
+    """Register each logged scan, or only the one at index ``only``, in the
+    database map from the run's logged prior. Scans left empty by the input
+    filters are skipped. Returns ([(index, T_hat, scan_in_map)], vmap)."""
     vmap, trajectory = load_database(args.db)
     scans, imu, odom = load_scan_log(args.scans)
     windows = prior_windows_from_log(scans, imu, odom,
                                      start_position=trajectory.positions[0],
                                      beta=cfg.prior.beta)
-    reference = vmap.local_cloud()
+    ref = vmap.registration_reference()
+    if ref is None:
+        raise RegistrationFailure("map has no usable normals")
+    reference, index = ref
     out = []
     for i, ((_, scan), window) in enumerate(zip(scans, windows)):
+        if only is not None and i != only:
+            continue
         scan_d = deskew(scan, window)
         filtered = apply_input_filters(scan_d, cfg.registration)
         if len(filtered) == 0:
             continue
         result = register(filtered, reference,
                           window.pose_at_index(len(window) - 1),
-                          cfg.registration)
+                          cfg.registration, ref_index=index)
         out.append((i, result.T_hat, result.reading_in_map))
     return out, vmap
 
@@ -250,17 +256,13 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_perturbation(args) -> int:
     cfg = _load_cfg(args)
-    registered, vmap = _registered_scans(args, cfg)
-    matching = [r for r in registered if r[0] == args.scan_index]
-    if not matching:
+    registered, vmap = _registered_scans(args, cfg, only=args.scan_index)
+    if not registered:
         print(f"scan index {args.scan_index} not found", file=sys.stderr)
         return EXIT_IO
-    _, t_hat, scan_g = matching[0]
+    _, t_hat, scan_g = registered[0]
     scan_l = transform_cloud(scan_g, t_hat.inverse())
-    map_g = vmap.local_cloud()
-    if map_g.normals is None:
-        map_g = compute_normals(map_g, cfg.mapping.n_n)
-    map_l = transform_cloud(map_g, t_hat.inverse())
+    map_l = transform_cloud(vmap.registration_reference()[0], t_hat.inverse())
     offsets, errors, std = analysis.perturbation_uncertainty(
         scan_l, map_l, cfg.registration)
     args.out_dir.mkdir(parents=True, exist_ok=True)

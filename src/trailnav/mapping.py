@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import FRAME_MAP, PointCloud, RigidTransform
+from .geom import FRAME_MAP, PointCloud, RigidTransform, SpatialIndex
 from .npcd import read_npcd, write_npcd
 
 MAP_FORMAT = "trailnav-map"
@@ -139,7 +139,8 @@ class VoxelMap:
 
     def _local_arrays(self):
         """Concatenated local points, normals, dyn_prob and labels in sorted
-        voxel order, plus a kd-tree over the points; cached until invalidated."""
+        voxel order, a kd-tree over the points, and the registration reference
+        built on both; cached until invalidated."""
         if self._cache is None:
             keys = sorted(self.voxels)
             pts, normals, dyn, labels = [], [], [], []
@@ -161,31 +162,32 @@ class VoxelMap:
                 normals = np.zeros((0, 3))
                 dyn = np.zeros(0)
                 labels = np.zeros(0, np.int64)
+            for shared in (pts, normals, dyn, labels):   # handed out below
+                shared.flags.writeable = False
             tree = cKDTree(pts) if len(pts) else None
-            self._cache = (pts, normals, dyn, labels, tree)
+            ref = None
+            if tree is not None and np.isfinite(normals).all():
+                ref = (PointCloud(pts, FRAME_MAP, normals, dyn_prob=dyn,
+                                  labels=labels), SpatialIndex(pts, tree))
+            self._cache = (pts, normals, dyn, labels, tree, ref)
         return self._cache
 
-    def local_tree(self):
-        return self._local_arrays()[4]
-
-    def local_cloud(self, with_normals: bool = True) -> PointCloud:
-        pts, normals, dyn, labels, _ = self._local_arrays()
-        use_normals = with_normals and len(pts) and bool(np.isfinite(normals).all())
-        return PointCloud(pts.copy(), FRAME_MAP,
-                          normals=normals.copy() if use_normals else None,
-                          dyn_prob=dyn.copy(), labels=labels.copy())
+    def registration_reference(self):
+        """(local map cloud, kd-tree index) on the cached, read-only arrays;
+        None when the local map is empty or lacks a normal."""
+        return self._local_arrays()[5]
 
     def all_points_cloud(self) -> PointCloud:
         """Full map (local + nonlocal) as one cloud; nonlocal chunks are read
         from disk without changing residency."""
-        parts = [self.local_cloud(with_normals=False).points]
-        labels = [self._local_arrays()[3]]
+        pts, _, _, local_labels, _, _ = self._local_arrays()
+        parts, labels = [pts], [local_labels]
         for key in sorted(self.nonlocal_manifest):
             c = self._read_chunk(key)
             parts.append(c.points)
             labels.append(c.labels)
-        return PointCloud(np.vstack(parts) if parts else np.zeros((0, 3)), FRAME_MAP,
-                          labels=np.concatenate(labels) if labels else None)
+        return PointCloud(np.vstack(parts), FRAME_MAP,
+                          labels=np.concatenate(labels))
 
     # -- persistence of individual chunks (internal spill format) --------
 
@@ -254,7 +256,7 @@ def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets=None) -> None:
 
     All targets share one neighbour query on the map's cached kd-tree. With no
     target rows the map, and its cache, are left untouched."""
-    pts_all, _, _, _, tree = vmap._local_arrays()
+    pts_all, _, _, _, tree, _ = vmap._local_arrays()
     if tree is None or len(pts_all) < cfg.n_n:
         return
     if targets is None:
@@ -289,7 +291,7 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     if len(pts) == 0:
         return vmap
     sensor = _sensor_position(sensor_pose)
-    tree = vmap.local_tree()
+    tree = vmap._local_arrays()[4]
     if tree is not None:
         d, _ = tree.query(pts, k=1)
         cand = np.nonzero(d > rho)[0]
@@ -401,7 +403,7 @@ def retile(vmap: VoxelMap, robot_position, cfg: MappingConfig):
     robot's voxel. Fires only when the robot has entered a new voxel and
     penetrated at least v_s / 4 past the crossed border (oscillation guard).
 
-    Returns (local map snapshot, action list of ("load"|"unload", key)).
+    Returns (vmap, action list of ("load"|"unload", key)).
     """
     pos = _sensor_position(robot_position)
     cur = vmap.voxel_key(pos)
@@ -417,7 +419,7 @@ def retile(vmap: VoxelMap, robot_position, cfg: MappingConfig):
                 pen = min(pen, (cur[a] + 1) * vmap.v_s - pos[a])
         fire = pen >= vmap.v_s / 4.0
     if not fire:
-        return vmap.local_cloud(), []
+        return vmap, []
 
     lo, hi = _local_box(vmap, cur, cfg)
     actions = []
@@ -436,7 +438,7 @@ def retile(vmap: VoxelMap, robot_position, cfg: MappingConfig):
     vmap.last_retile_voxel = cur
     if actions:
         vmap._invalidate()
-    return vmap.local_cloud(), actions
+    return vmap, actions
 
 
 # ---------------------------------------------------------------------------

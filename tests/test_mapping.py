@@ -45,7 +45,7 @@ def test_insert_scan_density_gate():
     insert_scan(vmap, _grid_cloud(spacing=0.5), [0.0, 0.0, 1.5], cfg.rho)
     assert vmap.local_point_count() == n0
     # No two map points closer than rho.
-    pts = vmap.local_cloud(with_normals=False).points
+    pts = vmap.all_points_cloud().points
     pairs = cKDTree(pts).query_pairs(cfg.rho)
     assert not pairs
 
@@ -54,7 +54,7 @@ def test_insert_scan_self_conflict_within_one_scan():
     vmap = VoxelMap(20.0)
     pts = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.2, 0, 0]])
     insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 1.0], rho=0.1)
-    out = vmap.local_cloud(with_normals=False).points
+    out = vmap.all_points_cloud().points
     assert len(out) == 2   # the 0.05-away twin is dropped
     assert np.allclose(sorted(out[:, 0]), [0.0, 0.2])
 
@@ -77,10 +77,9 @@ def test_refresh_normals_fills_missing(tmp_path):
     vmap = VoxelMap(20.0, spill_dir=tmp_path)
     cfg = _map_cfg()
     insert_scan(vmap, _grid_cloud(spacing=0.4), [0.0, 0.0, 2.0], cfg.rho)
-    assert vmap.local_cloud().normals is None   # NaN until refreshed
+    assert vmap.registration_reference() is None   # NaN until refreshed
     refresh_normals(vmap, cfg)
-    normals = vmap.local_cloud().normals
-    assert normals is not None
+    normals = vmap.registration_reference()[0].normals
     assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
 
 
@@ -98,7 +97,7 @@ def test_filter_dynamic_seen_through_accumulates_and_removes(tmp_path):
         filter_dynamic(vmap, wall, sensor, cfg)
         assert vmap.local_point_count() >= 1  # phantom still there (<= tau_d)
     filter_dynamic(vmap, wall, sensor, cfg)   # 5th observation: 1.0 > 0.8
-    pts = vmap.local_cloud(with_normals=False).points
+    pts = vmap.all_points_cloud().points
     assert not np.any(np.all(np.isclose(pts, [5.0, 0.0, 1.0]), axis=1))
 
 
@@ -156,6 +155,20 @@ def test_retile_partitions_and_moves_voxels(tmp_path):
     _, actions2 = retile(vmap, [37.5, 2.5, 2.5], cfg)
     assert any(a == "load" for a, _ in actions2)
     assert vmap.point_count() == n_total
+
+
+def test_retile_returns_the_map_and_leaves_its_cache_unbuilt(tmp_path):
+    vmap = VoxelMap(5.0, spill_dir=tmp_path)
+    cfg = _map_cfg(r=10.0, v_s=5.0)
+    pts = np.random.default_rng(0).uniform(-40, 40, (2000, 3))
+    insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 0], cfg.rho)
+    assert vmap._cache is None
+    out, actions = retile(vmap, [0.0, 0.0, 0.0], cfg)     # fires
+    assert out is vmap and actions
+    assert vmap._cache is None
+    out, actions = retile(vmap, [0.5, 0.0, 0.0], cfg)     # same voxel
+    assert out is vmap and actions == []
+    assert vmap._cache is None
 
 
 def test_retile_oscillation_guard(tmp_path):
@@ -230,7 +243,7 @@ def _bumpy_map(tmp_path):
 def test_refresh_normals_matches_per_voxel_calls(tmp_path, use_last_inserted):
     from trailnav.mapping import _normals_for
     vmap, cfg = _bumpy_map(tmp_path)
-    pts_all = vmap.local_cloud(with_normals=False).points
+    pts_all = vmap.all_points_cloud().points
     expected, missing = {}, 0
     for key, chunk in vmap.voxels.items():
         rows = np.nonzero(~np.isfinite(chunk.normals).all(axis=1))[0]
@@ -261,7 +274,7 @@ def test_refresh_normals_builds_at_most_one_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(mapping, "cKDTree", CountingTree)
     refresh_normals(vmap, cfg, vmap.last_inserted)
     assert len(builds) <= 1
-    assert vmap.local_cloud().normals is not None
+    assert vmap.registration_reference() is not None
     # Nothing left to refresh: the cached arrays and tree survive the call.
     cache = vmap._local_arrays()
     builds.clear()

@@ -2,13 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from trailnav.cli import main
 from trailnav.config import GlobalConfig, save_config
 from trailnav.controller import ControllerConfig, Pose2D, Status
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
-from trailnav.mission import (MissionState, Phase, finalize_teach,
-                              load_database, new_teach_state, repeat_step,
+from trailnav.icp import RegistrationFailure
+from trailnav.mission import (MissionState, Phase, TeachAbort, finalize_teach,
+                              initialize_localization, load_database,
+                              new_repeat_state, new_teach_state, repeat_step,
                               teach_step)
 from trailnav.prior import PriorTrajectory
 from trailnav.runner import (_prior_window, load_scan_log, run_repeat,
@@ -48,20 +51,106 @@ def _stationary_tail(pose: RigidTransform, cfg) -> PriorTrajectory:
                          cfg.prior.rate_hz, cfg.prior.beta, 0.0, 0.0)
 
 
-def test_teach_bootstraps_empty_map(taught):
-    world, cfg, _ = taught
+def _origin_scan(world, cfg):
+    """A scan from the trail start and a stationary prior tail anchored there."""
     from trailnav.runner import _sensor_anchor
     from trailnav.simworld import RobotState, simulate_lidar
-    state = new_teach_state(cfg.registration, cfg.mapping)
     rs = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
     anchor = _sensor_anchor(world, rs, cfg.sim.lidar.mount_height)
     scan = simulate_lidar(world, rs.pose, cfg.sim.lidar, seed=0)
-    teach_step(state, scan, _stationary_tail(anchor, cfg))
+    return scan, _stationary_tail(anchor, cfg)
+
+
+def test_teach_bootstraps_empty_map(taught):
+    world, cfg, _ = taught
+    state = new_teach_state(cfg.registration, cfg.mapping)
+    scan, tail = _origin_scan(world, cfg)
+    teach_step(state, scan, tail)
     assert state.map.local_point_count() > 100
     assert len(state.raw_poses) == 1
     # The bootstrap pose equals the prior anchor.
-    assert np.allclose(state.raw_poses[0].translation, anchor.translation,
+    assert np.allclose(state.raw_poses[0].translation,
+                       tail.pose_at_index(len(tail) - 1).translation,
                        atol=1e-9)
+
+
+def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
+    import trailnav.geom as geom
+    import trailnav.icp as icp
+    import trailnav.mission as mission
+    world, cfg, result = taught
+    scan, tail = _origin_scan(world, cfg)
+    owner, on_cached_tree, index_builds = [None], [], []
+
+    def spy_register(*args, ref_index=None, **kwargs):
+        on_cached_tree.append(ref_index is not None and
+                              ref_index.tree is owner[0]._local_arrays()[4])
+        return register(*args, ref_index=ref_index, **kwargs)
+
+    def spy_build_index(cloud):
+        index_builds.append(len(cloud))
+        return build_index(cloud)
+
+    register, build_index = mission.register, geom.build_index
+    monkeypatch.setattr(mission, "register", spy_register)
+    for module in (geom, icp, mission):
+        monkeypatch.setattr(module, "build_index", spy_build_index)
+
+    state = new_teach_state(cfg.registration, cfg.mapping)
+    owner[0] = state.map
+    teach_step(state, scan, tail)          # bootstrap: nothing to register on
+    teach_step(state, scan, tail)
+    vmap, traj = load_database(result.db_dir)
+    owner[0] = vmap
+    init = initialize_localization(vmap, scan, tail, cfg.registration)
+    assert init.success
+    state = new_repeat_state(vmap, traj, cfg.registration, cfg.mapping,
+                             init.pose)
+    repeat_step(state, scan, tail, cfg.path_following)
+    assert on_cached_tree == [True, True, True]
+    assert index_builds == []
+
+
+def test_repeat_tick_on_an_unchanged_map_builds_no_tree(taught, monkeypatch):
+    import trailnav.geom as geom
+    import trailnav.mapping as mapping
+    world, cfg, result = taught
+    scan, tail = _origin_scan(world, cfg)
+    vmap, traj = load_database(result.db_dir)
+    state = new_repeat_state(vmap, traj, cfg.registration, cfg.mapping,
+                             tail.pose_at_index(len(tail) - 1))
+    repeat_step(state, scan, tail, cfg.path_following)
+    builds = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "cKDTree", CountingTree)
+    monkeypatch.setattr(mapping, "cKDTree", CountingTree)
+    out = repeat_step(state, scan, tail, cfg.path_following)
+    assert out.pose is not None and not out.skipped
+    assert state.intervention_count == 0
+    assert builds == []
+
+
+def test_a_missing_normal_leaves_no_registration_reference(taught):
+    world, cfg, result = taught
+    scan, tail = _origin_scan(world, cfg)
+    vmap, _ = load_database(result.db_dir)
+    chunk = next(iter(vmap.voxels.values()))
+    chunk.normals = chunk.normals.copy()
+    chunk.normals[0] = np.nan
+    vmap._invalidate()
+    init = initialize_localization(vmap, scan, tail, cfg.registration)
+    assert not init.success
+    assert init.reason == "map has no usable normals"
+    state = new_teach_state(cfg.registration, cfg.mapping)
+    state.map = vmap
+    with pytest.raises(TeachAbort) as info:
+        teach_step(state, scan, tail)
+    assert isinstance(info.value.__cause__, RegistrationFailure)
 
 
 def test_teach_produces_database(taught):
@@ -196,11 +285,16 @@ def test_scan_log_round_trip(taught, tmp_path):
     assert odom[5].linear_speed == log.odom[5].linear_speed
 
 
-def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
-    _, cfg, result = taught
+def _logged_args(cfg, result, tmp_path):
+    """CLI arguments naming the saved config and the teach run's scan log."""
     scans = result.scan_log.save(tmp_path / "scans")
     save_config(cfg, tmp_path / "cfg.yaml")
-    common = ["--config", str(tmp_path / "cfg.yaml"), "--scans", str(scans)]
+    return ["--config", str(tmp_path / "cfg.yaml"), "--scans", str(scans)]
+
+
+def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
+    _, cfg, result = taught
+    common = _logged_args(cfg, result, tmp_path)
     assert main(["replay", "--out-dir", str(tmp_path / "replay"),
                  *common]) == 0
     assert (tmp_path / "replay" / "db" / "manifest.json").exists()
@@ -213,3 +307,29 @@ def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
                      skiprows=1)[:, 1]
     assert len(pct) == len(result.scan_log.scans)
     assert np.median(pct) > 90.0
+
+
+def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
+    import trailnav.cli as cli
+    _, cfg, result = taught
+    common = _logged_args(cfg, result, tmp_path)
+    calls = []
+
+    def counting_register(*args, **kwargs):
+        calls.append(1)
+        return register(*args, **kwargs)
+
+    register = cli.register
+    monkeypatch.setattr(cli, "register", counting_register)
+
+    def perturbation(index, out):
+        return main(["analyze", "perturbation", "--db", str(result.db_dir),
+                     "--scan-index", str(index),
+                     "--out-dir", str(tmp_path / out), *common])
+
+    assert perturbation(3, "pe") == 0
+    assert (tmp_path / "pe" / "perturbation.csv").exists()
+    assert len(calls) == 1
+    assert perturbation(-1, "before") == 4
+    assert perturbation(len(result.scan_log.scans), "after") == 4
+    assert len(calls) == 1
