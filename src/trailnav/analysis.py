@@ -149,13 +149,18 @@ def quantile_brute_force(values, q) -> float:
 
 def scan_overlap(scan_in_g: PointCloud, vmap: VoxelMap, threshold: float) -> float:
     """Percentage of scan points whose nearest map point lies closer than the
-    threshold; the whole map (local and nonlocal) is considered."""
+    threshold; the whole map (local and nonlocal) is considered. A fully
+    resident map is queried on its cached kd-tree."""
     if len(scan_in_g) == 0:
         raise ValueError("scan_overlap expects a non-empty scan")
-    map_pts = vmap.all_points_cloud().points
-    if len(map_pts) == 0:
+    if vmap.nonlocal_manifest:
+        map_pts = vmap.all_points_cloud().points
+        tree = cKDTree(map_pts) if len(map_pts) else None
+    else:
+        tree = vmap._local_arrays()[4]
+    if tree is None:
         return 0.0
-    d, _ = cKDTree(map_pts).query(scan_in_g.points, k=1)
+    d, _ = tree.query(scan_in_g.points, k=1)
     return 100.0 * float(np.mean(d < threshold))
 
 

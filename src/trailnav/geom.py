@@ -13,10 +13,6 @@ FRAME_ROBOT = "R"
 FRAME_MAP = "G"
 VALID_FRAMES = (FRAME_LIDAR, FRAME_ROBOT, FRAME_MAP)
 
-# Extra neighbors fetched from the kd-tree so that equal-distance ties can be
-# broken deterministically (lower point index wins) before truncating to k.
-_TIE_SLACK = 8
-
 
 class FrameMismatchError(ValueError):
     """A transform was applied to a cloud expressed in a different frame."""
@@ -148,25 +144,6 @@ class PointCloud:
                           cp(self.timestamps), cp(self.dyn_prob), cp(self.labels))
 
 
-def concat_clouds(clouds) -> PointCloud:
-    """Concatenate clouds sharing one frame; optional fields kept only if present everywhere."""
-    clouds = [c for c in clouds if len(c)]
-    if not clouds:
-        return PointCloud(np.zeros((0, 3)), frame=FRAME_MAP)
-    frame = clouds[0].frame
-    if any(c.frame != frame for c in clouds):
-        raise FrameMismatchError("cannot concatenate clouds from different frames")
-
-    def cat(attr):
-        vals = [getattr(c, attr) for c in clouds]
-        if any(v is None for v in vals):
-            return None
-        return np.concatenate(vals)
-
-    return PointCloud(np.concatenate([c.points for c in clouds]), frame,
-                      cat("normals"), cat("timestamps"), cat("dyn_prob"), cat("labels"))
-
-
 @dataclass
 class RigidTransform:
     """SE(3) transform taking coordinates in ``from_frame`` to ``to_frame``."""
@@ -248,15 +225,6 @@ def transform_cloud(cloud: PointCloud, t: RigidTransform) -> PointCloud:
 
 
 @dataclass
-class NeighborSet:
-    """Up to n_m reference-cloud neighbors of one query point, distances ascending."""
-
-    query_index: int
-    neighbor_indices: np.ndarray
-    distances: np.ndarray
-
-
-@dataclass
 class SpatialIndex:
     """Immutable kd-tree snapshot over a cloud's positions."""
 
@@ -273,43 +241,3 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     pts = cloud.points.copy()
     return SpatialIndex(points=pts, tree=cKDTree(pts))
 
-
-def _tiebreak_rows(dist, idx, k):
-    """Sort candidate neighbors by (distance, index) and truncate to k."""
-    order = np.lexsort((idx, dist))
-    return dist[order][:k], idx[order][:k]
-
-
-def knn(index: SpatialIndex, query, n_m: int, d_max: float, eps: float = 0.0,
-        query_index: int = -1) -> NeighborSet:
-    """k-nearest neighbors within d_max; eps > 0 allows (1+eps)-approximate results.
-
-    Equal-distance ties are broken toward the lower point index.
-    """
-    if n_m < 1:
-        raise ValueError("n_m must be >= 1")
-    if d_max <= 0:
-        raise ValueError("d_max must be positive")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    k = min(n_m + _TIE_SLACK, len(index))
-    dist, idx = index.tree.query(q, k=k, eps=eps, distance_upper_bound=d_max)
-    dist = np.atleast_1d(dist)
-    idx = np.atleast_1d(idx)
-    valid = np.isfinite(dist)
-    dist, idx = _tiebreak_rows(dist[valid], idx[valid], n_m)
-    return NeighborSet(query_index=query_index, neighbor_indices=idx.astype(np.int64),
-                       distances=dist)
-
-
-def knn_brute_force(points: np.ndarray, query, n_m: int, d_max: float,
-                    query_index: int = -1) -> NeighborSet:
-    """Exhaustive-scan oracle with the same tie-break rule as :func:`knn`."""
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    dist = np.linalg.norm(points - q, axis=1)
-    keep = dist <= d_max
-    idx = np.nonzero(keep)[0]
-    dist, idx = _tiebreak_rows(dist[keep], idx, n_m)
-    return NeighborSet(query_index=query_index, neighbor_indices=idx.astype(np.int64),
-                       distances=dist)

@@ -225,20 +225,18 @@ def _delta_magnitudes(delta: RigidTransform):
 
 
 def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,
-             cfg: RegistrationConfig, ref_index: SpatialIndex | None = None,
-             prefiltered: bool = True) -> RegistrationResult:
+             cfg: RegistrationConfig,
+             ref_index: SpatialIndex | None = None) -> RegistrationResult:
     """Iterate match -> trim -> minimize from the prior until the differential
     update drops below (eps_t_min, eps_theta_min) or i_max is reached.
 
-    ``prefiltered=False`` applies the input filters first. The returned cloud is
-    the (filtered) reading expressed in the map frame.
+    The reading is used as given: callers apply the input filters first. The
+    returned cloud is that reading expressed in the map frame.
     """
     if len(reference) == 0 or reference.normals is None:
         raise ValueError("reference must be non-empty and carry normals")
     if prior.from_frame != reading.frame or prior.to_frame != reference.frame:
         raise ValueError("prior frames must map reading frame to reference frame")
-    if not prefiltered:
-        reading = apply_input_filters(reading, cfg)
     if len(reading) == 0:
         raise RegistrationFailure("reading is empty after input filters")
     if ref_index is None:

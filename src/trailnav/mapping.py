@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import FRAME_MAP, PointCloud, RigidTransform, SpatialIndex
+from .geom import FRAME_MAP, PointCloud, SpatialIndex
 from .npcd import read_npcd, write_npcd
 
 MAP_FORMAT = "trailnav-map"
@@ -250,18 +250,15 @@ def _normals_for(targets, source, n_n, viewpoints=None, tree=None):
     return normals
 
 
-def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets=None) -> None:
-    """(Re)compute normals for the given (key, rows) targets, or for every local
-    point lacking one, using the whole local map as the neighborhood source.
+def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets) -> None:
+    """(Re)compute normals for the given (key, rows) targets, using the whole
+    local map as the neighborhood source.
 
     All targets share one neighbour query on the map's cached kd-tree. With no
     target rows the map, and its cache, are left untouched."""
     pts_all, _, _, _, tree, _ = vmap._local_arrays()
     if tree is None or len(pts_all) < cfg.n_n:
         return
-    if targets is None:
-        targets = [(key, np.nonzero(~np.isfinite(chunk.normals).all(axis=1))[0])
-                   for key, chunk in vmap.voxels.items()]
     parts = [(vmap.voxels[key], rows) for key, rows in targets if len(rows)]
     if not parts:
         return
@@ -274,10 +271,8 @@ def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets=None) -> None:
     vmap._invalidate()
 
 
-def _sensor_position(sensor_pose) -> np.ndarray:
-    if isinstance(sensor_pose, RigidTransform):
-        return sensor_pose.translation
-    return np.asarray(sensor_pose, dtype=np.float64).reshape(3)
+def _sensor_position(position) -> np.ndarray:
+    return np.asarray(position, dtype=np.float64).reshape(3)
 
 
 def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
@@ -355,33 +350,33 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     dir_tree = cKDTree(beam_dir)
     chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
 
-    changed = False
-    for key, chunk in vmap.voxels.items():
-        if len(chunk) == 0:
-            continue
-        rel = chunk.points - sensor
-        rng = np.linalg.norm(rel, axis=1)
-        near = (rng > 1e-9) & (rng <= cfg.r)
-        rows = np.nonzero(near)[0]
-        if len(rows) == 0:
-            continue
-        dirs = rel[rows] / rng[rows, None]
-        dd, bi = dir_tree.query(dirs, k=1)
-        on_beam = dd <= chord
-        seen_through = on_beam & (rng[rows] <= beam_range[bi] - cfg.rho)
-        coincident = (np.linalg.norm(chunk.points[rows] - beam_pts[bi], axis=1)
-                      < cfg.rho)
-        if seen_through.any() or coincident.any():
-            dp = chunk.dyn_prob[rows]
-            dp = dp + cfg.delta_up * seen_through - cfg.delta_down * coincident
-            chunk.dyn_prob[rows] = np.clip(dp, 0.0, 1.0)
-            changed = True
-        remove = chunk.dyn_prob > cfg.tau_d
-        if remove.any():
-            chunk.keep(~remove)
-            changed = True
-    if changed:
-        vmap._invalidate()
+    # One gathered pass over every chunk; rows without a hit keep their value
+    # bit for bit (x + 0.0 - 0.0 == x).
+    chunks = [chunk for chunk in vmap.voxels.values() if len(chunk)]
+    if not chunks:
+        return vmap
+    pts = np.vstack([chunk.points for chunk in chunks])
+    dyn = np.concatenate([chunk.dyn_prob for chunk in chunks])
+    rel = pts - sensor
+    rng = np.linalg.norm(rel, axis=1)
+    rows = np.nonzero((rng > 1e-9) & (rng <= cfg.r))[0]
+    dd, bi = dir_tree.query(rel[rows] / rng[rows, None], k=1)
+    seen_through = (dd <= chord) & (rng[rows] <= beam_range[bi] - cfg.rho)
+    coincident = np.linalg.norm(pts[rows] - beam_pts[bi], axis=1) < cfg.rho
+    hit = seen_through.any() or coincident.any()
+    if hit:
+        dp = dyn[rows] + cfg.delta_up * seen_through - cfg.delta_down * coincident
+        dyn[rows] = np.clip(dp, 0.0, 1.0)
+    remove = dyn > cfg.tau_d
+    if not (hit or remove.any()):
+        return vmap
+    splits = np.cumsum([len(chunk) for chunk in chunks])[:-1]
+    for chunk, part, drop in zip(chunks, np.split(dyn, splits),
+                                 np.split(remove, splits)):
+        chunk.dyn_prob[:] = part
+        if drop.any():
+            chunk.keep(~drop)
+    vmap._invalidate()
     return vmap
 
 

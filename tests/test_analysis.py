@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from trailnav.analysis import (DEFAULT_BIN_EDGES, bin_by_curvature,
                                cross_track_series, curvature_at,
@@ -9,7 +10,7 @@ from trailnav.analysis import (DEFAULT_BIN_EDGES, bin_by_curvature,
                                quantile_brute_force, scan_overlap)
 from trailnav.geom import FRAME_MAP, PointCloud
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
-                              insert_scan)
+                              insert_scan, retile)
 from trailnav.trajectory import ReferenceTrajectory
 
 
@@ -143,6 +144,25 @@ def test_scan_overlap_threshold_is_strict():
     assert scan_overlap(at, vmap, 0.5 + 1e-9) == 100.0
     with pytest.raises(ValueError):
         scan_overlap(PointCloud(np.zeros((0, 3)), FRAME_MAP), vmap, 0.5)
+
+
+def test_scan_overlap_matches_a_whole_map_tree(tmp_path):
+    vmap = VoxelMap(5.0, spill_dir=tmp_path)
+    rng = np.random.default_rng(4)
+    insert_scan(vmap, PointCloud(rng.uniform(-30, 30, (3000, 3)), FRAME_MAP),
+                [0, 0, 1.0], rho=0.1)
+    scan = PointCloud(rng.uniform(-30, 30, (500, 3)), FRAME_MAP)
+
+    def direct(threshold):
+        d, _ = cKDTree(vmap.all_points_cloud().points).query(scan.points, k=1)
+        return 100.0 * float(np.mean(d < threshold))
+
+    for spilled in (False, True):
+        if spilled:
+            retile(vmap, [0.0, 0.0, 0.0], MappingConfig(r=10.0, v_s=5.0))
+        assert bool(vmap.nonlocal_manifest) == spilled
+        for threshold in (0.5, 1.0, 2.0):
+            assert scan_overlap(scan, vmap, threshold) == direct(threshold)
 
 
 def _grid(spacing, extent, z=0.0, frame="L"):

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailnav.geom import (FRAME_LIDAR, FRAME_MAP, FrameMismatchError,
-                           PointCloud, RigidTransform, build_index,
-                           concat_clouds, knn, knn_brute_force,
-                           transform_cloud)
+from trailnav.geom import (FrameMismatchError, PointCloud, RigidTransform,
+                           build_index, transform_cloud)
 
 
 def test_pointcloud_shape_validation():
@@ -40,15 +38,6 @@ def test_select_carries_optional_fields():
     assert np.array_equal(sub.timestamps, [0.0, 2.0])
     assert np.array_equal(sub.labels, [1, 3])
     assert sub.normals is None
-
-
-def test_concat_clouds_frame_check():
-    a = PointCloud(np.zeros((2, 3)), frame=FRAME_LIDAR)
-    b = PointCloud(np.ones((2, 3)), frame=FRAME_MAP)
-    with pytest.raises(FrameMismatchError):
-        concat_clouds([a, b])
-    c = concat_clouds([a, a.copy()])
-    assert len(c) == 4
 
 
 def test_rigid_transform_rejects_non_rotation():
@@ -116,42 +105,11 @@ def test_build_index_rejects_empty():
         build_index(PointCloud(np.zeros((0, 3))))
 
 
-def test_knn_exact_matches_brute_force():
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-5, 5, (400, 3))
-    index = build_index(PointCloud(pts))
-    for q in rng.uniform(-5, 5, (30, 3)):
-        a = knn(index, q, n_m=7, d_max=2.0, eps=0.0)
-        b = knn_brute_force(pts, q, n_m=7, d_max=2.0)
-        assert np.array_equal(a.neighbor_indices, b.neighbor_indices)
-        assert np.allclose(a.distances, b.distances, atol=1e-12)
-
-
-def test_knn_tie_break_prefers_lower_index():
-    # Four points at identical distance 1 from the origin.
-    pts = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0],
-                    [5.0, 5.0, 5.0]])
-    index = build_index(PointCloud(pts))
-    got = knn(index, [0.0, 0.0, 0.0], n_m=2, d_max=2.0)
-    assert np.array_equal(got.neighbor_indices, [0, 1])
-
 
 def test_knn_respects_d_max():
-    pts = np.array([[0.5, 0, 0], [3.0, 0, 0]])
-    index = build_index(PointCloud(pts))
-    got = knn(index, [0.0, 0.0, 0.0], n_m=5, d_max=1.0)
-    assert np.array_equal(got.neighbor_indices, [0])
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 2.0))
-def test_knn_approximate_within_factor(seed, eps):
-    """(1+eps)-approximate: k-th reported distance <= (1+eps) * true k-th."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3, 3, (200, 3))
-    index = build_index(PointCloud(pts))
-    q = rng.uniform(-3, 3, 3)
-    approx = knn(index, q, n_m=5, d_max=4.0, eps=eps)
-    exact = knn_brute_force(pts, q, n_m=5, d_max=4.0)
-    for i in range(min(len(approx.distances), len(exact.distances))):
-        assert approx.distances[i] <= (1.0 + eps) * exact.distances[i] + 1e-12
+    # A kNN query over the index keeps only references strictly within d_max.
+    from trailnav.icp import RegistrationConfig, match
+    index = build_index(PointCloud(np.array([[0.5, 0, 0], [3.0, 0, 0]])))
+    got = match(PointCloud(np.zeros((1, 3))), index,
+                RegistrationConfig(n_m=5, d_max=1.0, eps=0.0))
+    assert np.array_equal(got.reference_indices, [0])

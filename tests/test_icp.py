@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trailnav.geom import (FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform,
@@ -110,6 +110,64 @@ def test_match_respects_d_max():
     reading = PointCloud(np.array([[5.0, 0, 0]]), FRAME_MAP)
     m = match(reading, build_index(ref), RegistrationConfig(d_max=2.0, eps=0.0))
     assert len(m) == 0
+
+
+def _match_brute_force(reading, ref_pts, n_m, d_max):
+    """Exhaustive-scan oracle for ``match`` at eps=0: per reading point, its
+    n_m nearest references strictly within d_max, by (distance, index)."""
+    rd, rf, dist = [], [], []
+    for i, p in enumerate(reading):
+        d = np.linalg.norm(ref_pts - p, axis=1)
+        idx = np.nonzero(d < d_max)[0]
+        idx = idx[np.lexsort((idx, d[idx]))][:n_m]
+        rd += [i] * len(idx)
+        rf += list(idx)
+        dist += list(d[idx])
+    return np.array(rd, np.int64), np.array(rf, np.int64), np.array(dist)
+
+
+def _random_match_scene(seed, n_ref=400, n_reading=30):
+    rng = np.random.default_rng(seed)
+    ref = rng.uniform(-5, 5, (n_ref, 3))
+    reading = rng.uniform(-5, 5, (n_reading, 3))
+    return ref, PointCloud(reading, FRAME_MAP), build_index(PointCloud(ref, FRAME_MAP))
+
+
+def test_match_exact_matches_brute_force():
+    cfg = RegistrationConfig(n_m=7, d_max=2.0, eps=0.0)
+    for seed in range(20):
+        ref, reading, index = _random_match_scene(seed)
+        m = match(reading, index, cfg)
+        rd, rf, dist = _match_brute_force(reading.points, ref, cfg.n_m, cfg.d_max)
+        assert np.array_equal(m.reading_indices, rd), seed
+        assert np.array_equal(m.reference_indices, rf), seed
+        assert np.allclose(m.distances, dist, rtol=0.0, atol=1e-12), seed
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 2.0))
+@example(0, 1.0)   # the shipped eps
+def test_match_approximate_within_factor(seed, eps):
+    """(1+eps)-approximate: the i-th reported distance of each reading point is
+    at most (1+eps) times its true i-th nearest distance."""
+    cfg = RegistrationConfig(n_m=5, d_max=4.0, eps=eps)
+    ref, reading, index = _random_match_scene(seed, n_ref=200, n_reading=10)
+    m = match(reading, index, cfg)
+    rd, _, exact = _match_brute_force(reading.points, ref, cfg.n_m, cfg.d_max)
+    for i in range(len(reading)):
+        got, want = m.distances[m.reading_indices == i], exact[rd == i]
+        n = min(len(got), len(want))
+        assert np.all(got[:n] <= (1.0 + eps) * want[:n] + 1e-12)
+
+
+def test_match_returns_equidistant_references_in_index_order():
+    # Four references at distance exactly 1 from the reading point.
+    ref = PointCloud(np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0],
+                               [0, -1.0, 0], [5.0, 5.0, 5.0]]), FRAME_MAP)
+    reading = PointCloud(np.zeros((1, 3)), FRAME_MAP)
+    m = match(reading, build_index(ref), RegistrationConfig(n_m=4))
+    assert np.array_equal(m.reference_indices, [0, 1, 2, 3])
+    assert np.array_equal(m.distances, np.ones(4))
 
 
 def test_trim_keeps_round_of_ratio():

@@ -78,7 +78,7 @@ def test_refresh_normals_fills_missing(tmp_path):
     cfg = _map_cfg()
     insert_scan(vmap, _grid_cloud(spacing=0.4), [0.0, 0.0, 2.0], cfg.rho)
     assert vmap.registration_reference() is None   # NaN until refreshed
-    refresh_normals(vmap, cfg)
+    refresh_normals(vmap, cfg, vmap.last_inserted)
     normals = vmap.registration_reference()[0].normals
     assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
 
@@ -194,7 +194,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.uniform(-30, 30, (3000, 3))
     insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 1.5], cfg.rho)
-    refresh_normals(vmap, cfg)
+    refresh_normals(vmap, cfg, vmap.last_inserted)
     out = save_map(vmap, tmp_path / "db")
     assert (out / "manifest.json").exists()
     back = load_map(tmp_path / "db", spill_dir=tmp_path / "spill2")
@@ -231,7 +231,7 @@ def _bumpy_map(tmp_path):
     rng = np.random.default_rng(7)
     for scan, sensor in enumerate(([-3.0, 1.0, 2.0], [4.0, -2.0, 2.5])):
         if scan:
-            refresh_normals(vmap, cfg)
+            refresh_normals(vmap, cfg, vmap.last_inserted)
         xy = rng.uniform(-9.0, 9.0, (1500, 2))
         z = 0.3 * np.sin(xy[:, 0]) * np.cos(0.7 * xy[:, 1])
         insert_scan(vmap, PointCloud(np.column_stack([xy, z]), FRAME_MAP),
@@ -239,8 +239,7 @@ def _bumpy_map(tmp_path):
     return vmap, cfg
 
 
-@pytest.mark.parametrize("use_last_inserted", [True, False])
-def test_refresh_normals_matches_per_voxel_calls(tmp_path, use_last_inserted):
+def test_refresh_normals_matches_per_voxel_calls(tmp_path):
     from trailnav.mapping import _normals_for
     vmap, cfg = _bumpy_map(tmp_path)
     pts_all = vmap.all_points_cloud().points
@@ -254,8 +253,7 @@ def test_refresh_normals_matches_per_voxel_calls(tmp_path, use_last_inserted):
                                          chunk.viewpoints[rows])
         expected[key] = normals
     assert len(vmap.voxels) >= 4 and missing >= 4
-    refresh_normals(vmap, cfg,
-                    vmap.last_inserted if use_last_inserted else None)
+    refresh_normals(vmap, cfg, vmap.last_inserted)
     for key, chunk in vmap.voxels.items():
         assert np.array_equal(chunk.normals, expected[key]), key
 
@@ -278,8 +276,70 @@ def test_refresh_normals_builds_at_most_one_tree(tmp_path, monkeypatch):
     # Nothing left to refresh: the cached arrays and tree survive the call.
     cache = vmap._local_arrays()
     builds.clear()
-    refresh_normals(vmap, cfg)
+    refresh_normals(vmap, cfg, [])
     refresh_normals(vmap, cfg, [(key, np.zeros(0, np.int64))
                                 for key in vmap.voxels])
     assert vmap._cache is cache
     assert builds == []
+
+
+def _filter_dynamic_per_voxel(vmap, scan_in_g, sensor, cfg):
+    """Voxel-by-voxel reference for filter_dynamic."""
+    beam_vec = scan_in_g.points - sensor
+    beam_range = np.linalg.norm(beam_vec, axis=1)
+    dir_tree = cKDTree(beam_vec / beam_range[:, None])
+    chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
+    for chunk in vmap.voxels.values():
+        rel = chunk.points - sensor
+        rng = np.linalg.norm(rel, axis=1)
+        rows = np.nonzero((rng > 1e-9) & (rng <= cfg.r))[0]
+        if len(rows):
+            dd, bi = dir_tree.query(rel[rows] / rng[rows, None], k=1)
+            seen_through = (dd <= chord) & (rng[rows] <= beam_range[bi] - cfg.rho)
+            coincident = (np.linalg.norm(chunk.points[rows] - scan_in_g.points[bi],
+                                         axis=1) < cfg.rho)
+            dp = (chunk.dyn_prob[rows] + cfg.delta_up * seen_through
+                  - cfg.delta_down * coincident)
+            chunk.dyn_prob[rows] = np.clip(dp, 0.0, 1.0)
+        chunk.keep(chunk.dyn_prob <= cfg.tau_d)
+
+
+def test_filter_dynamic_matches_per_voxel_reference(tmp_path):
+    (vmap, cfg), (ref_map, _) = (_bumpy_map(tmp_path / name) for name in "ab")
+    assert len(vmap.voxels) == 32
+    for m in (vmap, ref_map):
+        dyn_rng = np.random.default_rng(11)
+        for key in sorted(m.voxels):
+            m.voxels[key].dyn_prob[:] = dyn_rng.uniform(0.0, 0.8,
+                                                        len(m.voxels[key]))
+    # Returns 1 m beyond some map points (seen through) and on others
+    # (coincident), spread over every voxel.
+    sensor = np.array([1.0, 0.5, 2.0])
+    pts = vmap.all_points_cloud().points
+    pick = np.random.default_rng(3).choice(len(pts), 600, replace=False)
+    ray = pts[pick[:400]] - sensor
+    through = pts[pick[:400]] + ray / np.linalg.norm(ray, axis=1, keepdims=True)
+    scan = PointCloud(np.vstack([through, pts[pick[400:]]]), FRAME_MAP)
+    before = {key: len(chunk) for key, chunk in vmap.voxels.items()}
+    filter_dynamic(vmap, scan, sensor, cfg)
+    _filter_dynamic_per_voxel(ref_map, scan, sensor, cfg)
+    assert vmap.voxels.keys() == ref_map.voxels.keys()
+    for key, chunk in vmap.voxels.items():
+        assert np.array_equal(chunk.dyn_prob, ref_map.voxels[key].dyn_prob), key
+        assert np.array_equal(chunk.points, ref_map.voxels[key].points), key
+    # Points were dropped in many voxels, not just one.
+    assert sum(len(c) < before[k] for k, c in vmap.voxels.items()) >= 4
+
+
+def test_filter_dynamic_without_a_hit_keeps_the_cache(tmp_path):
+    vmap, cfg = _bumpy_map(tmp_path)
+    cache = vmap._local_arrays()
+    dyn = {key: chunk.dyn_prob.copy() for key, chunk in vmap.voxels.items()}
+    # A beam straight up from inside the map: in range of every point, on no
+    # point's direction, and coincident with none.
+    sensor = np.array([0.0, 0.0, 2.0])
+    filter_dynamic(vmap, PointCloud(np.array([[0.0, 0.0, 30.0]]), FRAME_MAP),
+                   sensor, cfg)
+    assert vmap._cache is cache
+    for key, chunk in vmap.voxels.items():
+        assert np.array_equal(chunk.dyn_prob, dyn[key])

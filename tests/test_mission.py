@@ -111,6 +111,21 @@ def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
     assert index_builds == []
 
 
+def _count_tree_builds(monkeypatch, *modules):
+    """Patch cKDTree in the given modules; each build appends to the list
+    returned."""
+    builds = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "cKDTree", CountingTree)
+    return builds
+
+
 def test_repeat_tick_on_an_unchanged_map_builds_no_tree(taught, monkeypatch):
     import trailnav.geom as geom
     import trailnav.mapping as mapping
@@ -120,18 +135,24 @@ def test_repeat_tick_on_an_unchanged_map_builds_no_tree(taught, monkeypatch):
     state = new_repeat_state(vmap, traj, cfg.registration, cfg.mapping,
                              tail.pose_at_index(len(tail) - 1))
     repeat_step(state, scan, tail, cfg.path_following)
-    builds = []
-
-    class CountingTree(cKDTree):
-        def __init__(self, *args, **kwargs):
-            builds.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(geom, "cKDTree", CountingTree)
-    monkeypatch.setattr(mapping, "cKDTree", CountingTree)
+    builds = _count_tree_builds(monkeypatch, geom, mapping)
     out = repeat_step(state, scan, tail, cfg.path_following)
     assert out.pose is not None and not out.skipped
     assert state.intervention_count == 0
+    assert builds == []
+
+
+def test_init_on_a_warm_cache_builds_no_tree(taught, monkeypatch):
+    import trailnav.analysis as analysis
+    import trailnav.geom as geom
+    import trailnav.mapping as mapping
+    world, cfg, result = taught
+    scan, tail = _origin_scan(world, cfg)
+    vmap, _ = load_database(result.db_dir)
+    assert vmap.registration_reference() is not None and not vmap.nonlocal_manifest
+    builds = _count_tree_builds(monkeypatch, analysis, geom, mapping)
+    init = initialize_localization(vmap, scan, tail, cfg.registration)
+    assert init.success
     assert builds == []
 
 
