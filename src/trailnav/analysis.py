@@ -11,7 +11,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import PointCloud, build_index
-from .icp import RegistrationConfig, match, point_to_plane_error, trim_outliers
+from .icp import (RegistrationConfig, gather_reference, match,
+                  point_to_plane_error, trim_outliers)
 from .mapping import VoxelMap
 from .trajectory import ReferenceTrajectory, subsample_by_distance
 
@@ -189,7 +190,9 @@ def perturbation_uncertainty(scan_in_l: PointCloud, map_in_l: PointCloud,
         if len(m) == 0:
             continue
         m = trim_outliers(m, cfg.eta_d)
-        errors[i] = point_to_plane_error(m, shifted, map_in_l)
+        q, n = gather_reference(m, map_in_l)
+        errors[i], _ = point_to_plane_error(shifted.points[m.reading_indices],
+                                            q, n, m.weights)
     valid = np.isfinite(errors)
     std = float(np.std(errors[valid])) if valid.any() else float("nan")
     return offsets, errors, std

@@ -14,8 +14,6 @@ from .geom import (PointCloud, RigidTransform, SpatialIndex, build_index,
 DEFAULT_BBOX_1 = (-1.5, 0.5, -1.0, 1.0, -1.0, 0.5)
 DEFAULT_BBOX_2 = (-10.0, -1.5, -2.5, 2.5, -1.0, 1.0)
 
-_Z = np.array([0.0, 0.0, 1.0])
-
 # Named RNG sub-stream for the random subsampling filter.
 SUBSAMPLE_STREAM = 81
 
@@ -84,10 +82,6 @@ class MatchSet:
     def __len__(self):
         return len(self.reading_indices)
 
-    @property
-    def kept(self) -> np.ndarray:
-        return self.weights == 1
-
 
 @dataclass
 class RegistrationResult:
@@ -134,15 +128,19 @@ def match(reading_in_g: PointCloud, ref_index: SpatialIndex,
     k = min(cfg.n_m, len(ref_index))
     dist, idx = ref_index.tree.query(pts, k=k, eps=cfg.eps,
                                      distance_upper_bound=cfg.d_max)
-    dist = np.atleast_2d(dist.reshape(len(pts), -1))
-    idx = np.atleast_2d(idx.reshape(len(pts), -1))
+    dist = dist.reshape(len(pts), -1)
+    idx = idx.reshape(len(pts), -1)
     valid = np.isfinite(dist)
-    rd_idx = np.broadcast_to(np.arange(len(pts))[:, None], dist.shape)[valid]
-    rf_idx = idx[valid]
+    rd_idx = np.repeat(np.arange(len(pts)), valid.sum(axis=1))
+    rf_idx = idx[valid].astype(np.int64, copy=False)
     d = dist[valid]
-    order = np.lexsort((rf_idx, d, rd_idx))
-    return MatchSet(rd_idx[order].astype(np.int64), rf_idx[order].astype(np.int64),
-                    d[order], np.ones(len(d), dtype=np.int8))
+    # cKDTree returns each row by ascending distance, misses last, so the
+    # flattened pairs are already canonical unless a row holds equal distances
+    # (their reference order is then the tree's, not ascending).
+    if np.any((dist[:, 1:] <= dist[:, :-1]) & np.isfinite(dist[:, 1:])):
+        order = np.lexsort((rf_idx, d, rd_idx))
+        rd_idx, rf_idx, d = rd_idx[order], rf_idx[order], d[order]
+    return MatchSet(rd_idx, rf_idx, d, np.ones(len(d), dtype=np.int8))
 
 
 def _round_half_away(x: float) -> int:
@@ -157,47 +155,58 @@ def trim_outliers(m: MatchSet, eta_d: float) -> MatchSet:
     if len(m) == 0:
         raise ValueError("trim_outliers expects a non-empty match set")
     kept_count = _round_half_away(eta_d * len(m))
-    order = np.lexsort((m.reference_indices, m.reading_indices, m.distances))
     weights = np.zeros(len(m), dtype=np.int8)
-    weights[order[:kept_count]] = 1
+    if kept_count > 0:
+        # Every pair below the kept_count-th smallest distance is kept; the
+        # slots left go to the pairs at that distance in tie-break order.
+        d = m.distances
+        threshold = np.partition(d, kept_count - 1)[kept_count - 1]
+        below = d < threshold
+        weights[below] = 1
+        tied = np.flatnonzero(d == threshold)
+        tied = tied[np.lexsort((m.reference_indices[tied], m.reading_indices[tied]))]
+        weights[tied[:kept_count - int(below.sum())]] = 1
     return MatchSet(m.reading_indices, m.reference_indices, m.distances, weights)
 
 
-def _residuals(m: MatchSet, reading: PointCloud, reference: PointCloud):
-    p = reading.points[m.reading_indices]
-    q = reference.points[m.reference_indices]
-    if reference.normals is None:
-        raise MissingNormalError(m.reference_indices[0] if len(m) else -1)
-    n = reference.normals[m.reference_indices]
-    bad = ~np.isfinite(n).all(axis=1)
-    if np.any(bad):
+def gather_reference(m: MatchSet, reference: PointCloud):
+    """Reference points and normals of every pair, row k for pair k."""
+    # np.take gathers rows several times faster than fancy indexing.
+    n = np.take(reference.normals, m.reference_indices, axis=0)
+    if not np.isfinite(n).all():
+        bad = ~np.isfinite(n).all(axis=1)
         raise MissingNormalError(m.reference_indices[np.argmax(bad)])
-    return p, q, n, np.einsum("ij,ij->i", p - q, n)
+    return np.take(reference.points, m.reference_indices, axis=0), n
 
 
-def point_to_plane_error(m: MatchSet, reading: PointCloud,
-                         reference: PointCloud) -> float:
-    """Sum of w_k * ((p_k - q_k) . n_k)^2 over all pairs (squared form)."""
-    _, _, _, res = _residuals(m, reading, reference)
-    return float(np.sum(m.weights * res ** 2))
+def point_to_plane_error(p: np.ndarray, q: np.ndarray, n: np.ndarray,
+                         weights: np.ndarray):
+    """Sum of w_k * ((p_k - q_k) . n_k)^2 over all pairs (squared form), and the
+    residuals (p_k - q_k) . n_k.
+
+    Row k holds pair k: its reading point p_k in the map frame, and its
+    reference point q_k and normal n_k (see ``gather_reference``).
+    """
+    res = np.einsum("ij,ij->i", p - q, n)
+    return float(np.sum(weights * res ** 2)), res
 
 
-def minimize_step(m: MatchSet, reading: PointCloud, reference: PointCloud,
+def minimize_step(p: np.ndarray, n: np.ndarray, res: np.ndarray,
+                  weights: np.ndarray,
                   current: RigidTransform | None = None) -> RigidTransform:
     """Least-squares minimizer of the linearized point-to-plane residuals over
     (t_x, t_y, t_z, yaw); roll and pitch are identically zero.
 
-    ``reading`` is in the map frame. When ``current`` is given, the increment is
-    expressed in that transform's source frame (right-composition); otherwise the
-    reading's own frame is used.
+    Rows are pairs as in ``point_to_plane_error``, and ``res`` holds its
+    residuals; only pairs of weight 1 enter. ``p`` is in the map frame. When
+    ``current`` is given, the increment is expressed in that transform's source
+    frame (right-composition); otherwise the reading's own frame is used.
     """
-    keep = m.kept
-    if int(keep.sum()) < 4:
+    keep = np.flatnonzero(weights == 1)
+    if len(keep) < 4:
         raise DegenerateRegistration(
-            f"need at least 4 weighted pairs, got {int(keep.sum())}")
-    sub = MatchSet(m.reading_indices[keep], m.reference_indices[keep],
-                   m.distances[keep], m.weights[keep])
-    p_g, _, n, res = _residuals(sub, reading, reference)
+            f"need at least 4 weighted pairs, got {len(keep)}")
+    p_g, n, res = (np.take(a, keep, axis=0) for a in (p, n, res))
     if current is None:
         rot = np.eye(3)
         p_local = p_g
@@ -205,8 +214,8 @@ def minimize_step(m: MatchSet, reading: PointCloud, reference: PointCloud,
         rot = current.rotation
         p_local = (p_g - current.translation) @ rot
     n_local = n @ rot  # rot^T applied row-wise
-    yaw_col = np.einsum("ij,ij->i", np.cross(np.broadcast_to(_Z, p_local.shape),
-                                             p_local), n_local)
+    # Yaw column: (z x p) . n.
+    yaw_col = p_local[:, 0] * n_local[:, 1] - p_local[:, 1] * n_local[:, 0]
     a = np.column_stack([n_local, yaw_col])
     b = -res
     u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -247,27 +256,30 @@ def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,
     iterations = 0
     final_error = np.nan
     for iterations in range(1, cfg.i_max + 1):
-        reading_g = transform_cloud(reading, t)
-        m = match(reading_g, ref_index, cfg)
+        pts_g = t.apply(reading.points)
+        m = match(PointCloud(pts_g, reference.frame), ref_index, cfg)
         if len(m) == 0:
             raise RegistrationFailure(
                 f"empty match set at iteration {iterations}")
         m = trim_outliers(m, cfg.eta_d)
-        err_before = point_to_plane_error(m, reading_g, reference)
-        delta = minimize_step(m, reading_g, reference, current=t)
+        q, n = gather_reference(m, reference)
+        rows = m.reading_indices
+        p = np.take(pts_g, rows, axis=0)
+        err_before, res = point_to_plane_error(p, q, n, m.weights)
+        delta = minimize_step(p, n, res, m.weights, current=t)
         # Halve the step while it would increase the objective on this match set
         # (keeps the per-iteration error monotone despite linearization).
         cand = t @ delta
-        err_after = point_to_plane_error(
-            m, transform_cloud(reading, cand), reference)
+        err_after, _ = point_to_plane_error(
+            np.take(cand.apply(reading.points), rows, axis=0), q, n, m.weights)
         for _ in range(8):
             if err_after <= err_before + 1e-12:
                 break
             delta = RigidTransform.from_yaw(0.5 * delta.yaw, 0.5 * delta.translation,
                                             delta.from_frame, delta.to_frame)
             cand = t @ delta
-            err_after = point_to_plane_error(
-                m, transform_cloud(reading, cand), reference)
+            err_after, _ = point_to_plane_error(
+                np.take(cand.apply(reading.points), rows, axis=0), q, n, m.weights)
         t = cand
         final_error = err_after
         dt_norm, dyaw = _delta_magnitudes(delta)

@@ -221,19 +221,21 @@ def deskew(scan: PointCloud, prior: PriorTrajectory) -> PointCloud:
         t_bad = float(ts[np.argmax(bad)])
         raise PriorCoverageError(
             f"point stamp {t_bad} outside prior coverage [{lo}, {hi}]")
-    t_end = float(ts.max())
-    trans, rots = _interp_poses(prior, np.append(ts, t_end))
-    rot_end = rots[-1]
+    # One pose per distinct stamp (a scan has one per azimuth column), then
+    # gathered per point by Rotation indexing: a round trip through from_quat
+    # would renormalize and move points in the last bits.
+    stamps, inv = np.unique(ts, return_inverse=True)
+    trans, rots = _interp_poses(prior, stamps)
+    rot_end_inv = rots[-1].inv()
     trans_end = trans[-1]
     # World-frame point at its own stamp, then back into the scan-end frame.
-    world = rots[:-1].apply(scan.points) + trans[:-1]
-    pts = rot_end.inv().apply(world - trans_end)
+    world = rots[inv].apply(scan.points) + trans[inv]
+    pts = rot_end_inv.apply(world - trans_end)
     out = scan.copy()
     out.points = pts
-    out.timestamps = np.full(len(scan), t_end)
+    out.timestamps = np.full(len(scan), stamps[-1])
     if out.normals is not None:
-        rel = (rot_end.inv() * rots[:-1])
-        out.normals = rel.apply(scan.normals)
+        out.normals = (rot_end_inv * rots)[inv].apply(scan.normals)
     return out
 
 

@@ -22,7 +22,7 @@ from trailnav.controller import (Command, ControllerConfig, FrenetState,
                                  Pose2D, Status, compute_command)
 from trailnav.geom import FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform
 from trailnav.icp import (MatchSet, RegistrationConfig, apply_input_filters,
-                          point_to_plane_error, register)
+                          gather_reference, point_to_plane_error, register)
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, load_map, retile, save_map)
 from trailnav.mission import (initialize_localization, load_database,
@@ -176,7 +176,8 @@ def test_criterion_02_error_function_brute_force():
         fi = rng.integers(0, n_ref, k)
         w = rng.integers(0, 2, k).astype(np.float64)
         m = MatchSet(ri, fi, distances=np.zeros(k), weights=w)
-        fast = point_to_plane_error(m, reading, reference)
+        q, n = gather_reference(m, reference)
+        fast, _ = point_to_plane_error(reading.points[ri], q, n, w)
         slow = 0.0
         for j in range(k):
             d = reading.points[ri[j]] - reference.points[fi[j]]

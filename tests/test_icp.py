@@ -3,12 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import cKDTree
+
+import trailnav.icp as icp
 from trailnav.geom import (FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform,
                            build_index, transform_cloud)
 from trailnav.icp import (DegenerateRegistration, MatchSet, MissingNormalError,
                           RegistrationConfig, RegistrationFailure,
-                          apply_input_filters, match, minimize_step,
-                          point_to_plane_error, register, trim_outliers)
+                          apply_input_filters, gather_reference, match,
+                          minimize_step, point_to_plane_error, register,
+                          trim_outliers)
 from trailnav.mapping import compute_normals
 
 
@@ -186,7 +190,8 @@ def test_trim_tie_break_is_deterministic():
     m = MatchSet(np.array([3, 1, 2, 0]), np.array([0, 1, 2, 3]), dist,
                  np.ones(4, np.int8))
     t = trim_outliers(m, 0.5)
-    kept_pairs = set(zip(m.reading_indices[t.kept], m.reference_indices[t.kept]))
+    kept = t.weights == 1
+    kept_pairs = set(zip(m.reading_indices[kept], m.reference_indices[kept]))
     assert kept_pairs == {(0, 3), (1, 1)}  # lowest reading indices win
 
 
@@ -199,25 +204,34 @@ def test_trim_count_property(n, eta_d):
     assert int(t.weights.sum()) == int(np.floor(eta_d * n + 0.5))
 
 
+def _pairs(m, reading, reference):
+    """The gathered rows ``point_to_plane_error`` and ``minimize_step`` take."""
+    q, n = gather_reference(m, reference)
+    return reading.points[m.reading_indices], q, n
+
+
 def test_error_requires_normals():
-    reading = PointCloud(np.zeros((2, 3)), FRAME_MAP)
-    ref = PointCloud(np.zeros((2, 3)), FRAME_MAP)
-    m = MatchSet(np.array([0, 1]), np.array([0, 1]), np.zeros(2),
-                 np.ones(2, np.int8))
-    with pytest.raises(MissingNormalError):
-        point_to_plane_error(m, reading, ref)
+    ref = PointCloud(np.zeros((3, 3)), FRAME_MAP,
+                     normals=np.tile([0.0, 0.0, 1.0], (3, 1)))
+    ref.normals[2] = np.nan
+    m = MatchSet(np.array([0, 1, 1]), np.array([0, 1, 2]), np.zeros(3),
+                 np.array([1, 1, 0], np.int8))
+    # A pair of weight 0 is checked too.
+    with pytest.raises(MissingNormalError) as exc:
+        gather_reference(m, ref)
+    assert exc.value.reference_index == 2
 
 
 def test_error_is_squared_normal_projection():
     # One pair: p - q = (1, 1, 0), n = z -> residual 0; n = x -> residual 1.
-    reading = PointCloud(np.array([[1.0, 1.0, 0.0]]), FRAME_MAP)
-    ref_z = PointCloud(np.zeros((1, 3)), FRAME_MAP,
-                       normals=np.array([[0.0, 0.0, 1.0]]))
-    ref_x = PointCloud(np.zeros((1, 3)), FRAME_MAP,
-                       normals=np.array([[1.0, 0.0, 0.0]]))
-    m = MatchSet(np.array([0]), np.array([0]), np.zeros(1), np.ones(1, np.int8))
-    assert point_to_plane_error(m, reading, ref_z) == pytest.approx(0.0)
-    assert point_to_plane_error(m, reading, ref_x) == pytest.approx(1.0)
+    p, q = np.array([[1.0, 1.0, 0.0]]), np.zeros((1, 3))
+    w = np.ones(1, np.int8)
+    err, res = point_to_plane_error(p, q, np.array([[0.0, 0.0, 1.0]]), w)
+    assert err == pytest.approx(0.0) and res == pytest.approx([0.0])
+    err, res = point_to_plane_error(p, q, np.array([[1.0, 0.0, 0.0]]), w)
+    assert err == pytest.approx(1.0) and res == pytest.approx([1.0])
+    assert point_to_plane_error(p, q, np.array([[1.0, 0.0, 0.0]]),
+                                np.zeros(1, np.int8))[0] == 0.0
 
 
 def test_minimize_step_recovers_small_offset():
@@ -227,11 +241,13 @@ def test_minimize_step_recovers_small_offset():
     reading.normals = None
     n = len(reading)
     m = MatchSet(np.arange(n), np.arange(n), np.zeros(n), np.ones(n, np.int8))
-    delta = minimize_step(m, reading, ref)
+    p, q, normals = _pairs(m, reading, ref)
+    err, res = point_to_plane_error(p, q, normals, m.weights)
+    delta = minimize_step(p, normals, res, m.weights)
     # The correction must undo the injected offset to first order.
-    corrected = point_to_plane_error(
-        m, transform_cloud(reading, delta.retagged("G", "G")), ref)
-    assert corrected < 0.1 * point_to_plane_error(m, reading, ref)
+    corrected, _ = point_to_plane_error(
+        delta.retagged("G", "G").apply(p), q, normals, m.weights)
+    assert corrected < 0.1 * err
 
 
 def test_minimize_step_degenerate_plane_only():
@@ -242,8 +258,10 @@ def test_minimize_step_degenerate_plane_only():
     reading = PointCloud(pts + [0.0, 0.0, 0.1], FRAME_MAP)
     m = MatchSet(np.arange(500), np.arange(500), np.zeros(500),
                  np.ones(500, np.int8))
+    p, q, normals = _pairs(m, reading, ref)
+    _, res = point_to_plane_error(p, q, normals, m.weights)
     with pytest.raises(DegenerateRegistration) as exc:
-        minimize_step(m, reading, ref)
+        minimize_step(p, normals, res, m.weights)
     assert exc.value.null_direction is not None
 
 
@@ -302,6 +320,212 @@ def test_register_error_decreases_from_prior():
     reading_at_prior = transform_cloud(reading, prior)
     m0 = trim_outliers(match(reading_at_prior, build_index(ref), cfg),
                        cfg.eta_d)
-    err0 = point_to_plane_error(m0, reading_at_prior, ref)
+    err0, _ = point_to_plane_error(*_pairs(m0, reading_at_prior, ref), m0.weights)
     res = register(reading, ref, prior, cfg)
     assert res.final_error < err0
+
+
+def _forest_samples(seed, draw, n_ground, n_trunk):
+    """Points on one seeded patch: bumpy ground and 12 vertical trunks. Each
+    ``draw`` samples the same surfaces anew."""
+    layout = np.random.default_rng([seed, 0])
+    centers = layout.uniform(-10, 10, (12, 2))
+    radii = layout.uniform(0.15, 0.4, 12)
+    rng = np.random.default_rng([seed, draw])
+    xy = rng.uniform(-12, 12, (n_ground, 2))
+    ground = np.column_stack([xy, 0.3 * np.sin(xy[:, 0] / 3) * np.cos(xy[:, 1] / 4)])
+    k = rng.integers(0, 12, n_trunk)
+    ang = rng.uniform(0, 2 * np.pi, n_trunk)
+    rim = np.column_stack([np.cos(ang), np.sin(ang)])
+    trunks = np.column_stack([centers[k] + radii[k, None] * rim,
+                              rng.uniform(0, 5, n_trunk)])
+    return np.vstack([ground, trunks]), rng
+
+
+def _forest_scene(seed, origin_offset=0.0):
+    """(reading, reference with normals, prior): the reading is a second, noisy
+    draw of the patch in the lidar frame, whose origin lies ``origin_offset`` m
+    from the patch; the prior is off the truth by up to 0.06 rad and 0.4 m."""
+    ref_pts, _ = _forest_samples(seed, 1, 2500, 1500)
+    ref = compute_normals(PointCloud(ref_pts, FRAME_MAP), 10,
+                          viewpoints=np.tile([0.0, 0.0, 1.5], (len(ref_pts), 1)))
+    pts, rng = _forest_samples(seed, 2, 1200, 800)
+    pts = pts + rng.normal(0.0, 0.02, pts.shape)
+    truth = RigidTransform.from_yaw(rng.uniform(-0.5, 0.5),
+                                    [*rng.uniform(-2, 2, 2), 0.0], "L", "G")
+    truth = truth @ RigidTransform.from_yaw(0.0, [origin_offset, 0.0, 0.0],
+                                            "L", "L")
+    reading = PointCloud(truth.inverse().apply(pts), FRAME_LIDAR)
+    error = RigidTransform.from_yaw(rng.uniform(-0.06, 0.06),
+                                    rng.uniform(-0.4, 0.4, 3), "G", "G")
+    return reading, ref, error @ truth
+
+
+def _register_reference(reading, reference, prior, cfg):
+    """The registration loop written the direct way, kept as the oracle: the
+    reading is re-transformed as a cloud for every evaluation, pairs are put in
+    canonical order and trimmed by full lexsorts, and every evaluation gathers
+    its pairs from the clouds. Returns (T_hat, iterations, converged,
+    final_error, halvings)."""
+    tree = cKDTree(reference.points)
+    k = min(cfg.n_m, len(reference))
+
+    def pairs(cloud):
+        dist, idx = tree.query(cloud.points, k=k, eps=cfg.eps,
+                               distance_upper_bound=cfg.d_max)
+        dist = dist.reshape(len(cloud), -1)
+        idx = idx.reshape(len(cloud), -1)
+        valid = np.isfinite(dist)
+        rd = np.broadcast_to(np.arange(len(cloud))[:, None], dist.shape)[valid]
+        rf, d = idx[valid], dist[valid]
+        order = np.lexsort((rf, d, rd))
+        rd, rf, d = rd[order], rf[order], d[order]
+        w = np.zeros(len(d), dtype=np.int8)
+        w[np.lexsort((rf, rd, d))[:int(np.floor(cfg.eta_d * len(d) + 0.5))]] = 1
+        return rd, rf, w
+
+    def residuals(rd, rf, cloud):
+        p, q, n = cloud.points[rd], reference.points[rf], reference.normals[rf]
+        return p, n, np.einsum("ij,ij->i", p - q, n)
+
+    def error(rd, rf, w, cloud):
+        return float(np.sum(w * residuals(rd, rf, cloud)[2] ** 2))
+
+    def step(rd, rf, w, cloud, current):
+        keep = w == 1
+        p_g, n, res = residuals(rd[keep], rf[keep], cloud)
+        rot = current.rotation
+        p_local = (p_g - current.translation) @ rot
+        n_local = n @ rot
+        yaw_col = np.einsum("ij,ij->i", np.cross(
+            np.broadcast_to([0.0, 0.0, 1.0], p_local.shape), p_local), n_local)
+        u, s, vt = np.linalg.svd(np.column_stack([n_local, yaw_col]),
+                                 full_matrices=False)
+        x = vt.T @ ((u.T @ -res) / s)
+        return RigidTransform.from_yaw(x[3], x[:3], current.from_frame,
+                                       current.from_frame)
+
+    t, converged, halvings = prior, False, 0
+    for iterations in range(1, cfg.i_max + 1):
+        reading_g = transform_cloud(reading, t)
+        rd, rf, w = pairs(reading_g)
+        err_before = error(rd, rf, w, reading_g)
+        delta = step(rd, rf, w, reading_g, t)
+        cand = t @ delta
+        err_after = error(rd, rf, w, transform_cloud(reading, cand))
+        for _ in range(8):
+            if err_after <= err_before + 1e-12:
+                break
+            halvings += 1
+            delta = RigidTransform.from_yaw(0.5 * delta.yaw, 0.5 * delta.translation,
+                                            delta.from_frame, delta.to_frame)
+            cand = t @ delta
+            err_after = error(rd, rf, w, transform_cloud(reading, cand))
+        t, final_error = cand, err_after
+        if (np.linalg.norm(delta.translation) < cfg.eps_t_min
+                and abs(delta.yaw) < cfg.eps_theta_min):
+            converged = True
+            break
+    return t, iterations, converged, final_error, halvings
+
+
+# Seeds 0-4: the patch around the sensor at the shipped settings. The last case
+# views it from 3 km with exact neighbours and no stopping threshold: yaw then
+# nearly duplicates a sideways shift, the linearized steps overshoot and the
+# line search halves them.
+_SHIPPED = RegistrationConfig()
+_FAR = (1, 3000.0, RegistrationConfig(eps=0.0, eps_t_min=0.0, eps_theta_min=0.0,
+                                      i_max=20))
+_REGISTER_CASES = [(seed, 0.0, _SHIPPED) for seed in range(5)] + [_FAR]
+
+
+def test_register_is_bit_identical_to_the_reference_loop():
+    halvings = 0
+    for seed, offset, cfg in _REGISTER_CASES:
+        reading, ref, prior = _forest_scene(seed, offset)
+        res = register(reading, ref, prior, cfg)
+        t, iterations, converged, final_error, h = _register_reference(
+            reading, ref, prior, cfg)
+        assert np.array_equal(res.T_hat.rotation, t.rotation), seed
+        assert np.array_equal(res.T_hat.translation, t.translation), seed
+        assert res.iterations == iterations, seed
+        assert res.converged == converged, seed
+        assert res.final_error == final_error, seed
+        halvings += h
+    assert halvings > 0
+
+
+def test_register_calls_each_stage_through_the_module(monkeypatch):
+    """The benchmark's tracer times and counts the ICP stages by replacing
+    these four module attributes; ``register`` must call through them."""
+    calls = []
+
+    def spy(name):
+        fn = getattr(icp, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, out[0] if name == "point_to_plane_error" else None))
+            return out
+        monkeypatch.setattr(icp, name, wrapper)
+
+    for name in ("match", "trim_outliers", "point_to_plane_error", "minimize_step"):
+        spy(name)
+    seed, offset, cfg = _FAR
+    res = register(*_forest_scene(seed, offset), cfg)
+    starts = [i for i, (name, _) in enumerate(calls) if name == "match"]
+    assert len(starts) == res.iterations
+    trials_seen = 0
+    for lo, hi in zip(starts, starts[1:] + [len(calls)]):
+        names = [name for name, _ in calls[lo:hi]]
+        trials = len(names) - 4
+        assert names == ["match", "trim_outliers", "point_to_plane_error",
+                         "minimize_step"] + ["point_to_plane_error"] * trials
+        # One evaluation before the step, then one per line-search trial: every
+        # trial but the last was rejected, the last accepted or the ninth.
+        err_before = calls[lo + 2][1]
+        errors = [err for _, err in calls[lo + 4:hi]]
+        assert 1 <= trials <= 9
+        assert all(err > err_before + 1e-12 for err in errors[:-1])
+        assert errors[-1] <= err_before + 1e-12 or trials == 9
+        trials_seen = max(trials_seen, trials)
+    assert trials_seen > 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 300), st.floats(0.0, 1.0))
+def test_trim_matches_lexsort_oracle_with_ties(seed, n, eta_d):
+    """Integer distances in shuffled order make ties at the threshold common;
+    the kept pairs are the first round(eta_d * K) by (distance, reading,
+    reference)."""
+    rng = np.random.default_rng(seed)
+    m = MatchSet(rng.integers(0, 20, n), rng.integers(0, 20, n),
+                 rng.integers(0, 6, n).astype(np.float64), np.ones(n, np.int8))
+    want = np.zeros(n, np.int8)
+    order = np.lexsort((m.reference_indices, m.reading_indices, m.distances))
+    want[order[:int(np.floor(eta_d * n + 0.5))]] = 1
+    assert np.array_equal(trim_outliers(m, eta_d).weights, want)
+
+
+def test_match_orders_lattice_ties_canonically():
+    """On an integer lattice many neighbours lie at exactly equal distances,
+    and cKDTree returns some of them out of index order; ``match`` must still
+    give the canonical (reading, distance, reference) order."""
+    axis = np.arange(6.0)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    rng = np.random.default_rng(0)
+    reading = rng.integers(0, 6, (50, 3)) + rng.choice([0.0, 0.5], (50, 3))
+    cfg = RegistrationConfig(n_m=7, d_max=2.0, eps=0.0)
+    index = build_index(PointCloud(lattice, FRAME_MAP))
+    dist, idx = index.tree.query(reading, k=cfg.n_m, eps=0.0,
+                                 distance_upper_bound=cfg.d_max)
+    valid = np.isfinite(dist)
+    tied = (dist[:, 1:] == dist[:, :-1]) & valid[:, 1:]
+    assert np.any(tied & (idx[:, 1:] < idx[:, :-1]))
+    rd = np.nonzero(valid)[0]
+    rf, d = idx[valid], dist[valid]
+    order = np.lexsort((rf, d, rd))
+    m = match(PointCloud(reading, FRAME_MAP), index, cfg)
+    assert np.array_equal(m.reading_indices, rd[order])
+    assert np.array_equal(m.reference_indices, rf[order])
+    assert np.array_equal(m.distances, d[order])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation, Slerp
 
 from trailnav.geom import FRAME_LIDAR, PointCloud, RigidTransform
 from trailnav.prior import (GRAVITY, ImuSample, OdomSample, OrientationState,
@@ -147,6 +148,67 @@ def test_deskew_rotating_motion():
     assert np.allclose(out.points[0], [np.cos(1.0), -np.sin(1.0), 0.0],
                        atol=1e-9)
     assert np.allclose(out.points[1], [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def _deskew_per_point(scan, prior):
+    """Reference deskew: one pose per point, interpolated at that point's own
+    stamp, then the batched rigid re-expression."""
+    if len(prior) == 1:
+        rot0 = Rotation.from_quat(prior.quats[0][[1, 2, 3, 0]])
+
+        def pose(t):
+            return prior.translations[0], rot0
+    else:
+        slerp = Slerp(prior.stamps, Rotation.from_quat(prior.quats[:, [1, 2, 3, 0]]))
+
+        def pose(t):
+            return (np.array([np.interp(t, prior.stamps, prior.translations[:, j])
+                              for j in range(3)]), slerp(t))
+    poses = [pose(t) for t in scan.timestamps]
+    trans_end, rot_end = pose(scan.timestamps.max())
+    rots = Rotation.concatenate([r for _, r in poses])
+    trans = np.array([tr for tr, _ in poses])
+    pts = rot_end.inv().apply(rots.apply(scan.points) + trans - trans_end)
+    normals = (None if scan.normals is None
+               else (rot_end.inv() * rots).apply(scan.normals))
+    return pts, normals
+
+
+def _wobbly_prior(n, seed):
+    rng = np.random.default_rng(seed)
+    stamps = np.linspace(0.0, 0.1, n)
+    angles = np.column_stack([np.cumsum(rng.normal(0.0, 0.05, n)),
+                              rng.normal(0.0, 0.02, (n, 2))])
+    quats = Rotation.from_euler("zyx", angles).as_quat()[:, [3, 0, 1, 2]]
+    trans = np.cumsum(rng.normal(0.0, 0.05, (n, 3)), axis=0)
+    return PriorTrajectory(stamps, trans, quats)
+
+
+@pytest.mark.parametrize("case", ["repeated_stamps", "with_normals",
+                                  "one_sample_prior"])
+def test_deskew_matches_per_point_slerp(case):
+    rng = np.random.default_rng(7)
+    prior = _wobbly_prior(41, seed=3)
+    # Columns of 8 points share a stamp, as a lidar's azimuth columns do.
+    ts = np.repeat(np.linspace(0.001, 0.099, 25), 8)
+    rng.shuffle(ts)
+    normals = None
+    if case != "repeated_stamps":
+        normals = rng.normal(size=(len(ts), 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    if case == "one_sample_prior":
+        prior = PriorTrajectory([0.05], [[1.0, 2.0, 3.0]], prior.quats[5:6])
+        ts = np.full(len(ts), 0.05)
+    scan = PointCloud(rng.uniform(-20, 20, (len(ts), 3)), frame=FRAME_LIDAR,
+                      normals=normals, timestamps=ts)
+    out = deskew(scan, prior)
+    pts, want_normals = _deskew_per_point(scan, prior)
+    assert np.array_equal(out.points, pts)
+    if normals is None:
+        assert out.normals is None
+    else:
+        assert np.array_equal(out.normals, want_normals)
+    assert np.array_equal(out.timestamps, np.full(len(ts), ts.max()))
 
 
 def test_deskew_requires_coverage():
