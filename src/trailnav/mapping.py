@@ -288,7 +288,9 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     sensor = _sensor_position(sensor_pose)
     tree = vmap._local_arrays()[4]
     if tree is not None:
-        d, _ = tree.query(pts, k=1)
+        # Only d > rho matters; cKDTree's bound is strict, hence nextafter.
+        d, _ = tree.query(pts, k=1,
+                          distance_upper_bound=np.nextafter(rho, np.inf))
         cand = np.nonzero(d > rho)[0]
     else:
         cand = np.arange(len(pts))

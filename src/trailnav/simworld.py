@@ -253,13 +253,27 @@ def step_robot(world: World, state: RobotState, u, dt: float,
 
 def _ray_ground(origins, dirs, ground: Heightfield, max_range,
                 coarse_step=0.5, refine_iters=30):
-    """First ray/heightfield crossing per ray via coarse march + bisection."""
+    """First ray/heightfield crossing per ray via coarse march + bisection.
+
+    A bilinear sample lies between the grid's min and max up to rounding, so
+    the march samples the heightfield only at points inside that band (widened
+    by a margin): above it a point is not below ground, under it a point is.
+    Rays that start above the band and do not descend never enter it.
+    """
     n_steps = max(int(np.ceil(max_range / coarse_step)) + 1, 2)
     ts = np.linspace(0.0, max_range, n_steps)
-    px = origins[:, 0:1] + dirs[:, 0:1] * ts
-    py = origins[:, 1:2] + dirs[:, 1:2] * ts
-    pz = origins[:, 2:3] + dirs[:, 2:3] * ts
-    below = pz < ground.sample(px, py)
+    grid = ground.grid
+    margin = 1e-9 * (1.0 + np.abs(grid).max())
+    lo = grid.min() - margin
+    hi = grid.max() + margin
+    cand = np.nonzero((origins[:, 2] <= hi) | (dirs[:, 2] < 0))[0]
+    oc = origins[cand]
+    dc = dirs[cand]
+    pz = oc[:, 2:3] + dc[:, 2:3] * ts
+    below = pz < lo
+    r, k = np.nonzero((pz >= lo) & (pz <= hi))
+    below[r, k] = pz[r, k] < ground.sample(oc[r, 0] + dc[r, 0] * ts[k],
+                                           oc[r, 1] + dc[r, 1] * ts[k])
     below[:, 0] = False  # sensor is above ground
     first = np.argmax(below, axis=1)
     hit = below[np.arange(len(first)), first]
@@ -268,6 +282,7 @@ def _ray_ground(origins, dirs, ground: Heightfield, max_range,
     if len(rows):
         t_lo = ts[first[rows] - 1]
         t_hi = ts[first[rows]]
+        rows = cand[rows]
         o = origins[rows]
         d = dirs[rows]
         for _ in range(refine_iters):

@@ -59,6 +59,64 @@ def test_insert_scan_self_conflict_within_one_scan():
     assert np.allclose(sorted(out[:, 0]), [0.0, 0.2])
 
 
+def test_insert_scan_point_at_exactly_rho_is_not_a_candidate():
+    # 0.25 and its square are exact, so the query returns exactly rho; only
+    # points strictly farther than rho from the map may be inserted.
+    vmap = VoxelMap(20.0)
+    insert_scan(vmap, PointCloud(np.zeros((1, 3)), FRAME_MAP), [0, 0, 1.0],
+                rho=0.25)
+    scan = np.array([[0.25, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    insert_scan(vmap, PointCloud(scan, FRAME_MAP), [0, 0, 1.0], rho=0.25)
+    out = vmap.all_points_cloud().points
+    assert len(out) == 2
+    assert not np.any(np.all(out == [0.25, 0.0, 0.0], axis=1))
+
+
+class _UnboundedQuery:
+    """A kd-tree whose ``query`` ignores ``distance_upper_bound``."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def query(self, x, k=1, distance_upper_bound=np.inf):
+        return self.tree.query(x, k=k)
+
+
+def test_insert_scan_bounded_query_matches_unbounded():
+    rng = np.random.default_rng(11)
+    rho = 0.3
+    fast, ref = VoxelMap(4.0), VoxelMap(4.0)
+    cached = ref._local_arrays
+
+    def unbounded():
+        arrays = cached()
+        if arrays[4] is None:
+            return arrays
+        return (*arrays[:4], _UnboundedQuery(arrays[4]), *arrays[5:])
+
+    ref._local_arrays = unbounded
+    base = rng.uniform(-6.0, 6.0, (800, 3))
+    for step in range(4):
+        near = base[rng.integers(0, len(base), 400)] + \
+            rng.normal(0.0, rho * 0.6, (400, 3))
+        scan = PointCloud(np.vstack([rng.uniform(-6.0, 6.0, (400, 3)), near]),
+                          FRAME_MAP, labels=rng.integers(0, 3, 800))
+        sensor = [0.0, 0.0, float(step)]
+        insert_scan(fast, scan, sensor, rho)
+        insert_scan(ref, scan, sensor, rho)
+        assert len(fast.last_inserted) > 0
+        assert [k for k, _ in fast.last_inserted] == \
+            [k for k, _ in ref.last_inserted]
+        for (_, a), (_, b) in zip(fast.last_inserted, ref.last_inserted):
+            assert np.array_equal(a, b)
+        assert fast.voxels.keys() == ref.voxels.keys()
+        for key, chunk in fast.voxels.items():
+            assert np.array_equal(chunk.points, ref.voxels[key].points)
+            assert np.array_equal(chunk.labels, ref.voxels[key].labels)
+            assert np.array_equal(chunk.viewpoints, ref.voxels[key].viewpoints)
+        base = np.vstack([base, scan.points])
+
+
 def test_insert_requires_map_frame():
     vmap = VoxelMap(20.0)
     with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trailnav.controller import Pose2D
+from trailnav import simworld
 from trailnav.prior import ImuSample, OdomSample, PriorIntegrator, deskew
 from trailnav.simworld import (CLASS_BUILDING, CLASS_GROUND, CLASS_SNOWFALL,
-                               CLASS_VEGETATION, LidarParams, RobotState,
-                               WorldParams, accumulate_snow, apply_snowfall,
-                               generate_world, load_world_spec, save_world_spec,
-                               simulate_lidar, step_robot)
-from trailnav.simworld import _dist_to_polyline
+                               CLASS_VEGETATION, Heightfield, LidarParams,
+                               RobotState, WorldParams, accumulate_snow,
+                               apply_snowfall, generate_world, load_world_spec,
+                               save_world_spec, simulate_lidar, step_robot)
+from trailnav.simworld import _dist_to_polyline, _ray_ground
 
 
 def _flat_params(**kw):
@@ -206,3 +210,128 @@ def test_world_spec_round_trip(tmp_path):
     b = generate_world(42, params)
     assert np.array_equal(a.trees.xy, b.trees.xy)
     assert np.array_equal(a.ground.grid, b.ground.grid)
+
+
+# -- ground march ------------------------------------------------------------
+
+
+def _reference_ray_ground(origins, dirs, ground, max_range, coarse_step=0.5,
+                          refine_iters=30):
+    """The march that samples the heightfield at every coarse step of every
+    ray; the band-limited ``_ray_ground`` must match it bit for bit."""
+    n_steps = max(int(np.ceil(max_range / coarse_step)) + 1, 2)
+    ts = np.linspace(0.0, max_range, n_steps)
+    px = origins[:, 0:1] + dirs[:, 0:1] * ts
+    py = origins[:, 1:2] + dirs[:, 1:2] * ts
+    pz = origins[:, 2:3] + dirs[:, 2:3] * ts
+    below = pz < ground.sample(px, py)
+    below[:, 0] = False
+    first = np.argmax(below, axis=1)
+    hit = below[np.arange(len(first)), first]
+    t_hit = np.full(len(origins), np.inf)
+    rows = np.nonzero(hit)[0]
+    if len(rows):
+        t_lo = ts[first[rows] - 1]
+        t_hi = ts[first[rows]]
+        o = origins[rows]
+        d = dirs[rows]
+        for _ in range(refine_iters):
+            t_mid = 0.5 * (t_lo + t_hi)
+            p = o + d * t_mid[:, None]
+            under = p[:, 2] < ground.sample(p[:, 0], p[:, 1])
+            t_hi = np.where(under, t_mid, t_hi)
+            t_lo = np.where(under, t_lo, t_mid)
+        t_hit[rows] = 0.5 * (t_lo + t_hi)
+    return t_hit
+
+
+def _band(grid):
+    """The ground march's height band: the grid's range widened by a margin
+    that covers the rounding of a bilinear sample."""
+    margin = 1e-9 * (1.0 + np.abs(grid).max())
+    return grid.min() - margin, grid.max() + margin
+
+
+def _random_rays(ground, n, seed):
+    """Origins over and beyond the grid, above, inside and below its height
+    band; directions mixing horizontal, upward and downward rays."""
+    rng = np.random.default_rng(seed)
+    ny, nx = ground.grid.shape
+    x0, y0 = ground.x0, ground.y0
+    x1, y1 = x0 + ground.cell * (nx - 1), y0 + ground.cell * (ny - 1)
+    lo, hi = ground.grid.min(), ground.grid.max()
+    origins = np.column_stack([
+        rng.uniform(x0 - 30.0, x1 + 30.0, n),
+        rng.uniform(y0 - 30.0, y1 + 30.0, n),
+        rng.choice([lo - 1.0, lo, 0.5 * (lo + hi), hi, hi + 1.3, hi + 20.0], n)
+        + rng.normal(0.0, 0.3, n) * rng.integers(0, 2, n),
+    ])
+    dirs = rng.normal(size=(n, 3))
+    dirs[:, 2] *= rng.choice([0.0, 0.02, 0.3, 1.0], n)
+    dirs[rng.random(n) < 0.2, 2] = 0.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # Horizontal rays at exactly the grid's extremes and the band's edges.
+    origins[:4, 2] = [lo, hi, *_band(ground.grid)]
+    dirs[:4] = [1.0, 0.0, 0.0]
+    return origins, dirs
+
+
+@pytest.fixture(scope="module")
+def march_grounds():
+    world = generate_world(0, WorldParams())
+    return {
+        "default": world.ground,
+        "snow": accumulate_snow(world, 0.3, {"ground": 1.0}).ground,
+        # lo and hi differ only by the margin.
+        "flat": generate_world(0, WorldParams(terrain_amplitude=0.0)).ground,
+    }
+
+
+@pytest.mark.parametrize("name", ["default", "snow", "flat"])
+@pytest.mark.parametrize("max_range", [80.0, 20.0, 3.0])
+def test_ray_ground_matches_full_march(march_grounds, name, max_range):
+    ground = march_grounds[name]
+    origins, dirs = _random_rays(ground, 4000, seed=int(max_range) + len(name))
+    got = _ray_ground(origins, dirs, ground, max_range)
+    want = _reference_ray_ground(origins, dirs, ground, max_range)
+    assert np.array_equal(got, want)
+    hits = np.isfinite(want)
+    # The rays exercise both outcomes, at every range.
+    assert 0 < hits.sum() < len(want)
+
+
+def test_simulated_scan_matches_full_march(monkeypatch):
+    world = generate_world(0, WorldParams(trail_length=60.0))
+    lp = LidarParams(beams=8, azimuth_steps=240, max_range=40.0)
+    pose = Pose2D(20.0, 0.5, 0.4)
+    scan = simulate_lidar(world, pose, lp, seed=3)
+    monkeypatch.setattr(simworld, "_ray_ground", _reference_ray_ground)
+    want = simulate_lidar(world, pose, lp, seed=3)
+    assert (scan.labels == CLASS_GROUND).sum() > 100
+    assert np.array_equal(scan.points, want.points)
+    assert np.array_equal(scan.timestamps, want.timestamps)
+    assert np.array_equal(scan.labels, want.labels)
+
+
+_grids = st.integers(2, 6).flatmap(lambda ny: st.integers(2, 6).flatmap(
+    lambda nx: hnp.arrays(np.float64, (ny, nx), elements=st.floats(
+        -1e4, 1e4, allow_nan=False, allow_infinity=False))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_grids, x0=st.floats(-100.0, 100.0), y0=st.floats(-100.0, 100.0),
+       cell=st.floats(0.05, 5.0),
+       uv=st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0)),
+                   min_size=1, max_size=20))
+def test_bilinear_sample_stays_in_the_grid_band(grid, x0, y0, cell, uv):
+    """The invariant the ground march's band relies on: a sample anywhere
+    (inside the grid, on its border, or far outside, where it clamps) lies in
+    [grid.min(), grid.max()] widened by the march's margin."""
+    ground = Heightfield(x0, y0, cell, grid)
+    ny, nx = grid.shape
+    # (u, v) in grid widths: [0, 1]² is the grid, 0 and 1 its border.
+    u, v = np.array(uv + [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+                          (-1e6, 1e6), (1e6, -1e6)]).T
+    z = ground.sample(x0 + u * cell * (nx - 1), y0 + v * cell * (ny - 1))
+    lo, hi = _band(grid)
+    assert np.all((z >= lo) & (z <= hi))
