@@ -26,9 +26,9 @@ from trailnav.config import GlobalConfig
 from trailnav.controller import Pose2D
 from trailnav.geom import PointCloud
 from trailnav.mapping import compute_normals
-from trailnav.mission import initialize_localization, load_database
-from trailnav.runner import _prior_window, _sensor_anchor, run_teach
-from trailnav.simworld import (LidarParams, RobotState, Trees, WorldParams,
+from trailnav.mission import load_database
+from trailnav.runner import initialize_at_rest, run_teach
+from trailnav.simworld import (LidarParams, Trees, WorldParams,
                                accumulate_snow, generate_world, simulate_lidar)
 
 SNOW_DEPTH = 0.3
@@ -77,14 +77,7 @@ def snow_study(out_dir: Path):
     snowy = accumulate_snow(clean, SNOW_DEPTH, SNOW_FACTORS)
 
     def init_at(world, x, y, seed):
-        st = RobotState(pose=Pose2D(x, y, 0.0),
-                        z=float(world.ground_height(x, y)))
-        anchor = _sensor_anchor(world, st, cfg.sim.lidar.mount_height)
-        scan = simulate_lidar(world, st.pose, cfg.sim.lidar, seed=seed)
-        tail = _prior_window(anchor, 0.0, 1.0 / cfg.sim.lidar.rate, 100.0,
-                             cfg.prior.beta, 0.0, 0.0)
-        return initialize_localization(vmap, scan, tail, cfg.registration,
-                                       cfg.mission.init_overlap_floor)
+        return initialize_at_rest(world, vmap, cfg, Pose2D(x, y, 0.0), seed)
 
     rows = []
     for area, x, y in (("open-ground", 25.0, 0.0), ("building", 44.0, 0.5)):

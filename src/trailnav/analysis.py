@@ -158,7 +158,7 @@ def scan_overlap(scan_in_g: PointCloud, vmap: VoxelMap, threshold: float) -> flo
         map_pts = vmap.all_points_cloud().points
         tree = cKDTree(map_pts) if len(map_pts) else None
     else:
-        tree = vmap._local_arrays()[4]
+        tree = vmap._local_arrays()[1]
     if tree is None:
         return 0.0
     d, _ = tree.query(scan_in_g.points, k=1)

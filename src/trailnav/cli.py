@@ -14,11 +14,11 @@ from . import analysis
 from .config import ConfigError, GlobalConfig, load_config, save_config
 from .controller import Pose2D, Status
 from .geom import FRAME_MAP, transform_cloud
-from .icp import RegistrationFailure, apply_input_filters, register
+from .icp import DegenerateRegistration, RegistrationFailure
 from .mapping import MapLoadError, PersistenceError, compute_normals
-from .mission import TeachAbort, load_database
+from .mission import TeachAbort, load_database, localize
 from .npcd import NpcdError
-from .prior import PriorCoverageError, deskew, prior_windows_from_log
+from .prior import PriorCoverageError, prior_windows_from_log
 from .runner import load_scan_log, run_repeat, run_replay, run_teach, save_run_log
 from .simworld import WorldParams, generate_world, load_world_spec, save_world_spec
 from .trajectory import ReferenceTrajectory
@@ -35,9 +35,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--deterministic", action="store_true",
-                   help="force the single-threaded canonical mode (the default "
-                        "execution mode; accepted for interface stability)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", help="run the built-in oracle checks")
     st.add_argument("--config", type=Path, default=None)
     st.add_argument("--seed", type=int, default=None)
-    st.add_argument("--deterministic", action="store_true")
 
     return ap
 
@@ -113,7 +109,10 @@ def _load_cfg(args) -> GlobalConfig:
 
 def _world_from_args(args, cfg: GlobalConfig):
     if getattr(args, "world", None):
-        seed, params = load_world_spec(args.world)
+        try:
+            seed, params = load_world_spec(args.world)
+        except (ValueError, TypeError) as exc:   # bad JSON is a ValueError
+            raise ConfigError(f"world spec {args.world}: {exc}") from exc
         params.canopy_porosity = cfg.sim.canopy_porosity
         return generate_world(seed, params)
     params = WorldParams(canopy_porosity=cfg.sim.canopy_porosity)
@@ -222,22 +221,15 @@ def _registered_scans(args, cfg: GlobalConfig, only=None):
     windows = prior_windows_from_log(scans, imu, odom,
                                      start_position=trajectory.positions[0],
                                      beta=cfg.prior.beta)
-    ref = vmap.registration_reference()
-    if ref is None:
+    if vmap.registration_reference() is None:
         raise RegistrationFailure("map has no usable normals")
-    reference, index = ref
     out = []
     for i, ((_, scan), window) in enumerate(zip(scans, windows)):
         if only is not None and i != only:
             continue
-        scan_d = deskew(scan, window)
-        filtered = apply_input_filters(scan_d, cfg.registration)
-        if len(filtered) == 0:
-            continue
-        result = register(filtered, reference,
-                          window.pose_at_index(len(window) - 1),
-                          cfg.registration, ref_index=index)
-        out.append((i, result.T_hat, result.reading_in_map))
+        result = localize(vmap, scan, window, cfg.registration)
+        if result is not None:
+            out.append((i, result.T_hat, result.reading_in_map))
     return out, vmap
 
 
@@ -276,7 +268,7 @@ def _cmd_selftest(args) -> int:
     """Fast built-in oracle checks covering the core numeric paths."""
     from .controller import (ControllerConfig, FrenetState, compute_command)
     from .geom import FRAME_LIDAR, PointCloud, RigidTransform
-    from .icp import RegistrationConfig
+    from .icp import RegistrationConfig, register
     from .npcd import read_npcd, write_npcd
     import tempfile
 
@@ -362,7 +354,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TeachAbort, RegistrationFailure, PriorCoverageError) as exc:
+    except (TeachAbort, RegistrationFailure, DegenerateRegistration,
+            PriorCoverageError) as exc:
         print(f"mission abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
     except (OSError, MapLoadError, NpcdError, PersistenceError) as exc:

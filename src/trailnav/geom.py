@@ -3,7 +3,7 @@ quaternion helpers, and the kd-tree index."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -163,10 +163,6 @@ class RigidTransform:
             raise ValueError("rotation must be orthonormal with determinant +1")
 
     @classmethod
-    def identity(cls, frame=FRAME_MAP, to_frame=None):
-        return cls(np.eye(3), np.zeros(3), frame, frame if to_frame is None else to_frame)
-
-    @classmethod
     def from_yaw(cls, yaw, translation=(0.0, 0.0, 0.0), from_frame=FRAME_LIDAR,
                  to_frame=FRAME_MAP):
         c, s = np.cos(yaw), np.sin(yaw)
@@ -224,20 +220,9 @@ def transform_cloud(cloud: PointCloud, t: RigidTransform) -> PointCloud:
                       None if cloud.labels is None else cloud.labels.copy())
 
 
-@dataclass
-class SpatialIndex:
-    """Immutable kd-tree snapshot over a cloud's positions."""
-
-    points: np.ndarray
-    tree: cKDTree = field(repr=False)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def build_index(cloud: PointCloud) -> SpatialIndex:
+def build_index(cloud: PointCloud) -> cKDTree:
+    """kd-tree over a snapshot of the cloud's positions."""
     if len(cloud) == 0:
         raise ValueError("cannot build a spatial index over an empty cloud")
-    pts = cloud.points.copy()
-    return SpatialIndex(points=pts, tree=cKDTree(pts))
+    return cKDTree(cloud.points.copy())
 

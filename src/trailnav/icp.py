@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geom import (PointCloud, RigidTransform, SpatialIndex, build_index,
-                   transform_cloud)
+from .geom import PointCloud, RigidTransform, build_index, transform_cloud
 
 # Default bounding boxes mask the robot body and its sensor trailer.
 DEFAULT_BBOX_1 = (-1.5, 0.5, -1.0, 1.0, -1.0, 0.5)
@@ -115,7 +115,7 @@ def apply_input_filters(scan: PointCloud, cfg: RegistrationConfig) -> PointCloud
     return out
 
 
-def match(reading_in_g: PointCloud, ref_index: SpatialIndex,
+def match(reading_in_g: PointCloud, ref_index: cKDTree,
           cfg: RegistrationConfig) -> MatchSet:
     """Up to n_m neighbors within d_max per reading point, all weights 1.
 
@@ -125,8 +125,8 @@ def match(reading_in_g: PointCloud, ref_index: SpatialIndex,
     if len(pts) == 0:
         return MatchSet(np.zeros(0, np.int64), np.zeros(0, np.int64),
                         np.zeros(0), np.zeros(0, np.int8))
-    k = min(cfg.n_m, len(ref_index))
-    dist, idx = ref_index.tree.query(pts, k=k, eps=cfg.eps,
+    k = min(cfg.n_m, ref_index.n)
+    dist, idx = ref_index.query(pts, k=k, eps=cfg.eps,
                                      distance_upper_bound=cfg.d_max)
     dist = dist.reshape(len(pts), -1)
     idx = idx.reshape(len(pts), -1)
@@ -235,7 +235,7 @@ def _delta_magnitudes(delta: RigidTransform):
 
 def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,
              cfg: RegistrationConfig,
-             ref_index: SpatialIndex | None = None) -> RegistrationResult:
+             ref_index: cKDTree | None = None) -> RegistrationResult:
     """Iterate match -> trim -> minimize from the prior until the differential
     update drops below (eps_t_min, eps_theta_min) or i_max is reached.
 

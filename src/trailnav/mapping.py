@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import FRAME_MAP, PointCloud, SpatialIndex
+from .geom import FRAME_MAP, PointCloud
 from .npcd import read_npcd, write_npcd
 
 MAP_FORMAT = "trailnav-map"
@@ -93,7 +93,8 @@ class VoxelChunk:
 
 class VoxelMap:
     """Voxel-indexed map split into a RAM-resident local set and a disk-backed
-    nonlocal set; ``local_set`` and ``nonlocal_manifest`` partition the keys."""
+    nonlocal set; the keys of ``voxels`` and ``nonlocal_manifest`` partition
+    the map."""
 
     def __init__(self, v_s: float, spill_dir=None):
         if v_s <= 0:
@@ -118,10 +119,6 @@ class VoxelMap:
     def voxel_keys(self, pts) -> np.ndarray:
         return np.floor(pts / self.v_s).astype(np.int64)
 
-    @property
-    def local_set(self) -> set:
-        return set(self.voxels)
-
     def all_keys(self) -> set:
         return set(self.voxels) | set(self.nonlocal_manifest)
 
@@ -138,56 +135,36 @@ class VoxelMap:
         self._cache = None
 
     def _local_arrays(self):
-        """Concatenated local points, normals, dyn_prob and labels in sorted
-        voxel order, a kd-tree over the points, and the registration reference
-        built on both; cached until invalidated."""
+        """Concatenated local points in sorted voxel order, a kd-tree over
+        them, and the registration reference built on both (None when a
+        normal is missing); cached until invalidated."""
         if self._cache is None:
-            keys = sorted(self.voxels)
-            pts, normals, dyn, labels = [], [], [], []
-            for k in keys:
-                c = self.voxels[k]
-                if len(c) == 0:
-                    continue
-                pts.append(c.points)
-                normals.append(c.normals)
-                dyn.append(c.dyn_prob)
-                labels.append(c.labels)
-            if pts:
-                pts = np.vstack(pts)
-                normals = np.vstack(normals)
-                dyn = np.concatenate(dyn)
-                labels = np.concatenate(labels)
-            else:
-                pts = np.zeros((0, 3))
-                normals = np.zeros((0, 3))
-                dyn = np.zeros(0)
-                labels = np.zeros(0, np.int64)
-            for shared in (pts, normals, dyn, labels):   # handed out below
+            chunks = [self.voxels[k] for k in sorted(self.voxels)
+                      if len(self.voxels[k])]
+            pts = np.vstack([c.points for c in chunks] or [np.zeros((0, 3))])
+            normals = np.vstack([c.normals for c in chunks] or
+                                [np.zeros((0, 3))])
+            for shared in (pts, normals):   # handed out below
                 shared.flags.writeable = False
             tree = cKDTree(pts) if len(pts) else None
             ref = None
             if tree is not None and np.isfinite(normals).all():
-                ref = (PointCloud(pts, FRAME_MAP, normals, dyn_prob=dyn,
-                                  labels=labels), SpatialIndex(pts, tree))
-            self._cache = (pts, normals, dyn, labels, tree, ref)
+                ref = (PointCloud(pts, FRAME_MAP, normals), tree)
+            self._cache = (pts, tree, ref)
         return self._cache
 
     def registration_reference(self):
-        """(local map cloud, kd-tree index) on the cached, read-only arrays;
+        """(local map cloud, its kd-tree) on the cached, read-only arrays;
         None when the local map is empty or lacks a normal."""
-        return self._local_arrays()[5]
+        return self._local_arrays()[2]
 
     def all_points_cloud(self) -> PointCloud:
         """Full map (local + nonlocal) as one cloud; nonlocal chunks are read
         from disk without changing residency."""
-        pts, _, _, local_labels, _, _ = self._local_arrays()
-        parts, labels = [pts], [local_labels]
+        parts = [self._local_arrays()[0]]
         for key in sorted(self.nonlocal_manifest):
-            c = self._read_chunk(key)
-            parts.append(c.points)
-            labels.append(c.labels)
-        return PointCloud(np.vstack(parts), FRAME_MAP,
-                          labels=np.concatenate(labels))
+            parts.append(self._read_chunk(key).points)
+        return PointCloud(np.vstack(parts), FRAME_MAP)
 
     # -- persistence of individual chunks (internal spill format) --------
 
@@ -256,7 +233,7 @@ def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets) -> None:
 
     All targets share one neighbour query on the map's cached kd-tree. With no
     target rows the map, and its cache, are left untouched."""
-    pts_all, _, _, _, tree, _ = vmap._local_arrays()
+    pts_all, tree, _ = vmap._local_arrays()
     if tree is None or len(pts_all) < cfg.n_n:
         return
     parts = [(vmap.voxels[key], rows) for key, rows in targets if len(rows)]
@@ -276,7 +253,7 @@ def _sensor_position(position) -> np.ndarray:
 
 
 def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
-                rho: float) -> VoxelMap:
+                rho: float) -> None:
     """Append scan points (in index order) whose nearest map point, including
     points accepted earlier in this call, is farther than rho."""
     if scan_in_g.frame != FRAME_MAP:
@@ -284,9 +261,9 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     vmap.last_inserted = []
     pts = scan_in_g.points
     if len(pts) == 0:
-        return vmap
+        return
     sensor = _sensor_position(sensor_pose)
-    tree = vmap._local_arrays()[4]
+    tree = vmap._local_arrays()[1]
     if tree is not None:
         # Only d > rho matters; cKDTree's bound is strict, hence nextafter.
         d, _ = tree.query(pts, k=1,
@@ -295,7 +272,7 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     else:
         cand = np.arange(len(pts))
     if len(cand) == 0:
-        return vmap
+        return
     cpts = pts[cand]
     accepted = np.ones(len(cand), dtype=bool)
     pairs = sorted(cKDTree(cpts).query_pairs(rho), key=lambda ij: (ij[1], ij[0]))
@@ -324,11 +301,10 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
                      None if new_labels is None else new_labels[rows])
         vmap.last_inserted.append((key, np.arange(first, len(chunk))))
     vmap._invalidate()
-    return vmap
 
 
 def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
-                   cfg: MappingConfig) -> VoxelMap:
+                   cfg: MappingConfig) -> None:
     """Raise dyn_prob of map points the scan saw through, lower it for points
     coincident with a return, and drop points whose dyn_prob exceeds tau_d.
 
@@ -339,7 +315,7 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("filter_dynamic expects a registered (map-frame) scan")
     if len(scan_in_g) == 0:
-        return vmap
+        return
     sensor = _sensor_position(sensor_pose)
     beam_vec = scan_in_g.points - sensor
     beam_range = np.linalg.norm(beam_vec, axis=1)
@@ -348,7 +324,7 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     beam_range = beam_range[ok]
     beam_pts = scan_in_g.points[ok]
     if len(beam_dir) == 0:
-        return vmap
+        return
     dir_tree = cKDTree(beam_dir)
     chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
 
@@ -356,7 +332,7 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     # bit for bit (x + 0.0 - 0.0 == x).
     chunks = [chunk for chunk in vmap.voxels.values() if len(chunk)]
     if not chunks:
-        return vmap
+        return
     pts = np.vstack([chunk.points for chunk in chunks])
     dyn = np.concatenate([chunk.dyn_prob for chunk in chunks])
     rel = pts - sensor
@@ -371,7 +347,7 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
         dyn[rows] = np.clip(dp, 0.0, 1.0)
     remove = dyn > cfg.tau_d
     if not (hit or remove.any()):
-        return vmap
+        return
     splits = np.cumsum([len(chunk) for chunk in chunks])[:-1]
     for chunk, part, drop in zip(chunks, np.split(dyn, splits),
                                  np.split(remove, splits)):
@@ -379,7 +355,6 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
         if drop.any():
             chunk.keep(~drop)
     vmap._invalidate()
-    return vmap
 
 
 def _local_box(vmap: VoxelMap, robot_voxel, cfg: MappingConfig):

@@ -14,7 +14,7 @@ from .controller import (Command, ControllerConfig, Pose2D, Status,
                          check_termination, compute_command, project_onto_path)
 # build_index is unused here but kept: perfbench/harness.py patches it here.
 from .geom import PointCloud, RigidTransform, build_index, transform_cloud
-from .icp import (RegistrationConfig, RegistrationFailure,
+from .icp import (RegistrationConfig, RegistrationFailure, RegistrationResult,
                   DegenerateRegistration, apply_input_filters, register)
 from .mapping import (MappingConfig, VoxelMap, filter_dynamic, insert_scan,
                       load_map, refresh_normals, retile, save_map)
@@ -85,42 +85,47 @@ def new_repeat_state(vmap: VoxelMap, trajectory: ReferenceTrajectory,
                         current_pose=pose, localized=True)
 
 
-def _localize(state: MissionState, scan: PointCloud,
-              prior_tail: PriorTrajectory):
-    """Deskew, filter, register against the local map. Returns
-    (T_hat, reading_in_map) or (prior pose, None) when the filtered scan is
-    empty (skip signal)."""
-    scan_d = deskew(scan, prior_tail)
-    filtered = apply_input_filters(scan_d, state.reg_cfg)
-    prior_pose = prior_tail.pose_at_index(len(prior_tail) - 1)
+def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: PriorTrajectory,
+             reg_cfg: RegistrationConfig) -> RegistrationResult | None:
+    """Deskew and filter the scan, then register it against the map's local
+    reference from the prior's last pose.
+
+    Returns None when nothing survives the input filters. On an empty local
+    map the scan is placed at the prior pose (zero iterations, not
+    converged). Raises RegistrationFailure when the local map lacks a normal,
+    and whatever ``register`` raises."""
+    filtered = apply_input_filters(deskew(scan, prior_tail), reg_cfg)
     if len(filtered) == 0:
-        return prior_pose, None
-    if state.map.local_point_count() == 0:
-        return prior_pose, transform_cloud(filtered, prior_pose)
-    ref = state.map.registration_reference()
+        return None
+    prior_pose = prior_tail.pose_at_index(len(prior_tail) - 1)
+    if vmap.local_point_count() == 0:
+        return RegistrationResult(prior_pose,
+                                  transform_cloud(filtered, prior_pose),
+                                  iterations=0, final_error=np.nan,
+                                  converged=False)
+    ref = vmap.registration_reference()
     if ref is None:
         raise RegistrationFailure("local map has no usable normals")
-    reference, index = ref
-    result = register(filtered, reference, prior_pose, state.reg_cfg,
-                      ref_index=index)
-    return result.T_hat, result.reading_in_map
+    reference, tree = ref
+    return register(filtered, reference, prior_pose, reg_cfg, ref_index=tree)
 
 
 def teach_step(state: MissionState, scan: PointCloud,
-               prior_tail: PriorTrajectory) -> MissionState:
-    """One teach tick: deskew, filter, register against the local map, insert,
+               prior_tail: PriorTrajectory) -> None:
+    """One teach tick: localize (an empty map starts at the prior), insert,
     dynamic-filter, retile; the registered pose joins the raw trajectory."""
     if state.phase is not Phase.TEACH:
         raise ValueError("teach_step requires the Teach phase")
     scan_id = state.scan_count
     state.scan_count += 1
     try:
-        t_hat, reading_in_map = _localize(state, scan, prior_tail)
+        result = localize(state.map, scan, prior_tail, state.reg_cfg)
     except (RegistrationFailure, DegenerateRegistration) as exc:
         raise TeachAbort(f"teach registration failed on scan {scan_id}: {exc}",
                          scan_id=scan_id, last_pose=state.current_pose) from exc
-    if reading_in_map is None:   # nothing survived the input filters
-        return state
+    if result is None:   # nothing survived the input filters
+        return
+    t_hat, reading_in_map = result.T_hat, result.reading_in_map
     sensor = t_hat.translation
     insert_scan(state.map, reading_in_map, sensor, state.map_cfg.rho)
     if state.map.last_inserted:
@@ -131,7 +136,6 @@ def teach_step(state: MissionState, scan: PointCloud,
     state.raw_stamps.append(stamp)
     state.raw_poses.append(t_hat)
     state.current_pose = t_hat
-    return state
 
 
 def finalize_teach(state: MissionState, d_ref: float, out_dir) -> Path:
@@ -165,22 +169,16 @@ def initialize_localization(vmap: VoxelMap, scan: PointCloud,
                             reg_cfg: RegistrationConfig,
                             overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
                             threshold: float = INIT_OVERLAP_THRESHOLD) -> InitResult:
-    """Register the first deskewed scan at the start prior; success requires
+    """Localize the first scan at the start prior; success requires
     convergence and scan overlap at or above the floor."""
-    scan_d = deskew(scan, prior_tail)
-    filtered = apply_input_filters(scan_d, reg_cfg)
-    prior_pose = prior_tail.pose_at_index(len(prior_tail) - 1)
-    if len(filtered) == 0:
-        return InitResult(False, None, 0.0, "scan empty after input filters")
-    ref = vmap.registration_reference()
-    if ref is None:
+    if vmap.registration_reference() is None:
         return InitResult(False, None, 0.0, "map has no usable normals")
-    reference, index = ref
     try:
-        result = register(filtered, reference, prior_pose, reg_cfg,
-                          ref_index=index)
+        result = localize(vmap, scan, prior_tail, reg_cfg)
     except (RegistrationFailure, DegenerateRegistration) as exc:
         return InitResult(False, None, 0.0, f"registration failed: {exc}")
+    if result is None:
+        return InitResult(False, None, 0.0, "scan empty after input filters")
     overlap = scan_overlap(result.reading_in_map, vmap, threshold)
     if not result.converged:
         return InitResult(False, result.T_hat, overlap,
@@ -203,14 +201,15 @@ def repeat_step(state: MissionState, scan: PointCloud,
         raise ValueError("repeat_step requires an initialized localization")
     state.scan_count += 1
     try:
-        t_hat, reading_in_map = _localize(state, scan, prior_tail)
+        result = localize(state.map, scan, prior_tail, state.reg_cfg)
     except (RegistrationFailure, DegenerateRegistration):
         state.intervention_count += 1
         return RepeatStepResult(None, Status.SAFETY_ABORT,
                                 pose=state.current_pose)
-    if reading_in_map is None:
+    if result is None:
         return RepeatStepResult(None, Status.CONTINUE, pose=state.current_pose,
                                 skipped=True)
+    t_hat = result.T_hat
     retile(state.map, t_hat.translation, state.map_cfg)
     state.current_pose = t_hat
     pose2d = Pose2D(float(t_hat.translation[0]), float(t_hat.translation[1]),

@@ -56,13 +56,6 @@ class OrientationState:
         m = self.matrix
         return float(np.arctan2(m[1, 0], m[0, 0]))
 
-    @property
-    def roll_pitch(self) -> tuple[float, float]:
-        m = self.matrix
-        pitch = float(np.arcsin(np.clip(-m[2, 0], -1.0, 1.0)))
-        roll = float(np.arctan2(m[2, 1], m[2, 2]))
-        return roll, pitch
-
 
 def update_orientation(state: OrientationState, imu: ImuSample, dt: float,
                        beta: float = DEFAULT_BETA) -> OrientationState:
@@ -132,14 +125,13 @@ class PriorIntegrator:
         self._translations = [self.position.copy()]
         self._quats = [self.orientation.quat.copy()]
 
-    def step(self, imu: ImuSample, odom: OdomSample, dt: float) -> RigidTransform:
+    def step(self, imu: ImuSample, odom: OdomSample, dt: float) -> None:
         self.orientation = update_orientation(self.orientation, imu, dt, self.beta)
         pose = integrate_prior(self.position, odom, self.orientation, dt)
         self.position = pose.translation.copy()
         self._stamps.append(imu.stamp)
         self._translations.append(self.position.copy())
         self._quats.append(self.orientation.quat.copy())
-        return pose
 
     def trajectory(self) -> PriorTrajectory:
         return PriorTrajectory(np.array(self._stamps), np.array(self._translations),

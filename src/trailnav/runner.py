@@ -13,6 +13,7 @@ import numpy as np
 from .config import GlobalConfig
 from .controller import Pose2D, Status, wrap_angle
 from .geom import RigidTransform
+from .mapping import VoxelMap
 from .mission import (InitResult, MissionState, RepeatStepResult, finalize_teach,
                       initialize_localization, load_database, new_repeat_state,
                       new_teach_state, repeat_step, teach_step)
@@ -164,6 +165,19 @@ def _sensor_anchor(world: World, state: RobotState,
                                    from_frame="L", to_frame="G")
 
 
+def initialize_at_rest(world: World, vmap: VoxelMap, cfg: GlobalConfig,
+                       pose: Pose2D, seed) -> InitResult:
+    """Localization init from one scan taken at rest at ``pose`` at stamp 0,
+    with a stationary prior window anchored at the true sensor pose."""
+    lp = cfg.sim.lidar
+    anchor = _sensor_anchor(world, RobotState(pose=pose), lp.mount_height)
+    scan = simulate_lidar(world, pose, lp, seed=seed)
+    tail = _prior_window(anchor, 0.0, 1.0 / lp.rate, cfg.prior.rate_hz,
+                         cfg.prior.beta, 0.0, 0.0)
+    return initialize_localization(vmap, scan, tail, cfg.registration,
+                                   cfg.mission.init_overlap_floor)
+
+
 # -- teach --------------------------------------------------------------------
 
 
@@ -265,15 +279,8 @@ def run_repeat(world: World, database, cfg: GlobalConfig,
     period = 1.0 / lp.rate
     state = RobotState(pose=start,
                        z=float(world.ground_height(start.x, start.y)))
-    anchor = _sensor_anchor(world, state, lp.mount_height)
-
-    # Localization init on a stationary scan at the start pose.
-    scan0 = simulate_lidar(world, state.pose, lp,
-                           seed=(cfg.seed, scan_seed_base), t0=state.stamp)
-    tail0 = _prior_window(anchor, state.stamp, period, cfg.prior.rate_hz,
-                          cfg.prior.beta, 0.0, 0.0)
-    init = initialize_localization(vmap, scan0, tail0, cfg.registration,
-                                   cfg.mission.init_overlap_floor)
+    init = initialize_at_rest(world, vmap, cfg, start,
+                              seed=(cfg.seed, scan_seed_base))
     if not init.success:
         return RepeatRunResult(status=None, init=init, mission=None,
                                log_rows=[], executed=None, truth=None)

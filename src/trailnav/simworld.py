@@ -508,6 +508,9 @@ def save_world_spec(path, seed: int, params: WorldParams) -> None:
 
 
 def load_world_spec(path):
+    """(seed, WorldParams) from a ``save_world_spec`` file. A malformed file
+    raises ValueError (bad JSON, missing seed, invalid value) or TypeError
+    (unknown key)."""
     seed = None
     fields = {}
     for line in Path(path).read_text().splitlines():
@@ -522,7 +525,7 @@ def load_world_spec(path):
         else:
             fields[key] = value
     if seed is None:
-        raise ValueError(f"{path}: world spec is missing a seed")
+        raise ValueError("missing a seed")
     if fields.get("extent") is not None:
         fields["extent"] = tuple(fields["extent"])
     if fields.get("clearing_center") is not None:

@@ -61,10 +61,6 @@ class ReferenceTrajectory:
     def xy(self) -> np.ndarray:
         return self.positions[:, :2]
 
-    def headings(self) -> np.ndarray:
-        mats = np.array([_quat_to_matrix(q) for q in self.quats])
-        return np.arctan2(mats[:, 1, 0], mats[:, 0, 0])
-
     def total_length(self) -> float:
         return float(self.arc_length[-1]) if len(self) else 0.0
 

@@ -25,11 +25,10 @@ from trailnav.icp import (MatchSet, RegistrationConfig, apply_input_filters,
                           gather_reference, point_to_plane_error, register)
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, load_map, retile, save_map)
-from trailnav.mission import (initialize_localization, load_database,
-                              new_teach_state, teach_step)
+from trailnav.mission import load_database, new_teach_state, teach_step
 from trailnav.prior import ImuSample, OdomSample, PriorIntegrator, deskew
 from trailnav.runner import (_prior_window, _rollout, _sensor_anchor,
-                             run_repeat, run_teach)
+                             initialize_at_rest, run_repeat, run_teach)
 from trailnav.simworld import (CLASS_BUILDING, CLASS_SNOWFALL, LidarParams,
                                RobotState, Trees, WorldParams, accumulate_snow,
                                apply_snowfall, generate_world, simulate_lidar)
@@ -428,14 +427,7 @@ def snow_setup(tmp_path_factory):
 
 
 def _init_at(cfg, vmap, world, x, y, seed):
-    st = RobotState(pose=Pose2D(x, y, 0.0),
-                    z=float(world.ground_height(x, y)))
-    anchor = _sensor_anchor(world, st, cfg.sim.lidar.mount_height)
-    scan = simulate_lidar(world, st.pose, cfg.sim.lidar, seed=seed)
-    tail = _prior_window(anchor, 0.0, 1.0 / cfg.sim.lidar.rate, 100.0,
-                         cfg.prior.beta, 0.0, 0.0)
-    return initialize_localization(vmap, scan, tail, cfg.registration,
-                                   cfg.mission.init_overlap_floor)
+    return initialize_at_rest(world, vmap, cfg, Pose2D(x, y, 0.0), seed)
 
 
 def test_criterion_07_snow_accumulation(snow_setup):
@@ -554,7 +546,7 @@ def test_criterion_09_voxel_manager(tmp_path):
         insert_scan(vmap, PointCloud(pts, FRAME_MAP), pos + [0, 0, 1.0],
                     cfg.rho)
         _, actions = retile(vmap, pos, cfg)
-        local = vmap.local_set
+        local = set(vmap.voxels)
         nonlocal_ = set(vmap.nonlocal_manifest)
         assert not (local & nonlocal_), "local/nonlocal sets overlap"
         assert local | nonlocal_ == vmap.all_keys()

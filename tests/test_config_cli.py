@@ -96,6 +96,20 @@ def test_cli_bad_config_exit_two(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("spec, why", [
+    ("trail_length = 10.0\n", "missing a seed"),
+    ("seed = 1\nbogus = 2\n", "bogus"),
+    ("seed = 1\ntrail_length = ten\n", "Expecting value"),
+], ids=["missing_seed", "unknown_key", "bad_json"])
+def test_cli_malformed_world_spec_exit_two(tmp_path, capsys, spec, why):
+    path = tmp_path / "world_spec.txt"
+    path.write_text(spec)
+    rc = main(["teach", "--out-dir", str(tmp_path / "t"), "--world", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and why in err
+
+
 def test_cli_missing_database_exit_four(tmp_path):
     world_dir = tmp_path / "w"
     assert main(["world", "gen", "--out-dir", str(world_dir)]) == 0

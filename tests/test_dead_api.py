@@ -1,6 +1,7 @@
-"""Every top-level function and class in ``src/trailnav`` has a caller in the
-program: in ``src/``, ``scripts/`` or the benchmark's non-test modules. Tests
-alone do not keep a name alive."""
+"""Every top-level function and class in ``src/trailnav``, and every
+non-dunder method and property of those classes, has a caller in the
+program: in ``src/``, ``scripts/`` or the benchmark's non-test modules.
+Tests alone do not keep a name alive."""
 
 import ast
 from pathlib import Path
@@ -31,12 +32,35 @@ def _used_names():
     return used
 
 
-def test_every_top_level_definition_has_a_program_caller():
-    defined = {}
+def _unused(defined):
+    """``defined`` maps a name to where it is defined."""
+    alive = _used_names() | ALLOWED_TEST_ONLY
+    return sorted(where for name, where in defined.items() if name not in alive)
+
+
+def _src_trees():
     for path in (ROOT / "src" / "trailnav").glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = path.name
-    unused = sorted(f"{defined[name]}:{name}"
-                    for name in set(defined) - _used_names() - ALLOWED_TEST_ONLY)
+        yield path.name, ast.parse(path.read_text())
+
+
+def test_every_top_level_definition_has_a_program_caller():
+    defined = {node.name: f"{name}:{node.name}"
+               for name, tree in _src_trees() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unused = _unused(defined)
+    assert not unused, f"defined but never used outside tests: {unused}"
+
+
+def test_every_method_and_property_has_a_program_caller():
+    defined = {}
+    for name, tree in _src_trees():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    defined.setdefault(node.name,
+                                       f"{name}:{cls.name}.{node.name}")
+    unused = _unused(defined)
     assert not unused, f"defined but never used outside tests: {unused}"

@@ -62,8 +62,8 @@ def test_inverse_roundtrip():
 
 
 def test_compose_frame_mismatch():
-    a = RigidTransform.identity("L", "G")
-    b = RigidTransform.identity("R", "R")
+    a = RigidTransform(np.eye(3), np.zeros(3), "L", "G")
+    b = RigidTransform(np.eye(3), np.zeros(3), "R", "R")
     with pytest.raises(FrameMismatchError):
         a @ b
 

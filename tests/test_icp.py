@@ -286,7 +286,7 @@ def test_register_recovers_perturbation_yaw_only():
 def test_register_prior_frame_check():
     ref = _scene_plane_and_walls(n_ground=500, n_wall=100)
     reading = PointCloud(ref.points[:50].copy(), FRAME_LIDAR)
-    bad_prior = RigidTransform.identity("G", "G")
+    bad_prior = RigidTransform(np.eye(3), np.zeros(3), "G", "G")
     with pytest.raises(ValueError):
         register(reading, ref, bad_prior, RegistrationConfig())
 
@@ -297,7 +297,8 @@ def test_register_fails_on_disjoint_clouds():
                          FRAME_LIDAR)
     cfg = RegistrationConfig(eta_s=1.0, bboxes=[], eps=0.0)
     with pytest.raises(RegistrationFailure):
-        register(reading, ref, RigidTransform.identity("L", "G"), cfg)
+        register(reading, ref, RigidTransform(np.eye(3), np.zeros(3), "L", "G"),
+                 cfg)
 
 
 def test_register_iteration_cap():
@@ -517,8 +518,8 @@ def test_match_orders_lattice_ties_canonically():
     reading = rng.integers(0, 6, (50, 3)) + rng.choice([0.0, 0.5], (50, 3))
     cfg = RegistrationConfig(n_m=7, d_max=2.0, eps=0.0)
     index = build_index(PointCloud(lattice, FRAME_MAP))
-    dist, idx = index.tree.query(reading, k=cfg.n_m, eps=0.0,
-                                 distance_upper_bound=cfg.d_max)
+    dist, idx = index.query(reading, k=cfg.n_m, eps=0.0,
+                            distance_upper_bound=cfg.d_max)
     valid = np.isfinite(dist)
     tied = (dist[:, 1:] == dist[:, :-1]) & valid[:, 1:]
     assert np.any(tied & (idx[:, 1:] < idx[:, :-1]))

@@ -90,9 +90,9 @@ def test_insert_scan_bounded_query_matches_unbounded():
 
     def unbounded():
         arrays = cached()
-        if arrays[4] is None:
+        if arrays[1] is None:
             return arrays
-        return (*arrays[:4], _UnboundedQuery(arrays[4]), *arrays[5:])
+        return (arrays[0], _UnboundedQuery(arrays[1]), *arrays[2:])
 
     ref._local_arrays = unbounded
     base = rng.uniform(-6.0, 6.0, (800, 3))
@@ -202,7 +202,7 @@ def test_retile_partitions_and_moves_voxels(tmp_path):
     _, actions = retile(vmap, [0.0, 0.0, 0.0], cfg)
     assert any(a == "unload" for a, _ in actions)
     # Partition invariant.
-    assert not (vmap.local_set & set(vmap.nonlocal_manifest))
+    assert not (set(vmap.voxels) & set(vmap.nonlocal_manifest))
     # Every local-cube voxel with points is local.
     from trailnav.mapping import _in_box, _local_box
     lo, hi = _local_box(vmap, (0, 0, 0), cfg)

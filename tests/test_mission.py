@@ -8,7 +8,7 @@ from trailnav.cli import main
 from trailnav.config import GlobalConfig, save_config
 from trailnav.controller import ControllerConfig, Pose2D, Status
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
-from trailnav.icp import RegistrationFailure
+from trailnav.icp import DegenerateRegistration, RegistrationFailure
 from trailnav.mission import (MissionState, Phase, TeachAbort, finalize_teach,
                               initialize_localization, load_database,
                               new_repeat_state, new_teach_state, repeat_step,
@@ -84,7 +84,7 @@ def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
 
     def spy_register(*args, ref_index=None, **kwargs):
         on_cached_tree.append(ref_index is not None and
-                              ref_index.tree is owner[0]._local_arrays()[4])
+                              ref_index is owner[0]._local_arrays()[1])
         return register(*args, ref_index=ref_index, **kwargs)
 
     def spy_build_index(cloud):
@@ -331,7 +331,7 @@ def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
 
 
 def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
-    import trailnav.cli as cli
+    import trailnav.mission as mission
     _, cfg, result = taught
     common = _logged_args(cfg, result, tmp_path)
     calls = []
@@ -340,8 +340,8 @@ def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
         calls.append(1)
         return register(*args, **kwargs)
 
-    register = cli.register
-    monkeypatch.setattr(cli, "register", counting_register)
+    register = mission.register
+    monkeypatch.setattr(mission, "register", counting_register)
 
     def perturbation(index, out):
         return main(["analyze", "perturbation", "--db", str(result.db_dir),
@@ -354,3 +354,18 @@ def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
     assert perturbation(-1, "before") == 4
     assert perturbation(len(result.scan_log.scans), "after") == 4
     assert len(calls) == 1
+
+
+def test_degenerate_logged_scan_exits_three(taught, tmp_path, monkeypatch,
+                                            capsys):
+    import trailnav.mission as mission
+    _, cfg, result = taught
+    common = _logged_args(cfg, result, tmp_path)
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateRegistration("normal system is rank deficient")
+
+    monkeypatch.setattr(mission, "register", degenerate)
+    assert main(["analyze", "overlap", "--db", str(result.db_dir),
+                 "--out-dir", str(tmp_path / "overlap"), *common]) == 3
+    assert "rank deficient" in capsys.readouterr().err
