@@ -295,13 +295,27 @@ def _ray_ground(origins, dirs, ground: Heightfield, max_range,
     return t_hit
 
 
+def _in_reach(origins, xy, radii, max_range):
+    """Indices, ascending, of the upright primitives (plan-view centers
+    ``xy``, radii ``radii``) that a unit ray from one of ``origins`` can hit
+    before ``max_range``: a hit lies within ``max_range`` of its origin, so a
+    primitive farther than ``max_range`` plus its radius from the origins'
+    bounding box gives none. The extra 1 m covers rounding."""
+    lo = origins[:, :2].min(axis=0)
+    hi = origins[:, :2].max(axis=0)
+    gap = np.maximum(np.maximum(lo - xy, xy - hi), 0.0)
+    return np.nonzero(np.hypot(gap[:, 0], gap[:, 1])
+                      <= max_range + radii + 1.0)[0]
+
+
 def _ray_cylinders(origins, dirs, trees: Trees, max_range, t_min=0.05):
-    """Nearest finite-cylinder (trunk) hit per ray."""
+    """Nearest finite-cylinder (trunk) hit per unit ray; only the trunks in
+    reach of the rays are tested."""
     best = np.full(len(origins), np.inf)
     ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]
     dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
     a = dx * dx + dy * dy
-    for i in range(len(trees)):
+    for i in _in_reach(origins, trees.xy, trees.trunk_radius, max_range):
         cx, cy = trees.xy[i]
         r = trees.trunk_radius[i]
         fx = ox - cx

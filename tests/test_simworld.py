@@ -12,7 +12,8 @@ from trailnav.simworld import (CLASS_BUILDING, CLASS_GROUND, CLASS_SNOWFALL,
                                RobotState, WorldParams, accumulate_snow,
                                apply_snowfall, generate_world, load_world_spec,
                                save_world_spec, simulate_lidar, step_robot)
-from trailnav.simworld import _dist_to_polyline, _ray_ground
+from trailnav.simworld import (Trees, _dist_to_polyline, _in_reach,
+                               _ray_cylinders, _ray_ground)
 
 
 def _flat_params(**kw):
@@ -335,3 +336,97 @@ def test_bilinear_sample_stays_in_the_grid_band(grid, x0, y0, cell, uv):
     z = ground.sample(x0 + u * cell * (nx - 1), y0 + v * cell * (ny - 1))
     lo, hi = _band(grid)
     assert np.all((z >= lo) & (z <= hi))
+
+
+# -- trunk culling -----------------------------------------------------------
+
+
+def _reference_ray_cylinders(origins, dirs, trees, max_range, t_min=0.05):
+    """Every trunk tested against every ray; the culled ``_ray_cylinders``
+    must match it bit for bit."""
+    best = np.full(len(origins), np.inf)
+    ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]
+    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    a = dx * dx + dy * dy
+    for i in range(len(trees)):
+        cx, cy = trees.xy[i]
+        r = trees.trunk_radius[i]
+        fx = ox - cx
+        fy = oy - cy
+        b = 2 * (fx * dx + fy * dy)
+        c = fx * fx + fy * fy - r * r
+        disc = b * b - 4 * a * c
+        valid = (disc > 0) & (a > 1e-12)
+        t = np.where(valid, (-b - np.sqrt(np.maximum(disc, 0.0))) /
+                     np.where(a > 1e-12, 2 * a, 1.0), np.inf)
+        z = oz + dz * t
+        good = valid & (t > t_min) & (t < max_range) & \
+            (z >= trees.base_z[i] - 0.5) & (z <= trees.trunk_top[i])
+        best = np.where(good & (t < best), t, best)
+    return best
+
+
+def _sweep_rays(world, n, max_range, seed):
+    """A lidar-like sweep: origins along 0.6 m of travel at sensor height,
+    unit directions within +-15 degrees of horizontal. Two extra trunks: one
+    beside the sweep, and one where the last ray, from the sweep's end, hits
+    it 0.01 m inside ``max_range``."""
+    rng = np.random.default_rng(seed)
+    s = np.sort(rng.random(n))
+    x, y = 30.0 + 0.6 * s, 1.5 + 0.1 * s
+    origins = np.column_stack([x, y, world.ground_height(x, y) + 1.3])
+    az = rng.uniform(0.0, 2 * np.pi, n)
+    el = np.deg2rad(rng.uniform(-15.0, 15.0, n))
+    dirs = np.column_stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az),
+                            np.sin(el)])
+    dirs[-1] = [1.0, 0.0, 0.0]
+    r = 0.2
+    extra = np.array([[30.3, 2.9],
+                      origins[-1, :2] + [max_range - 0.01 + r, 0.0]])
+    z0 = origins[-1, 2] - 2.0
+    t = world.trees
+    trees = Trees(xy=np.vstack([t.xy, extra]),
+                  trunk_radius=np.append(t.trunk_radius, [r, r]),
+                  trunk_top=np.append(t.trunk_top, [z0 + 4.0] * 2),
+                  base_z=np.append(t.base_z, [z0] * 2),
+                  foliage_center=np.vstack([t.foliage_center,
+                                            np.column_stack([extra,
+                                                             [z0 + 4.0] * 2])]),
+                  foliage_radius=np.append(t.foliage_radius, [1.0, 1.0]))
+    return origins, dirs, trees
+
+
+@pytest.mark.parametrize("max_range", [80.0, 20.0, 3.0])
+def test_ray_cylinders_matches_every_trunk(max_range):
+    world = generate_world(4, WorldParams(trail_length=120.0,
+                                          tree_density=0.05))
+    origins, dirs, trees = _sweep_rays(world, 4000, max_range,
+                                       seed=int(max_range))
+    with np.errstate(invalid="ignore"):  # 0 * inf for the horizontal ray
+        got = _ray_cylinders(origins, dirs, trees, max_range)
+        want = _reference_ray_cylinders(origins, dirs, trees, max_range)
+    assert np.array_equal(got, want)
+    # The trunk placed 0.01 m inside the range is kept and hit.
+    assert want[-1] == pytest.approx(max_range - 0.01)
+    assert np.isfinite(want[:-1]).sum() > 0
+    kept = _in_reach(origins, trees.xy, trees.trunk_radius, max_range)
+    assert len(trees) - 1 in kept
+    if max_range < 80.0:
+        assert len(kept) < len(trees) / 2
+
+
+def test_simulated_scan_matches_every_trunk(monkeypatch):
+    world = generate_world(4, WorldParams(trail_length=120.0,
+                                          tree_density=0.05))
+    lp = LidarParams(beams=8, azimuth_steps=200, rate=2.5, max_range=20.0)
+
+    def pose_fn(t):
+        return (40.0 + 1.5 * t, 1.0, 0.3 * t)
+
+    scan = simulate_lidar(world, pose_fn, lp, seed=5, t0=0.0)
+    monkeypatch.setattr(simworld, "_ray_cylinders", _reference_ray_cylinders)
+    want = simulate_lidar(world, pose_fn, lp, seed=5, t0=0.0)
+    assert (scan.labels == CLASS_VEGETATION).sum() > 50
+    assert np.array_equal(scan.points, want.points)
+    assert np.array_equal(scan.timestamps, want.timestamps)
+    assert np.array_equal(scan.labels, want.labels)
