@@ -16,7 +16,6 @@ Usage:
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from trailnav.analysis import perturbation_uncertainty
 from trailnav.config import GlobalConfig
 from trailnav.controller import Pose2D
+from trailnav.csvio import write_csv
 from trailnav.geom import PointCloud
 from trailnav.mapping import compute_normals
 from trailnav.mission import load_database
@@ -87,20 +87,16 @@ def snow_study(out_dir: Path):
                          r.reason))
             print(f"  {area:12s} {wname:12s} success={str(r.success):5s} "
                   f"overlap={r.overlap:5.1f}%  {r.reason}")
-    with open(out_dir / "snow_init.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["start_area", "world", "success", "overlap_pct", "reason"])
-        w.writerows(rows)
+    write_csv(out_dir / "snow_init.csv",
+              ["start_area", "world", "success", "overlap_pct", "reason"], rows)
 
     sweep = []
     for wname, world in (("unchanged", clean), ("accumulated", snowy)):
         for i, x in enumerate(np.linspace(22.0, 28.0, 5)):
             sweep.append((wname, round(x, 1),
                           round(init_at(world, x, 0.0, 800 + i).overlap, 2)))
-    with open(out_dir / "snow_overlap_sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["world", "x", "overlap_pct"])
-        w.writerows(sweep)
+    write_csv(out_dir / "snow_overlap_sweep.csv", ["world", "x", "overlap_pct"],
+              sweep)
     for wname in ("unchanged", "accumulated"):
         vals = [s[2] for s in sweep if s[0] == wname]
         print(f"  open-ground overlap, {wname}: mean {np.mean(vals):.2f}%")
@@ -135,11 +131,8 @@ def corridor_study(out_dir: Path):
                                 viewpoints=np.zeros(3))
         offs, errs, std = perturbation_uncertainty(
             PointCloud(scan.points, "L"), map_l)
-        with open(out_dir / f"perturbation_{kind}.csv", "w",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["offset_m", "error"])
-            w.writerows(zip(offs, errs))
+        write_csv(out_dir / f"perturbation_{kind}.csv", ["offset_m", "error"],
+                  zip(offs, errs))
         print(f"  {kind:12s} profile std {std:10.1f}")
 
 

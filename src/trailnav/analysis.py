@@ -3,13 +3,12 @@ longitudinal-perturbation registration uncertainty."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .csvio import read_float_csv, write_csv
 from .geom import PointCloud, build_index
 from .icp import (RegistrationConfig, gather_reference, match,
                   point_to_plane_error, trim_outliers)
@@ -30,12 +29,20 @@ class CrossTrackSeries:
     eps_ct: np.ndarray
     kappa: np.ndarray
 
+    HEADER = ("arc", "eps", "kappa")
+
     def __len__(self):
         return len(self.arc_position)
 
     def save_csv(self, path):
-        _write_csv(path, ["arc", "eps", "kappa"],
-                   zip(self.arc_position, self.eps_ct, self.kappa))
+        write_csv(path, self.HEADER,
+                  zip(self.arc_position, self.eps_ct, self.kappa))
+
+    @classmethod
+    def load_csv(cls, *paths) -> "CrossTrackSeries":
+        """One series from the rows of every file, in order."""
+        return cls(*np.vstack([read_float_csv(p, cls.HEADER)
+                               for p in paths]).T)
 
 
 @dataclass
@@ -57,17 +64,8 @@ class BinnedStats:
     def save_csv(self, path):
         rows = [(b.kappa_lo, b.kappa_hi, b.count, b.median, b.q1, b.q3, b.p10, b.p90)
                 for b in self.bins]
-        _write_csv(path, ["kappa_lo", "kappa_hi", "count", "median", "q1", "q3",
-                          "p10", "p90"], rows)
-
-
-def _write_csv(path, header, rows):
-    with open(Path(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(["" if v is None else repr(float(v)) if not isinstance(v, int)
-                        else v for v in row])
+        write_csv(path, ["kappa_lo", "kappa_hi", "count", "median", "q1", "q3",
+                         "p10", "p90"], rows)
 
 
 def curvature_at(reference: ReferenceTrajectory, index: int) -> float:
@@ -197,10 +195,3 @@ def perturbation_uncertainty(scan_in_l: PointCloud, map_in_l: PointCloud,
     std = float(np.std(errors[valid])) if valid.any() else float("nan")
     return offsets, errors, std
 
-
-def save_overlap_csv(path, scan_ids, percentages):
-    _write_csv(path, ["scan_id", "pct"], zip(scan_ids, percentages))
-
-
-def save_perturbation_csv(path, offsets, errors):
-    _write_csv(path, ["offset", "error"], zip(offsets, errors))

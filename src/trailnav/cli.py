@@ -1,6 +1,6 @@
 """Command-line surface: world generation, teach/repeat/replay runs, metric
 analysis, and a built-in selftest. Exit codes: 0 success, 2 config error,
-3 mission abort (safety/localization), 4 I/O error."""
+3 mission abort (safety/localization), 4 I/O error or malformed input file."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import numpy as np
 from . import analysis
 from .config import ConfigError, GlobalConfig, load_config, save_config
 from .controller import Pose2D, Status
+from .csvio import CsvFormatError, write_csv
 from .geom import FRAME_MAP, transform_cloud
 from .icp import DegenerateRegistration, RegistrationFailure
 from .mapping import MapLoadError, PersistenceError, compute_normals
@@ -193,18 +194,7 @@ def _cmd_cross_track(args) -> int:
 
 
 def _cmd_curvature_bins(args) -> int:
-    arcs, eps, kap = [], [], []
-    import csv as _csv
-    for path in args.cross_track:
-        with open(path, newline="") as fh:
-            for row in _csv.reader(fh):
-                if not row or row[0] == "arc":
-                    continue
-                arcs.append(float(row[0]))
-                eps.append(float(row[1]))
-                kap.append(float(row[2]))
-    series = analysis.CrossTrackSeries(np.array(arcs), np.array(eps),
-                                       np.array(kap))
+    series = analysis.CrossTrackSeries.load_csv(*args.cross_track)
     stats = analysis.bin_by_curvature(series)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     stats.save_csv(args.out_dir / "bins.csv")
@@ -241,7 +231,7 @@ def _cmd_overlap(args) -> int:
         ids.append(i)
         pcts.append(analysis.scan_overlap(scan_g, vmap, args.threshold))
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    analysis.save_overlap_csv(args.out_dir / "overlap.csv", ids, pcts)
+    write_csv(args.out_dir / "overlap.csv", ["scan_id", "pct"], zip(ids, pcts))
     print(f"mean overlap {np.mean(pcts):.1f}% over {len(ids)} scans")
     return EXIT_OK
 
@@ -258,8 +248,8 @@ def _cmd_perturbation(args) -> int:
     offsets, errors, std = analysis.perturbation_uncertainty(
         scan_l, map_l, cfg.registration)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    analysis.save_perturbation_csv(args.out_dir / "perturbation.csv",
-                                   offsets, errors)
+    write_csv(args.out_dir / "perturbation.csv", ["offset", "error"],
+              zip(offsets, errors))
     print(f"perturbation std {std:.4f} over {np.isfinite(errors).sum()} offsets")
     return EXIT_OK
 
@@ -280,16 +270,13 @@ def _cmd_selftest(args) -> int:
             failures.append(name)
 
     ctrl = ControllerConfig()
-    f0 = FrenetState(x_t=0.0, x_n=0.0, theta_t=0.0, theta_e=0.0, kappa=0.0,
-                     d_g=100.0, seg_index=0)
+    f0 = FrenetState(x_t=0.0, x_n=0.0, theta_e=0.0, d_g=100.0)
     c0 = compute_command(f0, ctrl)
     check("controller on-path zero steering", abs(c0.omega) < 1e-12)
-    f1 = FrenetState(x_t=0.0, x_n=10.0, theta_t=0.0, theta_e=0.0, kappa=0.0,
-                     d_g=100.0, seg_index=0)
+    f1 = FrenetState(x_t=0.0, x_n=10.0, theta_e=0.0, d_g=100.0)
     check("controller omega clamp", compute_command(f1, ctrl).omega == -1.0)
     check("controller v_x clamp low",
-          compute_command(FrenetState(0, 0, 0, 0, 0, d_g=0.2, seg_index=0),
-                          ctrl).v_x == 0.5)
+          compute_command(FrenetState(0, 0, 0, d_g=0.2), ctrl).v_x == 0.5)
 
     rng = np.random.default_rng(0)
     ground = rng.uniform(-10, 10, (2000, 2))
@@ -358,7 +345,8 @@ def main(argv=None) -> int:
             PriorCoverageError) as exc:
         print(f"mission abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    except (OSError, MapLoadError, NpcdError, PersistenceError) as exc:
+    except (OSError, MapLoadError, NpcdError, PersistenceError,
+            CsvFormatError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import curvature_at
 from .trajectory import ReferenceTrajectory
 
 
@@ -57,18 +56,15 @@ class FrenetState:
     """Robot state in the path frame at the orthogonal projection.
 
     ``x_n`` is positive left of the path direction; ``theta_e`` is the wrapped
-    heading error theta_r - theta_t. ``offset_dist`` is the full Euclidean
-    distance to the foot point (equals |x_n| while the projection is interior,
-    larger when the robot is beyond a path end).
+    heading error, robot heading minus path tangent heading. ``offset_dist``
+    is the full Euclidean distance to the foot point (equals |x_n| while the
+    projection is interior, larger when the robot is beyond a path end).
     """
 
     x_t: float
     x_n: float
-    theta_t: float
     theta_e: float
-    kappa: float
     d_g: float
-    seg_index: int
     offset_dist: float = 0.0
 
 
@@ -90,11 +86,8 @@ def project_onto_path(pose: Pose2D, x_ref: ReferenceTrajectory) -> FrenetState:
     return FrenetState(
         x_t=proj.t_along,
         x_n=proj.signed_normal,
-        theta_t=proj.tangent_heading,
         theta_e=wrap_angle(pose.theta_r - proj.tangent_heading),
-        kappa=curvature_at(x_ref, proj.nearest_pose_index),
         d_g=max(0.0, x_ref.total_length() - proj.arc_position),
-        seg_index=proj.seg_index,
         offset_dist=proj.distance,
     )
 

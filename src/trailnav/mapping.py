@@ -53,33 +53,28 @@ class MappingConfig:
 
 
 class VoxelChunk:
-    """Per-voxel point store. Normals may be NaN until computed; viewpoints hold
-    the sensor position recorded at insertion time (NaN after reload)."""
+    """Per-voxel point store. Normals may be NaN until computed."""
 
-    __slots__ = ("points", "normals", "dyn_prob", "viewpoints", "labels")
+    __slots__ = ("points", "normals", "dyn_prob", "labels")
 
-    def __init__(self, points, normals=None, dyn_prob=None, viewpoints=None,
-                 labels=None):
+    def __init__(self, points, normals=None, dyn_prob=None, labels=None):
         n = len(points)
         self.points = np.asarray(points, dtype=np.float64).reshape(n, 3)
         self.normals = (np.full((n, 3), np.nan) if normals is None
                         else np.asarray(normals, dtype=np.float64).reshape(n, 3))
         self.dyn_prob = (np.zeros(n) if dyn_prob is None
                          else np.asarray(dyn_prob, dtype=np.float64).reshape(n))
-        self.viewpoints = (np.full((n, 3), np.nan) if viewpoints is None
-                           else np.asarray(viewpoints, dtype=np.float64).reshape(n, 3))
         self.labels = (np.zeros(n, dtype=np.int64) if labels is None
                        else np.asarray(labels, dtype=np.int64).reshape(n))
 
     def __len__(self):
         return len(self.points)
 
-    def append(self, points, viewpoints, labels=None):
+    def append(self, points, labels=None):
         n = len(points)
         self.points = np.vstack([self.points, points])
         self.normals = np.vstack([self.normals, np.full((n, 3), np.nan)])
         self.dyn_prob = np.concatenate([self.dyn_prob, np.zeros(n)])
-        self.viewpoints = np.vstack([self.viewpoints, viewpoints])
         self.labels = np.concatenate(
             [self.labels, np.zeros(n, np.int64) if labels is None else labels])
 
@@ -87,7 +82,6 @@ class VoxelChunk:
         self.points = self.points[mask]
         self.normals = self.normals[mask]
         self.dyn_prob = self.dyn_prob[mask]
-        self.viewpoints = self.viewpoints[mask]
         self.labels = self.labels[mask]
 
 
@@ -175,8 +169,7 @@ class VoxelMap:
         path = self._spill_path(key)
         try:
             np.savez(path, points=chunk.points, normals=chunk.normals,
-                     dyn_prob=chunk.dyn_prob, viewpoints=chunk.viewpoints,
-                     labels=chunk.labels)
+                     dyn_prob=chunk.dyn_prob, labels=chunk.labels)
         except OSError as exc:
             raise PersistenceError(f"failed to write voxel {key}: {exc}",
                                    voxel=key) from exc
@@ -187,7 +180,7 @@ class VoxelMap:
         try:
             with np.load(path) as data:
                 return VoxelChunk(data["points"], data["normals"], data["dyn_prob"],
-                                  data["viewpoints"], data["labels"])
+                                  data["labels"])
         except (OSError, KeyError) as exc:
             raise PersistenceError(f"failed to read voxel {key}: {exc}",
                                    voxel=key) from exc
@@ -227,9 +220,11 @@ def _normals_for(targets, source, n_n, viewpoints=None, tree=None):
     return normals
 
 
-def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets) -> None:
+def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets,
+                    sensor) -> None:
     """(Re)compute normals for the given (key, rows) targets, using the whole
-    local map as the neighborhood source.
+    local map as the neighborhood source, oriented toward the sensor
+    position that saw every target row.
 
     All targets share one neighbour query on the map's cached kd-tree. With no
     target rows the map, and its cache, are left untouched."""
@@ -240,8 +235,8 @@ def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets) -> None:
     if not parts:
         return
     pts = np.vstack([chunk.points[rows] for chunk, rows in parts])
-    views = np.vstack([chunk.viewpoints[rows] for chunk, rows in parts])
-    normals = _normals_for(pts, pts_all, cfg.n_n, views, tree=tree)
+    normals = _normals_for(pts, pts_all, cfg.n_n, _sensor_position(sensor),
+                           tree=tree)
     splits = np.cumsum([len(rows) for _, rows in parts])[:-1]
     for (chunk, rows), part_normals in zip(parts, np.split(normals, splits)):
         chunk.normals[rows] = part_normals
@@ -255,14 +250,14 @@ def _sensor_position(position) -> np.ndarray:
 def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
                 rho: float) -> None:
     """Append scan points (in index order) whose nearest map point, including
-    points accepted earlier in this call, is farther than rho."""
+    points accepted earlier in this call, is farther than rho, and list the
+    new rows in ``last_inserted``. ``sensor_pose`` is not used."""
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("insert_scan expects a registered (map-frame) scan")
     vmap.last_inserted = []
     pts = scan_in_g.points
     if len(pts) == 0:
         return
-    sensor = _sensor_position(sensor_pose)
     tree = vmap._local_arrays()[1]
     if tree is not None:
         # Only d > rho matters; cKDTree's bound is strict, hence nextafter.
@@ -297,7 +292,7 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
             chunk = VoxelChunk(np.zeros((0, 3)))
             vmap.voxels[key] = chunk
         first = len(chunk)
-        chunk.append(new_pts[rows], np.tile(sensor, (len(rows), 1)),
+        chunk.append(new_pts[rows],
                      None if new_labels is None else new_labels[rows])
         vmap.last_inserted.append((key, np.arange(first, len(chunk))))
     vmap._invalidate()
@@ -453,22 +448,26 @@ def load_map(path, spill_dir=None) -> VoxelMap:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise MapLoadError(f"no manifest.json in {path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != MAP_FORMAT:
-        raise MapLoadError(f"{manifest_path}: not a {MAP_FORMAT} manifest")
-    if manifest.get("version") != MAP_VERSION:
-        raise MapLoadError(
-            f"{manifest_path}: unsupported version {manifest.get('version')}")
-    vmap = VoxelMap(float(manifest["v_s"]), spill_dir=spill_dir)
-    for entry in manifest["voxels"]:
-        key = tuple(int(v) for v in entry["index"])
-        fpath = path / entry["file"]
+    try:   # bad JSON and a non-positive v_s raise ValueErrors
+        manifest = json.loads(manifest_path.read_text())
+        if manifest.get("format") != MAP_FORMAT:
+            raise MapLoadError(f"{manifest_path}: not a {MAP_FORMAT} manifest")
+        if manifest.get("version") != MAP_VERSION:
+            raise MapLoadError(f"{manifest_path}: unsupported version "
+                               f"{manifest.get('version')}")
+        vmap = VoxelMap(float(manifest["v_s"]), spill_dir=spill_dir)
+        entries = [(tuple(int(v) for v in e["index"]), path / e["file"],
+                    e["count"]) for e in manifest["voxels"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MapLoadError(f"{manifest_path}: malformed manifest, "
+                           f"{type(exc).__name__} {exc}") from exc
+    for key, fpath, count in entries:
         if not fpath.exists():
             raise MapLoadError(f"missing voxel file {fpath}")
         cloud = read_npcd(fpath, frame=FRAME_MAP)
-        if len(cloud) != entry["count"]:
+        if len(cloud) != count:
             raise MapLoadError(
-                f"{fpath}: has {len(cloud)} points, manifest says {entry['count']}")
+                f"{fpath}: has {len(cloud)} points, manifest says {count}")
         vmap.voxels[key] = VoxelChunk(cloud.points, cloud.normals, cloud.dyn_prob)
     vmap._invalidate()
     return vmap

@@ -129,7 +129,8 @@ def teach_step(state: MissionState, scan: PointCloud,
     sensor = t_hat.translation
     insert_scan(state.map, reading_in_map, sensor, state.map_cfg.rho)
     if state.map.last_inserted:
-        refresh_normals(state.map, state.map_cfg, state.map.last_inserted)
+        refresh_normals(state.map, state.map_cfg, state.map.last_inserted,
+                        sensor)
     filter_dynamic(state.map, reading_in_map, sensor, state.map_cfg)
     retile(state.map, sensor, state.map_cfg)
     stamp = float(scan.timestamps.max()) if scan.timestamps is not None else 0.0

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
@@ -230,25 +228,3 @@ def deskew(scan: PointCloud, prior: PriorTrajectory) -> PointCloud:
         out.normals = (rot_end_inv * rots)[inv].apply(scan.normals)
     return out
 
-
-def load_imu_csv(path) -> list[ImuSample]:
-    """CSV format: stamp,gx,gy,gz,ax,ay,az."""
-    samples = []
-    with open(Path(path), newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "stamp":
-                continue
-            vals = [float(v) for v in row]
-            samples.append(ImuSample(gyro=vals[1:4], accel=vals[4:7], stamp=vals[0]))
-    return samples
-
-
-def load_odom_csv(path) -> list[OdomSample]:
-    """CSV format: stamp,v."""
-    samples = []
-    with open(Path(path), newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "stamp":
-                continue
-            samples.append(OdomSample(linear_speed=float(row[1]), stamp=float(row[0])))
-    return samples

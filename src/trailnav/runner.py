@@ -4,14 +4,14 @@ the teach/repeat mission, and run logging together."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import GlobalConfig
 from .controller import Pose2D, Status, wrap_angle
+from .csvio import read_csv, write_csv
 from .geom import RigidTransform
 from .mapping import VoxelMap
 from .mission import (InitResult, MissionState, RepeatStepResult, finalize_teach,
@@ -19,8 +19,7 @@ from .mission import (InitResult, MissionState, RepeatStepResult, finalize_teach
                       new_teach_state, repeat_step, teach_step)
 from .npcd import read_npcd, write_npcd
 from .prior import (GRAVITY, ImuSample, OdomSample, OrientationState,
-                    PriorIntegrator, PriorTrajectory, load_imu_csv,
-                    load_odom_csv, prior_windows_from_log)
+                    PriorIntegrator, PriorTrajectory, prior_windows_from_log)
 from .simworld import RobotState, World, simulate_lidar, step_robot
 from .trajectory import ReferenceTrajectory
 
@@ -42,18 +41,19 @@ class LogRow:
 
 
 def save_run_log(path, rows) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RUN_LOG_HEADER)
-        for r in rows:
-            w.writerow([repr(float(v)) for v in
-                        (r.stamp, r.x, r.y, r.theta, r.x_n, r.d_g, r.v_x,
-                         r.omega)] + [r.status])
+    write_csv(path, RUN_LOG_HEADER, map(astuple, rows))
+
+
+SCANS_HEADER = ["stamp", "file"]
+IMU_HEADER = ["stamp", "gx", "gy", "gz", "ax", "ay", "az"]
+ODOM_HEADER = ["stamp", "v"]
 
 
 @dataclass
 class ScanLog:
-    """Accumulates raw scans plus IMU/odometry streams for later replay."""
+    """Accumulates raw scans plus IMU/odometry streams for later replay. On
+    disk: ``scans.csv`` naming one NPCD file per scan, ``imu.csv`` and
+    ``odom.csv``."""
 
     scans: list = field(default_factory=list)        # (stamp, PointCloud)
     imu: list = field(default_factory=list)          # ImuSample
@@ -62,39 +62,28 @@ class ScanLog:
     def save(self, out_dir) -> Path:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "scans.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["stamp", "file"])
-            for i, (stamp, scan) in enumerate(self.scans):
-                name = f"scan_{i:05d}.npcd"
-                write_npcd(out_dir / name, scan)
-                w.writerow([repr(float(stamp)), name])
-        with open(out_dir / "imu.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["stamp", "gx", "gy", "gz", "ax", "ay", "az"])
-            for s in self.imu:
-                w.writerow([repr(float(v)) for v in
-                            (s.stamp, *s.gyro, *s.accel)])
-        with open(out_dir / "odom.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["stamp", "v"])
-            for s in self.odom:
-                w.writerow([repr(float(s.stamp)), repr(float(s.linear_speed))])
+        rows = []
+        for i, (stamp, scan) in enumerate(self.scans):
+            name = f"scan_{i:05d}.npcd"
+            write_npcd(out_dir / name, scan)
+            rows.append((stamp, name))
+        write_csv(out_dir / "scans.csv", SCANS_HEADER, rows)
+        write_csv(out_dir / "imu.csv", IMU_HEADER,
+                  ((s.stamp, *s.gyro, *s.accel) for s in self.imu))
+        write_csv(out_dir / "odom.csv", ODOM_HEADER,
+                  ((s.stamp, s.linear_speed) for s in self.odom))
         return out_dir
 
 
 def load_scan_log(scans_dir):
     """Read a logged run back: [(stamp, scan)], imu samples, odom samples."""
     scans_dir = Path(scans_dir)
-    scans = []
-    with open(scans_dir / "scans.csv", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0] == "stamp":
-                continue
-            scans.append((float(row[0]),
-                          read_npcd(scans_dir / row[1], frame="L")))
-    imu = load_imu_csv(scans_dir / "imu.csv")
-    odom = load_odom_csv(scans_dir / "odom.csv")
+    scans = [(stamp, read_npcd(scans_dir / name, frame="L")) for stamp, name in
+             read_csv(scans_dir / "scans.csv", SCANS_HEADER, (float, str))]
+    imu = [ImuSample(gyro=row[1:4], accel=row[4:7], stamp=row[0])
+           for row in read_csv(scans_dir / "imu.csv", IMU_HEADER)]
+    odom = [OdomSample(linear_speed=v, stamp=stamp) for stamp, v in
+            read_csv(scans_dir / "odom.csv", ODOM_HEADER)]
     return scans, imu, odom
 
 

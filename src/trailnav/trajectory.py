@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_float_csv, write_csv
 from .geom import (FRAME_MAP, FRAME_ROBOT, RigidTransform, _matrix_to_quat,
                    _quat_to_matrix)
+
+TRAJECTORY_HEADER = ["stamp", "x", "y", "z", "qw", "qx", "qy", "qz",
+                     "arc_length"]
 
 
 @dataclass
@@ -101,23 +103,13 @@ class ReferenceTrajectory:
                           nearest_pose_index=nearest)
 
     def save_csv(self, path) -> None:
-        with open(Path(path), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["stamp", "x", "y", "z", "qw", "qx", "qy", "qz", "arc_length"])
-            for i in range(len(self)):
-                w.writerow([repr(float(v)) for v in (
-                    self.stamps[i], *self.positions[i], *self.quats[i],
-                    self.arc_length[i])])
+        write_csv(path, TRAJECTORY_HEADER,
+                  np.column_stack([self.stamps, self.positions, self.quats,
+                                   self.arc_length]))
 
     @classmethod
     def load_csv(cls, path) -> "ReferenceTrajectory":
-        rows = []
-        with open(Path(path), newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0] == "stamp":
-                    continue
-                rows.append([float(v) for v in row])
-        data = np.array(rows, dtype=np.float64).reshape(-1, 9)
+        data = read_float_csv(path, TRAJECTORY_HEADER)
         return cls(data[:, 0], data[:, 1:4], data[:, 4:8], data[:, 8])
 
 

@@ -644,8 +644,8 @@ def test_criterion_10_deskewing():
 
 
 def _frenet(x_t=0.0, x_n=0.0, theta_e=0.0, d_g=100.0):
-    return FrenetState(x_t=x_t, x_n=x_n, theta_t=0.0, theta_e=theta_e,
-                       kappa=0.0, d_g=d_g, seg_index=0, offset_dist=abs(x_n))
+    return FrenetState(x_t=x_t, x_n=x_n, theta_e=theta_e, d_g=d_g,
+                       offset_dist=abs(x_n))
 
 
 def test_criterion_11_controller_hand_examples():

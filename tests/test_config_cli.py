@@ -119,6 +119,34 @@ def test_cli_missing_database_exit_four(tmp_path):
     assert rc == 4
 
 
+_MANIFEST = ('{"format": "trailnav-map", "version": 1, "v_s": 10.0, '
+             '"voxels": [{"index": [0, 0, 0], "count": 1, "file": "v.npcd"}]}')
+
+
+@pytest.mark.parametrize("command", ["repeat", "overlap", "perturbation"])
+@pytest.mark.parametrize("manifest, why", [
+    (_MANIFEST[:-5], "JSONDecodeError"),
+    (_MANIFEST.replace('"v_s"', '"edge"'), "KeyError 'v_s'"),
+    (_MANIFEST.replace('"voxels"', '"chunks"'), "KeyError 'voxels'"),
+    (_MANIFEST.replace('"file"', '"name"'), "KeyError 'file'"),
+], ids=["bad_json", "no_v_s", "no_voxels", "no_entry_file"])
+def test_cli_malformed_manifest_exit_four(tmp_path, capsys, command,
+                                          manifest, why):
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "manifest.json").write_text(manifest)
+    if command == "repeat":
+        assert main(["world", "gen", "--out-dir", str(tmp_path / "w"),
+                     "--trail-length", "10"]) == 0
+        argv = ["repeat", "--world", str(tmp_path / "w" / "world_spec.txt")]
+    else:
+        argv = ["analyze", command, "--scans", str(tmp_path / "scans")]
+    rc = main([*argv, "--db", str(db), "--out-dir", str(tmp_path / "out")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert str(db / "manifest.json") in err and why in err
+
+
 def test_cli_teach_abort_exit_three(tmp_path, monkeypatch):
     def abort(state, scan, prior_tail):
         raise TeachAbort("teach registration failed on scan 0", scan_id=0,

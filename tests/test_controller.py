@@ -11,8 +11,7 @@ from trailnav.trajectory import ReferenceTrajectory
 
 
 def _frenet(x_t=0.0, x_n=0.0, theta_e=0.0, d_g=100.0, offset=None):
-    return FrenetState(x_t=x_t, x_n=x_n, theta_t=0.0, theta_e=theta_e,
-                       kappa=0.0, d_g=d_g, seg_index=0,
+    return FrenetState(x_t=x_t, x_n=x_n, theta_e=theta_e, d_g=d_g,
                        offset_dist=abs(x_n) if offset is None else offset)
 
 
@@ -131,7 +130,6 @@ def test_project_onto_path_fields():
     f = project_onto_path(pose, traj)
     assert f.x_n == pytest.approx(-1.0, abs=0.01)   # outside = right of travel
     assert abs(f.theta_e) < 0.05
-    assert f.kappa == pytest.approx(0.1, abs=0.005)
     assert f.d_g == pytest.approx(traj.total_length(), abs=0.2)
     assert f.offset_dist == pytest.approx(1.0, abs=0.01)
 

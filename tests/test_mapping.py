@@ -113,7 +113,6 @@ def test_insert_scan_bounded_query_matches_unbounded():
         for key, chunk in fast.voxels.items():
             assert np.array_equal(chunk.points, ref.voxels[key].points)
             assert np.array_equal(chunk.labels, ref.voxels[key].labels)
-            assert np.array_equal(chunk.viewpoints, ref.voxels[key].viewpoints)
         base = np.vstack([base, scan.points])
 
 
@@ -136,7 +135,7 @@ def test_refresh_normals_fills_missing(tmp_path):
     cfg = _map_cfg()
     insert_scan(vmap, _grid_cloud(spacing=0.4), [0.0, 0.0, 2.0], cfg.rho)
     assert vmap.registration_reference() is None   # NaN until refreshed
-    refresh_normals(vmap, cfg, vmap.last_inserted)
+    refresh_normals(vmap, cfg, vmap.last_inserted, [0.0, 0.0, 2.0])
     normals = vmap.registration_reference()[0].normals
     assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
 
@@ -252,7 +251,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.uniform(-30, 30, (3000, 3))
     insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 1.5], cfg.rho)
-    refresh_normals(vmap, cfg, vmap.last_inserted)
+    refresh_normals(vmap, cfg, vmap.last_inserted, [0, 0, 1.5])
     out = save_map(vmap, tmp_path / "db")
     assert (out / "manifest.json").exists()
     back = load_map(tmp_path / "db", spill_dir=tmp_path / "spill2")
@@ -281,15 +280,21 @@ def test_load_map_missing_voxel_file(tmp_path):
         load_map(tmp_path / "db")
 
 
+_BUMPY_SENSORS = ([-3.0, 1.0, 2.0], [4.0, -2.0, 2.5])
+
+
 def _bumpy_map(tmp_path):
-    """Two scans over a bumpy 18 m square on 5 m voxels: the second leaves
-    rows without normals in each of the 32 voxels it touches."""
+    """Two scans over a bumpy 18 m square on 5 m voxels, taken from
+    ``_BUMPY_SENSORS``: the first scan's rows are refreshed from the first
+    sensor, and the second leaves rows without normals in each of the 32
+    voxels it touches."""
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     cfg = _map_cfg()
     rng = np.random.default_rng(7)
-    for scan, sensor in enumerate(([-3.0, 1.0, 2.0], [4.0, -2.0, 2.5])):
+    for scan, sensor in enumerate(_BUMPY_SENSORS):
         if scan:
-            refresh_normals(vmap, cfg, vmap.last_inserted)
+            refresh_normals(vmap, cfg, vmap.last_inserted,
+                            _BUMPY_SENSORS[scan - 1])
         xy = rng.uniform(-9.0, 9.0, (1500, 2))
         z = 0.3 * np.sin(xy[:, 0]) * np.cos(0.7 * xy[:, 1])
         insert_scan(vmap, PointCloud(np.column_stack([xy, z]), FRAME_MAP),
@@ -307,11 +312,14 @@ def test_refresh_normals_matches_per_voxel_calls(tmp_path):
         normals = chunk.normals.copy()
         if len(rows):
             missing += 1
+            # A tiled per-point viewpoint array: refresh_normals' one
+            # broadcast sensor position must give the same bits.
+            views = np.tile(_BUMPY_SENSORS[-1], (len(rows), 1))
             normals[rows] = _normals_for(chunk.points[rows], pts_all, cfg.n_n,
-                                         chunk.viewpoints[rows])
+                                         views)
         expected[key] = normals
     assert len(vmap.voxels) >= 4 and missing >= 4
-    refresh_normals(vmap, cfg, vmap.last_inserted)
+    refresh_normals(vmap, cfg, vmap.last_inserted, _BUMPY_SENSORS[-1])
     for key, chunk in vmap.voxels.items():
         assert np.array_equal(chunk.normals, expected[key]), key
 
@@ -328,15 +336,15 @@ def test_refresh_normals_builds_at_most_one_tree(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(mapping, "cKDTree", CountingTree)
-    refresh_normals(vmap, cfg, vmap.last_inserted)
+    refresh_normals(vmap, cfg, vmap.last_inserted, _BUMPY_SENSORS[-1])
     assert len(builds) <= 1
     assert vmap.registration_reference() is not None
     # Nothing left to refresh: the cached arrays and tree survive the call.
     cache = vmap._local_arrays()
     builds.clear()
-    refresh_normals(vmap, cfg, [])
+    refresh_normals(vmap, cfg, [], _BUMPY_SENSORS[-1])
     refresh_normals(vmap, cfg, [(key, np.zeros(0, np.int64))
-                                for key in vmap.voxels])
+                                for key in vmap.voxels], _BUMPY_SENSORS[-1])
     assert vmap._cache is cache
     assert builds == []
 

@@ -6,7 +6,8 @@ from trailnav.geom import FRAME_LIDAR, PointCloud, RigidTransform
 from trailnav.prior import (GRAVITY, ImuSample, OdomSample, OrientationState,
                             PriorCoverageError, PriorIntegrator,
                             PriorTrajectory, deskew, integrate_prior,
-                            load_imu_csv, load_odom_csv, update_orientation)
+                            update_orientation)
+from trailnav.runner import load_scan_log
 
 
 def _roll_pitch(state):
@@ -233,16 +234,17 @@ def test_deskew_requires_timestamps():
 
 
 def test_imu_odom_csv_round_trip(tmp_path):
-    imu_path = tmp_path / "imu.csv"
-    imu_path.write_text("stamp,gx,gy,gz,ax,ay,az\n"
-                        "0.0,0.1,0.2,0.3,0.0,0.0,9.81\n"
-                        "0.01,0.0,0.0,0.5,0.1,0.0,9.8\n")
-    samples = load_imu_csv(imu_path)
+    """The logged-run layout's IMU and odometry files, read by the one
+    logged-run loader (here with no scans)."""
+    (tmp_path / "scans.csv").write_text("stamp,file\n")
+    (tmp_path / "imu.csv").write_text("stamp,gx,gy,gz,ax,ay,az\n"
+                                      "0.0,0.1,0.2,0.3,0.0,0.0,9.81\n"
+                                      "0.01,0.0,0.0,0.5,0.1,0.0,9.8\n")
+    (tmp_path / "odom.csv").write_text("stamp,v\n0.0,1.5\n0.01,1.4\n")
+    scans, samples, odom = load_scan_log(tmp_path)
+    assert scans == []
     assert len(samples) == 2
     assert samples[0].gyro[2] == 0.3
     assert samples[1].accel[0] == 0.1
-
-    odom_path = tmp_path / "odom.csv"
-    odom_path.write_text("stamp,v\n0.0,1.5\n0.01,1.4\n")
-    odom = load_odom_csv(odom_path)
+    assert samples[1].stamp == 0.01
     assert len(odom) == 2 and odom[1].linear_speed == 1.4

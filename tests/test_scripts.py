@@ -1,0 +1,18 @@
+"""The scripts under ``scripts/`` import against the current package and
+define their ``main`` entry point."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("name", ["teach_repeat_demo", "degradation_study"])
+def test_script_imports_and_defines_main(name):
+    spec = importlib.util.spec_from_file_location(
+        f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
