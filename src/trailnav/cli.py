@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     teach.add_argument("--world", type=Path, default=None,
                        help="world spec file (generated when omitted)")
     teach.add_argument("--log-scans", action="store_true",
-                       help="also persist raw scans + imu/odom for replay")
+                       help="write each raw scan to OUT_DIR/scans as it is "
+                       "simulated, plus imu/odom for replay")
 
     rep = sub.add_parser("repeat", help="autonomous repeat of a database")
     _add_common(rep)
@@ -138,13 +139,13 @@ def _cmd_teach(args) -> int:
     world = _world_from_args(args, cfg)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     line = world.params.resolved_centerline()
+    scans = args.out_dir / "scans" if args.log_scans else None
     result = run_teach(world, cfg, waypoints=list(line[1:]),
                        out_dir=args.out_dir / "db",
                        start=Pose2D(line[0][0], line[0][1],
-                                    float(np.arctan2(*(line[1] - line[0])[::-1]))))
+                                    float(np.arctan2(*(line[1] - line[0])[::-1]))),
+                       scan_log_dir=scans)
     result.truth.save_csv(args.out_dir / "truth.csv")
-    if args.log_scans:
-        result.scan_log.save(args.out_dir / "scans")
     save_config(cfg, args.out_dir / "config_used.yaml")
     print(f"database written to {result.db_dir} "
           f"({result.state.map.point_count()} map points, "

@@ -51,28 +51,30 @@ ODOM_HEADER = ["stamp", "v"]
 
 @dataclass
 class ScanLog:
-    """Accumulates raw scans plus IMU/odometry streams for later replay. On
-    disk: ``scans.csv`` naming one NPCD file per scan, ``imu.csv`` and
-    ``odom.csv``."""
+    """Streams a run's raw scans to ``out_dir`` as they come, one NPCD file
+    per scan, and keeps the IMU/odometry samples until ``close`` writes
+    ``scans.csv``, ``imu.csv`` and ``odom.csv``."""
 
-    scans: list = field(default_factory=list)        # (stamp, PointCloud)
+    out_dir: Path
+    rows: list = field(default_factory=list)         # (stamp, NPCD file name)
     imu: list = field(default_factory=list)          # ImuSample
     odom: list = field(default_factory=list)         # OdomSample
 
-    def save(self, out_dir) -> Path:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for i, (stamp, scan) in enumerate(self.scans):
-            name = f"scan_{i:05d}.npcd"
-            write_npcd(out_dir / name, scan)
-            rows.append((stamp, name))
-        write_csv(out_dir / "scans.csv", SCANS_HEADER, rows)
-        write_csv(out_dir / "imu.csv", IMU_HEADER,
+    def __post_init__(self):
+        self.out_dir = Path(self.out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+
+    def add_scan(self, stamp: float, scan) -> None:
+        name = f"scan_{len(self.rows):05d}.npcd"
+        write_npcd(self.out_dir / name, scan)
+        self.rows.append((stamp, name))
+
+    def close(self) -> None:
+        write_csv(self.out_dir / "scans.csv", SCANS_HEADER, self.rows)
+        write_csv(self.out_dir / "imu.csv", IMU_HEADER,
                   ((s.stamp, *s.gyro, *s.accel) for s in self.imu))
-        write_csv(out_dir / "odom.csv", ODOM_HEADER,
+        write_csv(self.out_dir / "odom.csv", ODOM_HEADER,
                   ((s.stamp, s.linear_speed) for s in self.odom))
-        return out_dir
 
 
 def load_scan_log(scans_dir):
@@ -175,7 +177,7 @@ class TeachRunResult:
     state: MissionState
     db_dir: Path | None
     truth: ReferenceTrajectory
-    scan_log: ScanLog
+    scan_log: Path | None
 
 
 def _waypoint_command(pose: Pose2D, waypoint, v_teach: float):
@@ -189,9 +191,17 @@ def _waypoint_command(pose: Pose2D, waypoint, v_teach: float):
 def run_teach(world: World, cfg: GlobalConfig, waypoints,
               out_dir=None, start: Pose2D | None = None,
               v_teach: float = 1.0, wp_tol: float = 1.0,
-              max_ticks: int = 5000) -> TeachRunResult:
+              max_ticks: int = 5000, scan_log_dir=None) -> TeachRunResult:
     """Drive the scripted waypoint follower (using ground-truth pose) while the
-    teach pipeline builds the map; optionally persist the database to out_dir."""
+    teach pipeline builds the map; optionally persist the database to out_dir.
+
+    With ``scan_log_dir`` each raw scan is written there as soon as it is
+    simulated (~0.39 MB on disk per default-config scan), and ``scans.csv``,
+    ``imu.csv`` and ``odom.csv`` when the run ends, also when it ends by
+    ``TeachAbort``: the log then holds every scan up to and including the
+    failing one, each with its prior samples. ``load_scan_log`` reads the
+    directory back. Without it the run keeps neither scans nor prior
+    samples."""
     waypoints = [np.asarray(w, dtype=np.float64)[:2] for w in waypoints]
     if not waypoints:
         raise ValueError("run_teach needs at least one waypoint")
@@ -202,41 +212,47 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
     state = RobotState(pose=start,
                        z=float(world.ground_height(start.x, start.y)))
     mission = new_teach_state(cfg.registration, cfg.mapping)
-    log = ScanLog()
+    log = None if scan_log_dir is None else ScanLog(scan_log_dir)
     truth_stamps = []
     truth_poses = []
     wp_i = 0
     anchor = _sensor_anchor(world, state, lp.mount_height)
 
-    for tick in range(max_ticks):
-        if wp_i >= len(waypoints):
-            break
-        v, omega = _waypoint_command(state.pose, waypoints[wp_i], v_teach)
-        t0 = state.stamp
-        pose_fn, next_state = _rollout(world, state, v, omega,
-                                       cfg.sim.slip_rot, period)
-        scan = simulate_lidar(world, pose_fn, lp, seed=(cfg.seed, tick), t0=t0)
-        log.scans.append((t0, scan))
-        tail = _prior_window(anchor, t0, period, cfg.prior.rate_hz,
-                             cfg.prior.beta, omega * (1.0 - cfg.sim.slip_rot),
-                             v, log)
-        teach_step(mission, scan, tail)
-        if mission.current_pose is not None:
-            anchor = mission.current_pose
-        state = next_state
-        truth_stamps.append(state.stamp)
-        truth_poses.append(_sensor_anchor(world, state, lp.mount_height)
-                           .retagged("R", "G"))
-        if np.hypot(state.pose.x - waypoints[wp_i][0],
-                    state.pose.y - waypoints[wp_i][1]) < wp_tol:
-            wp_i += 1
+    try:
+        for tick in range(max_ticks):
+            if wp_i >= len(waypoints):
+                break
+            v, omega = _waypoint_command(state.pose, waypoints[wp_i], v_teach)
+            t0 = state.stamp
+            pose_fn, next_state = _rollout(world, state, v, omega,
+                                           cfg.sim.slip_rot, period)
+            scan = simulate_lidar(world, pose_fn, lp, seed=(cfg.seed, tick),
+                                  t0=t0)
+            if log is not None:
+                log.add_scan(t0, scan)
+            tail = _prior_window(anchor, t0, period, cfg.prior.rate_hz,
+                                 cfg.prior.beta,
+                                 omega * (1.0 - cfg.sim.slip_rot), v, log)
+            teach_step(mission, scan, tail)
+            if mission.current_pose is not None:
+                anchor = mission.current_pose
+            state = next_state
+            truth_stamps.append(state.stamp)
+            truth_poses.append(_sensor_anchor(world, state, lp.mount_height)
+                               .retagged("R", "G"))
+            if np.hypot(state.pose.x - waypoints[wp_i][0],
+                        state.pose.y - waypoints[wp_i][1]) < wp_tol:
+                wp_i += 1
+    finally:
+        if log is not None:
+            log.close()
 
     db_dir = None
     if out_dir is not None:
         db_dir = finalize_teach(mission, cfg.mission.d_ref, out_dir)
     truth = ReferenceTrajectory.from_poses(truth_stamps, truth_poses)
     return TeachRunResult(state=mission, db_dir=db_dir, truth=truth,
-                          scan_log=log)
+                          scan_log=None if log is None else log.out_dir)
 
 
 # -- repeat -------------------------------------------------------------------

@@ -251,6 +251,11 @@ def step_robot(world: World, state: RobotState, u, dt: float,
 # -- ray casting -------------------------------------------------------------
 
 
+# Heightfield samples per ground-march block: the march's transient arrays
+# stay a few MB whatever the ray count (~3 300 rays at 161 steps).
+_GROUND_BLOCK_SAMPLES = 2 ** 19
+
+
 def _ray_ground(origins, dirs, ground: Heightfield, max_range,
                 coarse_step=0.5, refine_iters=30):
     """First ray/heightfield crossing per ray via coarse march + bisection.
@@ -258,31 +263,29 @@ def _ray_ground(origins, dirs, ground: Heightfield, max_range,
     A bilinear sample lies between the grid's min and max up to rounding, so
     the march samples the heightfield only at points inside that band (widened
     by a margin): above it a point is not below ground, under it a point is.
-    Rays that start above the band and do not descend never enter it.
+    Rays that start above the band and do not descend never enter it. The
+    other rays are marched in blocks of ``_GROUND_BLOCK_SAMPLES`` samples,
+    then the crossing rays are bisected together; each ray's result does not
+    depend on the block it is in.
     """
     n_steps = max(int(np.ceil(max_range / coarse_step)) + 1, 2)
     ts = np.linspace(0.0, max_range, n_steps)
     grid = ground.grid
     margin = 1e-9 * (1.0 + np.abs(grid).max())
-    lo = grid.min() - margin
-    hi = grid.max() + margin
-    cand = np.nonzero((origins[:, 2] <= hi) | (dirs[:, 2] < 0))[0]
-    oc = origins[cand]
-    dc = dirs[cand]
-    pz = oc[:, 2:3] + dc[:, 2:3] * ts
-    below = pz < lo
-    r, k = np.nonzero((pz >= lo) & (pz <= hi))
-    below[r, k] = pz[r, k] < ground.sample(oc[r, 0] + dc[r, 0] * ts[k],
-                                           oc[r, 1] + dc[r, 1] * ts[k])
-    below[:, 0] = False  # sensor is above ground
-    first = np.argmax(below, axis=1)
-    hit = below[np.arange(len(first)), first]
+    band = (grid.min() - margin, grid.max() + margin)
+    cand = np.nonzero((origins[:, 2] <= band[1]) | (dirs[:, 2] < 0))[0]
+    first = np.empty(len(cand), dtype=np.int64)
+    block = max(_GROUND_BLOCK_SAMPLES // n_steps, 1)
+    for start in range(0, len(cand), block):
+        rows = cand[start:start + block]
+        first[start:start + block] = _first_below(origins[rows], dirs[rows],
+                                                  ground, ts, band)
     t_hit = np.full(len(origins), np.inf)
-    rows = np.nonzero(hit)[0]
-    if len(rows):
-        t_lo = ts[first[rows] - 1]
-        t_hi = ts[first[rows]]
-        rows = cand[rows]
+    hit = np.nonzero(first)[0]
+    if len(hit):
+        t_lo = ts[first[hit] - 1]
+        t_hi = ts[first[hit]]
+        rows = cand[hit]
         o = origins[rows]
         d = dirs[rows]
         for _ in range(refine_iters):
@@ -293,6 +296,20 @@ def _ray_ground(origins, dirs, ground: Heightfield, max_range,
             t_lo = np.where(under, t_lo, t_mid)
         t_hit[rows] = 0.5 * (t_lo + t_hi)
     return t_hit
+
+
+def _first_below(origins, dirs, ground: Heightfield, ts, band):
+    """Index into ``ts`` of each ray's first coarse step below the ground, 0
+    when none is: the march of one block of ``_ray_ground``'s rays, which
+    samples the heightfield only inside the height ``band``."""
+    lo, hi = band
+    pz = origins[:, 2:3] + dirs[:, 2:3] * ts
+    below = pz < lo
+    r, k = np.nonzero((pz >= lo) & (pz <= hi))
+    below[r, k] = pz[r, k] < ground.sample(origins[r, 0] + dirs[r, 0] * ts[k],
+                                           origins[r, 1] + dirs[r, 1] * ts[k])
+    below[:, 0] = False  # sensor is above ground
+    return np.argmax(below, axis=1)
 
 
 def _in_reach(origins, xy, radii, max_range):

@@ -6,7 +6,10 @@ import yaml
 from trailnav.cli import main
 from trailnav.config import (ConfigError, GlobalConfig, config_from_dict,
                              config_to_dict, load_config, save_config)
+from trailnav.icp import RegistrationFailure
 from trailnav.mission import TeachAbort
+from trailnav.runner import load_scan_log
+from trailnav.simworld import LidarParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,6 +162,43 @@ def test_cli_teach_abort_exit_three(tmp_path, monkeypatch):
     rc = main(["teach", "--out-dir", str(tmp_path / "t"),
                "--world", str(world_dir / "world_spec.txt")])
     assert rc == 3
+
+
+def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
+    """A logged teach whose registration fails on scan k still exits 3 and
+    leaves scans 0..k, each with its prior samples, for diagnosis."""
+    import trailnav.mission as mission
+    k = 3
+    calls = []
+
+    def failing_localize(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == k + 1:
+            raise RegistrationFailure("forced failure")
+        return localize(*args, **kwargs)
+
+    localize = mission.localize
+    monkeypatch.setattr(mission, "localize", failing_localize)
+    cfg = GlobalConfig(seed=3)
+    cfg.sim.lidar = LidarParams(beams=8, azimuth_steps=200, rate=2.5,
+                                max_range=20.0)
+    cfg.registration.r = cfg.mapping.r = 20.0
+    save_config(cfg, tmp_path / "cfg.yaml")
+    common = ["--config", str(tmp_path / "cfg.yaml")]
+    world_dir = tmp_path / "w"
+    assert main(["world", "gen", "--out-dir", str(world_dir),
+                 "--trail-length", "10", *common]) == 0
+    rc = main(["teach", "--out-dir", str(tmp_path / "t"), "--log-scans",
+               "--world", str(world_dir / "world_spec.txt"), *common])
+    assert rc == 3
+    assert f"failed on scan {k}" in capsys.readouterr().err
+    scans, imu, odom = load_scan_log(tmp_path / "t" / "scans")
+    assert len(scans) == k + 1
+    per_scan = round(cfg.prior.rate_hz / cfg.sim.lidar.rate)
+    assert len(imu) == len(odom) == (k + 1) * per_scan
+    # The failing scan's prior window is logged too.
+    assert scans[-1][0] < imu[-per_scan].stamp < imu[-1].stamp
+    assert len(scans[-1][1]) > 100
 
 
 def test_cli_selftest_passes(capsys):

@@ -13,7 +13,8 @@ from trailnav.mission import (MissionState, Phase, TeachAbort, finalize_teach,
                               initialize_localization, load_database,
                               new_repeat_state, new_teach_state, repeat_step,
                               teach_step)
-from trailnav.prior import PriorTrajectory
+import trailnav.runner as runner
+from trailnav.prior import PriorIntegrator, PriorTrajectory
 from trailnav.runner import (_prior_window, load_scan_log, run_repeat,
                              run_teach)
 from trailnav.simworld import LidarParams, WorldParams, generate_world
@@ -37,13 +38,36 @@ def _small_world(seed=0, length=15.0):
 
 
 @pytest.fixture(scope="module")
-def taught(tmp_path_factory):
+def logged_teach(tmp_path_factory):
+    """A small teach that streams its scan log, and what it fed the pipeline:
+    each ``teach_step``'s (scan, prior tail) and each (imu, odom) sample the
+    prior integrator stepped on, in order."""
     cfg = _small_cfg()
     world = _small_world()
-    out = tmp_path_factory.mktemp("db")
-    result = run_teach(world, cfg, waypoints=[(15.0, 0.0)], out_dir=out,
-                       v_teach=1.0)
-    return world, cfg, result
+    out = tmp_path_factory.mktemp("teach")
+    received, samples = [], []
+
+    def recording_teach_step(state, scan, prior_tail):
+        received.append((scan.copy(), prior_tail))
+        teach_step(state, scan, prior_tail)
+
+    def recording_step(integ, imu, odom, dt):
+        samples.append((imu, odom))
+        integrator_step(integ, imu, odom, dt)
+
+    integrator_step = PriorIntegrator.step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "teach_step", recording_teach_step)
+        mp.setattr(PriorIntegrator, "step", recording_step)
+        result = run_teach(world, cfg, waypoints=[(15.0, 0.0)],
+                           out_dir=out / "db", v_teach=1.0,
+                           scan_log_dir=out / "scans")
+    return world, cfg, result, received, samples
+
+
+@pytest.fixture(scope="module")
+def taught(logged_teach):
+    return logged_teach[:3]
 
 
 def _stationary_tail(pose: RigidTransform, cfg) -> PriorTrajectory:
@@ -193,9 +217,21 @@ def test_teach_produces_database(taught):
     assert np.linalg.norm(est_end - true_end) < 0.5
 
 
-def test_teach_is_deterministic(taught):
+def test_teach_is_deterministic(taught, tmp_path, monkeypatch):
+    """The same teach without a scan log gives the same map and poses, and
+    writes and keeps no scan log."""
     world, cfg, result = taught
+
+    def no_log(*args, **kwargs):
+        raise AssertionError("a teach without a log directory logged")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(runner, "ScanLog", no_log)
+    monkeypatch.setattr(runner, "write_npcd", no_log)
+    monkeypatch.setattr(runner, "write_csv", no_log)
     again = run_teach(world, cfg, waypoints=[(15.0, 0.0)], v_teach=1.0)
+    assert again.scan_log is None
+    assert list(tmp_path.iterdir()) == []
     a = result.state.map.all_points_cloud().points
     b = again.state.map.all_points_cloud().points
     assert np.array_equal(np.sort(a.ravel()), np.sort(b.ravel()))
@@ -291,26 +327,38 @@ def test_repeat_step_requires_phase_and_localization(taught):
                     None, ControllerConfig())
 
 
-def test_scan_log_round_trip(taught, tmp_path):
-    _, _, result = taught
-    log = result.scan_log
-    out = log.save(tmp_path / "scans")
-    scans, imu, odom = load_scan_log(out)
-    assert len(scans) == len(log.scans)
-    assert len(imu) == len(log.imu)
-    assert len(odom) == len(log.odom)
-    assert scans[0][0] == log.scans[0][0]
-    assert np.array_equal(scans[3][1].points, log.scans[3][1].points)
-    assert np.array_equal(scans[3][1].timestamps, log.scans[3][1].timestamps)
-    assert imu[5].stamp == log.imu[5].stamp
-    assert odom[5].linear_speed == log.odom[5].linear_speed
+def test_streamed_scan_log_holds_what_teach_step_received(logged_teach):
+    _, _, result, received, samples = logged_teach
+    assert result.scan_log == result.db_dir.parent / "scans"
+    scans, imu, odom = load_scan_log(result.scan_log)
+    assert len(scans) == len(received) > 10
+    for (stamp, scan), (want, tail) in zip(scans, received):
+        assert stamp == tail.stamps[0]
+        assert np.array_equal(scan.points, want.points)
+        assert np.array_equal(scan.timestamps, want.timestamps)
+        # Class labels are simulator truth, not sensor data: never logged.
+        assert scan.labels is None and want.labels is not None
+    # Each scan's prior samples follow it, in the order they were integrated.
+    assert np.array_equal([s.stamp for s in imu], np.concatenate(
+        [tail.stamps[1:] for _, tail in received]))
+    assert len(imu) == len(odom) == len(samples)
+    for got_imu, got_odom, (want_imu, want_odom) in zip(imu, odom, samples):
+        assert got_imu.stamp == want_imu.stamp
+        assert np.array_equal(got_imu.gyro, want_imu.gyro)
+        assert np.array_equal(got_imu.accel, want_imu.accel)
+        assert got_odom.stamp == want_odom.stamp
+        assert got_odom.linear_speed == want_odom.linear_speed
 
 
 def _logged_args(cfg, result, tmp_path):
     """CLI arguments naming the saved config and the teach run's scan log."""
-    scans = result.scan_log.save(tmp_path / "scans")
     save_config(cfg, tmp_path / "cfg.yaml")
-    return ["--config", str(tmp_path / "cfg.yaml"), "--scans", str(scans)]
+    return ["--config", str(tmp_path / "cfg.yaml"),
+            "--scans", str(result.scan_log)]
+
+
+def _scan_count(result):
+    return len(load_scan_log(result.scan_log)[0])
 
 
 def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
@@ -326,7 +374,7 @@ def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
                  "--out-dir", str(tmp_path / "overlap"), *common]) == 0
     pct = np.loadtxt(tmp_path / "overlap" / "overlap.csv", delimiter=",",
                      skiprows=1)[:, 1]
-    assert len(pct) == len(result.scan_log.scans)
+    assert len(pct) == _scan_count(result)
     assert np.median(pct) > 90.0
 
 
@@ -352,7 +400,7 @@ def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
     assert (tmp_path / "pe" / "perturbation.csv").exists()
     assert len(calls) == 1
     assert perturbation(-1, "before") == 4
-    assert perturbation(len(result.scan_log.scans), "after") == 4
+    assert perturbation(_scan_count(result), "after") == 4
     assert len(calls) == 1
 
 

@@ -301,6 +301,50 @@ def test_ray_ground_matches_full_march(march_grounds, name, max_range):
     assert 0 < hits.sum() < len(want)
 
 
+def _edge_rays(ground, n, seed):
+    """Vertical rays up and down, grazing rays that descend at 1e-3 from
+    0.05 m over the ground, and upward or level rays from above the height
+    band, which never descend into it."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(ground.x0, ground.x0 + 50.0, n)
+    y = rng.uniform(ground.y0, ground.y0 + 50.0, n)
+    z = ground.sample(x, y)
+    kind = np.arange(n) % 4
+    above_band = _band(ground.grid)[1] + 2.0
+    origins = np.column_stack([x, y, np.select(
+        [kind < 2, kind == 2], [z + 1.0, z + 0.05], above_band)])
+    heading = rng.uniform(-np.pi, np.pi, n)
+    slope = np.select([kind == 0, kind == 1, kind == 2],
+                      [-1e9, 1e9, -1e-3], rng.choice([0.0, 0.5], n))
+    dirs = np.column_stack([np.cos(heading), np.sin(heading), slope])
+    dirs[kind < 2, :2] = 0.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return origins, dirs
+
+
+def test_blocked_ground_march_matches_single_rays(march_grounds, monkeypatch):
+    ground = march_grounds["default"]
+    max_range = 80.0
+    o1, d1 = _random_rays(ground, 700, seed=11)
+    o2, d2 = _edge_rays(ground, 300, seed=12)
+    origins, dirs = np.vstack([o1, o2]), np.vstack([d1, d2])
+    single = np.array([_ray_ground(origins[i:i + 1], dirs[i:i + 1], ground,
+                                   max_range)[0] for i in range(len(origins))])
+    edge = single[len(o1):].reshape(-1, 4)
+    assert np.isfinite(edge[:, 0]).all() and np.isinf(edge[:, 1]).all()
+    assert np.isfinite(edge[:, 2]).any() and np.isinf(edge[:, 3]).all()
+    assert 0 < np.isfinite(single[:len(o1)]).sum() < len(o1)
+
+    rays_per_block = 64
+    n_steps = 161
+    cand = ((origins[:, 2] <= _band(ground.grid)[1]) | (dirs[:, 2] < 0)).sum()
+    assert cand > 5 * rays_per_block and cand % rays_per_block != 0
+    for samples in (rays_per_block * n_steps, 1, 10 ** 9):
+        monkeypatch.setattr(simworld, "_GROUND_BLOCK_SAMPLES", samples)
+        assert np.array_equal(_ray_ground(origins, dirs, ground, max_range),
+                              single)
+
+
 def test_simulated_scan_matches_full_march(monkeypatch):
     world = generate_world(0, WorldParams(trail_length=60.0))
     lp = LidarParams(beams=8, azimuth_steps=240, max_range=40.0)
