@@ -97,7 +97,10 @@ class VoxelMap:
         self.voxels: dict[tuple, VoxelChunk] = {}
         self.nonlocal_manifest: dict[tuple, Path] = {}
         self.last_retile_voxel: tuple | None = None
+        # The last insertion's record, kept until the map next changes: its
+        # (key, rows) and the local points and kd-tree from before it.
         self.last_inserted: list = []
+        self._pre_insert = None
         if spill_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="trailnav_map_")
             spill_dir = self._tmp.name
@@ -127,6 +130,8 @@ class VoxelMap:
 
     def _invalidate(self):
         self._cache = None
+        self.last_inserted = []
+        self._pre_insert = None
 
     def _local_arrays(self):
         """Concatenated local points in sorted voxel order, a kd-tree over
@@ -195,19 +200,15 @@ def compute_normals(cloud: PointCloud, n_n: int,
     nearest neighbors, oriented toward the per-point viewpoint when given."""
     if len(cloud) < n_n:
         raise ValueError(f"need at least n_n={n_n} points, got {len(cloud)}")
-    normals = _normals_for(cloud.points, cloud.points, n_n, viewpoints)
+    _, idx = cKDTree(cloud.points).query(cloud.points, k=n_n)
     out = cloud.copy()
-    out.normals = normals
+    out.normals = _normals_for(cloud.points, cloud.points[idx], viewpoints)
     return out
 
 
-def _normals_for(targets, source, n_n, viewpoints=None, tree=None):
-    """Normals of targets from their n_n nearest neighbours in source; tree,
-    when given, must be a kd-tree over exactly source."""
-    if tree is None:
-        tree = cKDTree(source)
-    _, idx = tree.query(targets, k=min(n_n, len(source)))
-    neigh = source[idx]                                  # (n, n_n, 3)
+def _normals_for(targets, neigh, viewpoints=None):
+    """Normals of targets from their gathered neighbours neigh (n, k, 3),
+    nearest first."""
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered)
     _, vecs = np.linalg.eigh(cov)
@@ -220,23 +221,46 @@ def _normals_for(targets, source, n_n, viewpoints=None, tree=None):
     return normals
 
 
-def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, targets,
-                    sensor) -> None:
-    """(Re)compute normals for the given (key, rows) targets, using the whole
-    local map as the neighborhood source, oriented toward the sensor
-    position that saw every target row.
+def _nearest(targets, sources, k):
+    """The k nearest of the union of sources, a list of (points, kd-tree over
+    them), gathered as (len(targets), k, 3), nearest first: each source gives
+    its own k nearest, and a stable sort by distance merges them."""
+    dists, neigh = [], []
+    for pts, tree in sources:
+        d, idx = tree.query(targets, k=min(k, len(pts)))
+        idx = idx.reshape(len(targets), -1)
+        dists.append(d.reshape(idx.shape))
+        neigh.append(pts[idx])
+    order = np.argsort(np.hstack(dists), axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(np.concatenate(neigh, axis=1),
+                              order[:, :, None], axis=1)
 
-    All targets share one neighbour query on the map's cached kd-tree. With no
-    target rows the map, and its cache, are left untouched."""
-    pts_all, tree, _ = vmap._local_arrays()
-    if tree is None or len(pts_all) < cfg.n_n:
+
+def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, sensor) -> None:
+    """Compute normals for the rows of the last insertion, using the whole
+    local map as the neighbourhood source, oriented toward the sensor position
+    that saw every row.
+
+    No kd-tree over the whole map is built: a point's n_n nearest neighbours
+    are merged from the tree ``insert_scan`` queried before it added the rows
+    and one small tree over the added points. cKDTree reports the same float
+    distance for a pair whichever tree holds the point, so the neighbours come
+    in the order a tree over the whole map gives, except among candidates at
+    exactly the same distance, which that tree orders by its walk. The record
+    of the insertion and its tree are dropped once the normals are written.
+    With nothing inserted since the map last changed, the map and its cache
+    are left untouched."""
+    if not vmap.last_inserted:
         return
-    parts = [(vmap.voxels[key], rows) for key, rows in targets if len(rows)]
-    if not parts:
-        return
+    base_pts, base_tree = vmap._pre_insert
+    parts = [(vmap.voxels[key], rows) for key, rows in vmap.last_inserted]
     pts = np.vstack([chunk.points[rows] for chunk, rows in parts])
-    normals = _normals_for(pts, pts_all, cfg.n_n, _sensor_position(sensor),
-                           tree=tree)
+    if len(base_pts) + len(pts) < cfg.n_n:
+        return
+    sources = [] if base_tree is None else [(base_pts, base_tree)]
+    sources.append((pts, cKDTree(pts)))
+    normals = _normals_for(pts, _nearest(pts, sources, cfg.n_n),
+                           _sensor_position(sensor))
     splits = np.cumsum([len(rows) for _, rows in parts])[:-1]
     for (chunk, rows), part_normals in zip(parts, np.split(normals, splits)):
         chunk.normals[rows] = part_normals
@@ -251,14 +275,16 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
                 rho: float) -> None:
     """Append scan points (in index order) whose nearest map point, including
     points accepted earlier in this call, is farther than rho, and list the
-    new rows in ``last_inserted``. ``sensor_pose`` is not used."""
+    new rows in ``last_inserted``; the map keeps the local points and kd-tree
+    from before the insertion for ``refresh_normals``. ``sensor_pose`` is not
+    used."""
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("insert_scan expects a registered (map-frame) scan")
-    vmap.last_inserted = []
+    vmap.last_inserted, vmap._pre_insert = [], None
     pts = scan_in_g.points
     if len(pts) == 0:
         return
-    tree = vmap._local_arrays()[1]
+    base_pts, tree, _ = vmap._local_arrays()
     if tree is not None:
         # Only d > rho matters; cKDTree's bound is strict, hence nextafter.
         d, _ = tree.query(pts, k=1,
@@ -281,6 +307,7 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
     uniq, starts = np.unique(keys[order], axis=0, return_index=True)
     bounds = list(starts) + [len(order)]
+    inserted = []
     for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
         key = tuple(int(v) for v in u)
         rows = order[lo:hi]
@@ -294,8 +321,9 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
         first = len(chunk)
         chunk.append(new_pts[rows],
                      None if new_labels is None else new_labels[rows])
-        vmap.last_inserted.append((key, np.arange(first, len(chunk))))
+        inserted.append((key, np.arange(first, len(chunk))))
     vmap._invalidate()
+    vmap.last_inserted, vmap._pre_insert = inserted, (base_pts, tree)
 
 
 def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,

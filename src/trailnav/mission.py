@@ -128,9 +128,7 @@ def teach_step(state: MissionState, scan: PointCloud,
     t_hat, reading_in_map = result.T_hat, result.reading_in_map
     sensor = t_hat.translation
     insert_scan(state.map, reading_in_map, sensor, state.map_cfg.rho)
-    if state.map.last_inserted:
-        refresh_normals(state.map, state.map_cfg, state.map.last_inserted,
-                        sensor)
+    refresh_normals(state.map, state.map_cfg, sensor)
     filter_dynamic(state.map, reading_in_map, sensor, state.map_cfg)
     retile(state.map, sensor, state.map_cfg)
     stamp = float(scan.timestamps.max()) if scan.timestamps is not None else 0.0

@@ -20,7 +20,6 @@ class Projection:
 
     seg_index: int
     t_along: float          # meters from the segment start to the foot point
-    foot: np.ndarray        # (2,) foot point
     tangent_heading: float
     signed_normal: float    # positive = left of path direction
     distance: float         # Euclidean point-to-foot distance
@@ -97,7 +96,7 @@ class ReferenceTrajectory:
         t_along = float(t[i]) * seg_len
         arc = float(self.arc_length[i] + t_along)
         nearest = i if float(t[i]) <= 0.5 else i + 1
-        return Projection(seg_index=i, t_along=t_along, foot=foot[i],
+        return Projection(seg_index=i, t_along=t_along,
                           tangent_heading=heading, signed_normal=signed,
                           distance=float(np.sqrt(d2[i])), arc_position=arc,
                           nearest_pose_index=nearest)

@@ -135,7 +135,7 @@ def test_refresh_normals_fills_missing(tmp_path):
     cfg = _map_cfg()
     insert_scan(vmap, _grid_cloud(spacing=0.4), [0.0, 0.0, 2.0], cfg.rho)
     assert vmap.registration_reference() is None   # NaN until refreshed
-    refresh_normals(vmap, cfg, vmap.last_inserted, [0.0, 0.0, 2.0])
+    refresh_normals(vmap, cfg, [0.0, 0.0, 2.0])
     normals = vmap.registration_reference()[0].normals
     assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
 
@@ -251,7 +251,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.uniform(-30, 30, (3000, 3))
     insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 1.5], cfg.rho)
-    refresh_normals(vmap, cfg, vmap.last_inserted, [0, 0, 1.5])
+    refresh_normals(vmap, cfg, [0, 0, 1.5])
     out = save_map(vmap, tmp_path / "db")
     assert (out / "manifest.json").exists()
     back = load_map(tmp_path / "db", spill_dir=tmp_path / "spill2")
@@ -293,8 +293,7 @@ def _bumpy_map(tmp_path):
     rng = np.random.default_rng(7)
     for scan, sensor in enumerate(_BUMPY_SENSORS):
         if scan:
-            refresh_normals(vmap, cfg, vmap.last_inserted,
-                            _BUMPY_SENSORS[scan - 1])
+            refresh_normals(vmap, cfg, _BUMPY_SENSORS[scan - 1])
         xy = rng.uniform(-9.0, 9.0, (1500, 2))
         z = 0.3 * np.sin(xy[:, 0]) * np.cos(0.7 * xy[:, 1])
         insert_scan(vmap, PointCloud(np.column_stack([xy, z]), FRAME_MAP),
@@ -302,10 +301,79 @@ def _bumpy_map(tmp_path):
     return vmap, cfg
 
 
+def _full_tree_normals(vmap, cfg, sensor):
+    """Normals of the last insertion's rows from one kd-tree over the whole
+    post-insert local map (the reference refresh_normals must match), and
+    each row's share of inserted points among its neighbours."""
+    from trailnav.mapping import _normals_for
+    chunks = [vmap.voxels[key] for key in sorted(vmap.voxels)]
+    pts_all = np.vstack([chunk.points for chunk in chunks])
+    new_mask = np.concatenate([np.zeros(len(chunk), bool) for chunk in chunks])
+    offsets = dict(zip(sorted(vmap.voxels),
+                       np.cumsum([0] + [len(c) for c in chunks[:-1]])))
+    for key, rows in vmap.last_inserted:
+        new_mask[offsets[key] + rows] = True
+    targets = pts_all[new_mask]
+    _, idx = cKDTree(pts_all).query(targets, k=cfg.n_n)
+    views = np.tile(sensor, (len(targets), 1))
+    new_share = new_mask[idx].mean(axis=1)
+    return _normals_for(targets, pts_all[idx], views), new_share
+
+
+def _plane_scan(rng, n, lo, hi):
+    xy = rng.uniform(lo, hi, (n, 2))
+    z = 0.3 * np.sin(xy[:, 0]) * np.cos(0.7 * xy[:, 1])
+    return PointCloud(np.column_stack([xy, z]), FRAME_MAP)
+
+
+# (base scan, inserted scan) makers on 5 m voxels; the inserted points always
+# span at least 3 voxels.
+_REFRESH_CASES = {
+    "first_insert": lambda rng: (None, _plane_scan(rng, 1500, -9.0, 9.0)),
+    "base_below_n_n": lambda rng: (_plane_scan(rng, 6, -1.0, 1.0),
+                                   _plane_scan(rng, 1500, -9.0, 9.0)),
+    "all_new_neighbours": lambda rng: (_plane_scan(rng, 800, -30.0, -20.0),
+                                       _plane_scan(rng, 1500, -9.0, 9.0)),
+    "all_old_neighbours": lambda rng: (
+        _plane_scan(rng, 6000, -9.0, 9.0),
+        PointCloud(np.column_stack([np.repeat(np.arange(-8.0, 9.0, 4.0), 5),
+                                    np.tile(np.arange(-8.0, 9.0, 4.0), 5),
+                                    np.full(25, 0.05)]), FRAME_MAP)),
+    "mixed": lambda rng: (_plane_scan(rng, 1500, -9.0, 9.0),
+                          _plane_scan(rng, 1500, -9.0, 9.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFRESH_CASES))
+def test_refresh_normals_matches_one_tree_over_the_map(tmp_path, case):
+    cfg = _map_cfg()
+    vmap = VoxelMap(5.0, spill_dir=tmp_path)
+    base, scan = _REFRESH_CASES[case](np.random.default_rng(5))
+    base_sensor, sensor = [-3.0, 1.0, 2.0], [4.0, -2.0, 2.5]
+    if base is not None:
+        insert_scan(vmap, base, base_sensor, cfg.rho)
+        refresh_normals(vmap, cfg, base_sensor)
+    insert_scan(vmap, scan, sensor, cfg.rho)
+    inserted = vmap.last_inserted
+    assert len(inserted) >= 3
+    expected, new_share = _full_tree_normals(vmap, cfg, sensor)
+    if case == "all_new_neighbours":
+        assert (new_share == 1.0).all()
+    elif case == "all_old_neighbours":
+        assert (new_share == 1.0 / cfg.n_n).all()   # the target itself
+    elif case in ("base_below_n_n", "mixed"):
+        assert ((new_share > 1.0 / cfg.n_n) & (new_share < 1.0)).any()
+    refresh_normals(vmap, cfg, sensor)
+    assert np.isfinite(expected).all()
+    assert np.array_equal(np.vstack([vmap.voxels[key].normals[rows]
+                                     for key, rows in inserted]), expected)
+
+
 def test_refresh_normals_matches_per_voxel_calls(tmp_path):
     from trailnav.mapping import _normals_for
     vmap, cfg = _bumpy_map(tmp_path)
     pts_all = vmap.all_points_cloud().points
+    tree = cKDTree(pts_all)
     expected, missing = {}, 0
     for key, chunk in vmap.voxels.items():
         rows = np.nonzero(~np.isfinite(chunk.normals).all(axis=1))[0]
@@ -315,38 +383,54 @@ def test_refresh_normals_matches_per_voxel_calls(tmp_path):
             # A tiled per-point viewpoint array: refresh_normals' one
             # broadcast sensor position must give the same bits.
             views = np.tile(_BUMPY_SENSORS[-1], (len(rows), 1))
-            normals[rows] = _normals_for(chunk.points[rows], pts_all, cfg.n_n,
+            _, idx = tree.query(chunk.points[rows], k=cfg.n_n)
+            normals[rows] = _normals_for(chunk.points[rows], pts_all[idx],
                                          views)
         expected[key] = normals
     assert len(vmap.voxels) >= 4 and missing >= 4
-    refresh_normals(vmap, cfg, vmap.last_inserted, _BUMPY_SENSORS[-1])
+    refresh_normals(vmap, cfg, _BUMPY_SENSORS[-1])
     for key, chunk in vmap.voxels.items():
         assert np.array_equal(chunk.normals, expected[key]), key
 
 
-def test_refresh_normals_builds_at_most_one_tree(tmp_path, monkeypatch):
+def test_refresh_normals_builds_one_tree_over_the_inserted_points(
+        tmp_path, monkeypatch):
     import trailnav.mapping as mapping
     vmap, cfg = _bumpy_map(tmp_path)
     assert len(vmap.last_inserted) >= 4
+    inserted = np.vstack([vmap.voxels[key].points[rows]
+                          for key, rows in vmap.last_inserted])
     builds = []
 
     class CountingTree(cKDTree):
-        def __init__(self, *args, **kwargs):
-            builds.append(1)
-            super().__init__(*args, **kwargs)
+        def __init__(self, data, *args, **kwargs):
+            builds.append(np.array(data))
+            super().__init__(data, *args, **kwargs)
 
     monkeypatch.setattr(mapping, "cKDTree", CountingTree)
-    refresh_normals(vmap, cfg, vmap.last_inserted, _BUMPY_SENSORS[-1])
-    assert len(builds) <= 1
+    refresh_normals(vmap, cfg, _BUMPY_SENSORS[-1])
+    assert len(builds) == 1 and np.array_equal(builds[0], inserted)
+    # The insertion record, and the pre-insert tree with it, is released.
+    assert vmap.last_inserted == [] and vmap._pre_insert is None
     assert vmap.registration_reference() is not None
     # Nothing left to refresh: the cached arrays and tree survive the call.
     cache = vmap._local_arrays()
     builds.clear()
-    refresh_normals(vmap, cfg, [], _BUMPY_SENSORS[-1])
-    refresh_normals(vmap, cfg, [(key, np.zeros(0, np.int64))
-                                for key in vmap.voxels], _BUMPY_SENSORS[-1])
+    refresh_normals(vmap, cfg, _BUMPY_SENSORS[-1])
     assert vmap._cache is cache
     assert builds == []
+
+
+def test_a_map_change_drops_the_insertion_record(tmp_path):
+    vmap, cfg = _bumpy_map(tmp_path)
+    assert vmap._pre_insert is not None
+    key, rows = vmap.last_inserted[0]
+    # A return on one of the new points is a coincident hit: the map changes.
+    filter_dynamic(vmap, PointCloud(vmap.voxels[key].points[rows[:1]],
+                                    FRAME_MAP), [0.0, 0.0, 2.0], cfg)
+    assert vmap.last_inserted == [] and vmap._pre_insert is None
+    refresh_normals(vmap, cfg, _BUMPY_SENSORS[-1])
+    assert np.isnan(vmap.voxels[key].normals[rows]).all()
 
 
 def _filter_dynamic_per_voxel(vmap, scan_in_g, sensor, cfg):

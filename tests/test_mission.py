@@ -198,6 +198,37 @@ def test_a_missing_normal_leaves_no_registration_reference(taught):
     assert isinstance(info.value.__cause__, RegistrationFailure)
 
 
+def test_teach_rebuilds_the_local_map_once_a_tick(monkeypatch):
+    import trailnav.mapping as mapping
+    import trailnav.mission as mission
+    ticks = []   # per teach tick: [local-map rebuilds, points inserted]
+    local_arrays, insert_scan = mapping.VoxelMap._local_arrays, mission.insert_scan
+
+    def counting_local_arrays(vmap):
+        if ticks:
+            ticks[-1][0] += vmap._cache is None
+        return local_arrays(vmap)
+
+    def counting_insert(vmap, *args):
+        insert_scan(vmap, *args)
+        ticks[-1][1] += sum(len(rows) for _, rows in vmap.last_inserted)
+
+    def counting_teach_step(state, scan, prior_tail):
+        ticks.append([0, 0])
+        teach_step(state, scan, prior_tail)
+
+    monkeypatch.setattr(mapping.VoxelMap, "_local_arrays",
+                        counting_local_arrays)
+    monkeypatch.setattr(mission, "insert_scan", counting_insert)
+    monkeypatch.setattr(runner, "teach_step", counting_teach_step)
+    run_teach(_small_world(length=6.0), _small_cfg(), waypoints=[(6.0, 0.0)],
+              v_teach=1.0)
+    assert len(ticks) >= 10 and all(inserted for _, inserted in ticks)
+    # The first tick builds the empty map's tree in insert_scan; every later
+    # one rebuilds once, in localize, for what the tick before it changed.
+    assert [rebuilds for rebuilds, _ in ticks] == [1] * len(ticks)
+
+
 def test_teach_produces_database(taught):
     world, cfg, result = taught
     db = result.db_dir
