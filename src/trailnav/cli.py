@@ -209,9 +209,8 @@ def _registered_scans(args, cfg: GlobalConfig, only=None):
     filters are skipped. Returns ([(index, T_hat, scan_in_map)], vmap)."""
     vmap, trajectory = load_database(args.db)
     scans, imu, odom = load_scan_log(args.scans)
-    windows = prior_windows_from_log(scans, imu, odom,
-                                     start_position=trajectory.positions[0],
-                                     beta=cfg.prior.beta)
+    windows = prior_windows_from_log(scans, imu, odom, cfg.prior.beta,
+                                     start_position=trajectory.positions[0])
     if vmap.registration_reference() is None:
         raise RegistrationFailure("map has no usable normals")
     out = []

@@ -229,10 +229,6 @@ def minimize_step(p: np.ndarray, n: np.ndarray, res: np.ndarray,
     return delta
 
 
-def _delta_magnitudes(delta: RigidTransform):
-    return float(np.linalg.norm(delta.translation)), abs(delta.yaw)
-
-
 def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,
              cfg: RegistrationConfig,
              ref_index: cKDTree | None = None) -> RegistrationResult:
@@ -268,22 +264,22 @@ def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,
         err_before, res = point_to_plane_error(p, q, n, m.weights)
         delta = minimize_step(p, n, res, m.weights, current=t)
         # Halve the step while it would increase the objective on this match set
-        # (keeps the per-iteration error monotone despite linearization).
-        cand = t @ delta
-        err_after, _ = point_to_plane_error(
-            np.take(cand.apply(reading.points), rows, axis=0), q, n, m.weights)
-        for _ in range(8):
-            if err_after <= err_before + 1e-12:
-                break
-            delta = RigidTransform.from_yaw(0.5 * delta.yaw, 0.5 * delta.translation,
-                                            delta.from_frame, delta.to_frame)
+        # (keeps the per-iteration error monotone despite linearization); the
+        # candidate after the eighth halving is taken whatever its error.
+        for halvings in range(9):
+            if halvings:
+                delta = RigidTransform.from_yaw(
+                    0.5 * delta.yaw, 0.5 * delta.translation,
+                    delta.from_frame, delta.to_frame)
             cand = t @ delta
             err_after, _ = point_to_plane_error(
                 np.take(cand.apply(reading.points), rows, axis=0), q, n, m.weights)
+            if err_after <= err_before + 1e-12:
+                break
         t = cand
         final_error = err_after
-        dt_norm, dyaw = _delta_magnitudes(delta)
-        if dt_norm < cfg.eps_t_min and dyaw < cfg.eps_theta_min:
+        if (np.linalg.norm(delta.translation) < cfg.eps_t_min
+                and abs(delta.yaw) < cfg.eps_theta_min):
             converged = True
             break
 

@@ -382,8 +382,8 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
 
 def _local_box(vmap: VoxelMap, robot_voxel, cfg: MappingConfig):
     """Per-axis index range [c - h, c + h - 1] of the local cube
-    (edge 2r + 4 v_s when r is a voxel multiple)."""
-    h = int(np.ceil(cfg.r / cfg.v_s)) + 2
+    (edge 2r + 4 v_s when r is a voxel multiple), in the map's own voxels."""
+    h = int(np.ceil(cfg.r / vmap.v_s)) + 2
     lo = np.asarray(robot_voxel) - h
     hi = np.asarray(robot_voxel) + h - 1
     return lo, hi

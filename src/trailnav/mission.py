@@ -166,8 +166,7 @@ def load_database(db_dir, spill_dir=None):
 def initialize_localization(vmap: VoxelMap, scan: PointCloud,
                             prior_tail: PriorTrajectory,
                             reg_cfg: RegistrationConfig,
-                            overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
-                            threshold: float = INIT_OVERLAP_THRESHOLD) -> InitResult:
+                            overlap_floor: float = DEFAULT_OVERLAP_FLOOR) -> InitResult:
     """Localize the first scan at the start prior; success requires
     convergence and scan overlap at or above the floor."""
     if vmap.registration_reference() is None:
@@ -178,7 +177,7 @@ def initialize_localization(vmap: VoxelMap, scan: PointCloud,
         return InitResult(False, None, 0.0, f"registration failed: {exc}")
     if result is None:
         return InitResult(False, None, 0.0, "scan empty after input filters")
-    overlap = scan_overlap(result.reading_in_map, vmap, threshold)
+    overlap = scan_overlap(result.reading_in_map, vmap, INIT_OVERLAP_THRESHOLD)
     if not result.converged:
         return InitResult(False, result.T_hat, overlap,
                           f"no convergence in {result.iterations} iterations; "

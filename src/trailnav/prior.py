@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
@@ -11,53 +11,18 @@ from .geom import (FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform,
                    _quat_from_rotvec, _quat_mul, _quat_normalize, _quat_to_matrix)
 
 GRAVITY = 9.81
-DEFAULT_BETA = 0.1
-DEFAULT_RATE_HZ = 100.0
 
 
 class PriorCoverageError(ValueError):
     """A scan timestamp falls outside the prior trajectory window."""
 
 
-@dataclass
-class ImuSample:
-    gyro: np.ndarray      # rad/s, body frame
-    accel: np.ndarray     # m/s^2, body frame (specific force, +z up at rest)
-    stamp: float
-
-    def __post_init__(self):
-        self.gyro = np.asarray(self.gyro, dtype=np.float64).reshape(3)
-        self.accel = np.asarray(self.accel, dtype=np.float64).reshape(3)
-
-
-@dataclass
-class OdomSample:
-    linear_speed: float   # m/s along robot x
-    stamp: float
-
-
-@dataclass
-class OrientationState:
-    """Unit quaternion (w, x, y, z) mapping body coordinates to world."""
-
-    quat: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def __post_init__(self):
-        self.quat = _quat_normalize(np.asarray(self.quat, dtype=np.float64).reshape(4))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _quat_to_matrix(self.quat)
-
-    @property
-    def yaw(self) -> float:
-        m = self.matrix
-        return float(np.arctan2(m[1, 0], m[0, 0]))
-
-
-def update_orientation(state: OrientationState, imu: ImuSample, dt: float,
-                       beta: float = DEFAULT_BETA) -> OrientationState:
-    """One complementary-filter step: gyro integration plus gravity tilt correction.
+def update_orientation(quat: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
+                       dt: float, beta: float) -> np.ndarray:
+    """One complementary-filter step on the unit quaternion (w, x, y, z) that
+    maps body coordinates to world: gyro integration (rad/s, body frame) plus
+    a gravity tilt correction from the accelerometer (specific force, m/s^2,
+    body frame, +z up at rest).
 
     The tilt correction is applied about a horizontal world axis only, so yaw is
     driven purely by the gyro. A zero-norm accelerometer sample skips the
@@ -65,16 +30,18 @@ def update_orientation(state: OrientationState, imu: ImuSample, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    q = state.quat
     # Body-frame gyro integration (right-multiplicative).
-    q = _quat_mul(q, _quat_from_rotvec(imu.gyro * dt))
-    a_norm = np.linalg.norm(imu.accel)
+    q = _quat_mul(quat, _quat_from_rotvec(gyro * dt))
+    a_norm = np.linalg.norm(accel)
     if a_norm > 1e-12:
-        a_hat = imu.accel / a_norm
+        a_hat = accel / a_norm
         up_world = _quat_to_matrix(q) @ a_hat           # measured up, world frame
         err = np.cross(up_world, np.array([0.0, 0.0, 1.0]))  # z component is zero
         q = _quat_mul(_quat_from_rotvec(beta * dt * err), q)
-    return OrientationState(_quat_normalize(q))
+    # Normalized twice: the second pass moves the last bits of some
+    # quaternions, and the saved maps, trajectories and benchmark digests
+    # depend on those bits.
+    return _quat_normalize(_quat_normalize(q))
 
 
 @dataclass
@@ -110,75 +77,60 @@ class PriorTrajectory:
                                self.quats[i:j])
 
 
-class PriorIntegrator:
-    """Accumulates the 100 Hz prior: orientation filter + odometry dead reckoning."""
-
-    def __init__(self, start_stamp: float = 0.0, start_position=(0.0, 0.0, 0.0),
-                 start_orientation: OrientationState | None = None,
-                 beta: float = DEFAULT_BETA):
-        self.beta = beta
-        self.orientation = start_orientation or OrientationState()
-        self.position = np.asarray(start_position, dtype=np.float64).copy()
-        self._stamps = [start_stamp]
-        self._translations = [self.position.copy()]
-        self._quats = [self.orientation.quat.copy()]
-
-    def step(self, imu: ImuSample, odom: OdomSample, dt: float) -> None:
-        self.orientation = update_orientation(self.orientation, imu, dt, self.beta)
-        pose = integrate_prior(self.position, odom, self.orientation, dt)
-        self.position = pose.translation.copy()
-        self._stamps.append(imu.stamp)
-        self._translations.append(self.position.copy())
-        self._quats.append(self.orientation.quat.copy())
-
-    def trajectory(self) -> PriorTrajectory:
-        return PriorTrajectory(np.array(self._stamps), np.array(self._translations),
-                               np.array(self._quats))
+def dead_reckon(start_stamp: float, position, quat: np.ndarray,
+               stamps: np.ndarray, dts: np.ndarray, gyro: np.ndarray,
+               accel: np.ndarray, speeds: np.ndarray,
+               beta: float) -> PriorTrajectory:
+    """The IMU/odometry prior from the pose (``position``, ``quat``) at
+    ``start_stamp``: sample i turns the orientation by ``update_orientation``
+    over ``dts[i]`` with ``gyro[i]`` and ``accel[i]``, then advances the
+    position along the new forward (body x) axis by ``speeds[i] * dts[i]``,
+    giving the pose at ``stamps[i]``."""
+    n = len(stamps)
+    quats = np.empty((n + 1, 4))
+    translations = np.empty((n + 1, 3))
+    quats[0] = quat
+    translations[0] = position
+    for i in range(n):
+        quats[i + 1] = update_orientation(quats[i], gyro[i], accel[i], dts[i],
+                                          beta)
+        translations[i + 1] = (translations[i] + speeds[i] * dts[i]
+                               * _quat_to_matrix(quats[i + 1])[:, 0])
+    return PriorTrajectory(np.concatenate(([start_stamp], stamps)),
+                           translations, quats)
 
 
-def prior_windows_from_log(scans, imu, odom, start_position=(0.0, 0.0, 0.0),
-                           beta: float = DEFAULT_BETA) -> list[PriorTrajectory]:
+def prior_windows_from_log(scans, imu: np.ndarray, odom: np.ndarray, beta: float,
+                           start_position=(0.0, 0.0, 0.0)) -> list[PriorTrajectory]:
     """Dead-reckon a logged run's prior from its IMU and odometry, and cut it
     into one window per scan.
 
-    ``scans`` is the run's [(stamp, scan)] list. The prior starts at the first
-    scan's stamp, where the run's first prior window began, so it covers every
-    logged point stamp. Odometry speed is interpolated at each IMU stamp. A
-    scan's window runs from its stamp to its last point, so the window's last
-    pose is the scan-end prior that registration starts from.
+    ``scans`` is the run's [(stamp, scan)] list, ``imu`` the (n, 7) rows
+    (stamp, gyro xyz, accel xyz) and ``odom`` the (m, 2) rows (stamp, speed)
+    of its log. The prior starts level, heading along x, at the first scan's
+    stamp, where the run's first prior window began, so it covers every
+    logged point stamp. Odometry speed is interpolated at each IMU stamp. An
+    IMU sample whose stamp is not after every earlier one and the start is
+    skipped. A scan's window runs from its stamp to its last point, so the
+    window's last pose is the scan-end prior that registration starts from.
     """
     if not scans:
         raise ValueError("a logged run needs at least one scan")
     start_stamp = scans[0][0]
-    integ = PriorIntegrator(start_stamp=start_stamp,
-                            start_position=start_position, beta=beta)
-    odom_stamps = np.array([o.stamp for o in odom])
-    odom_speeds = np.array([o.linear_speed for o in odom])
-    prev = start_stamp
-    for s in imu:
-        dt = s.stamp - prev
-        if dt <= 0:
-            continue
-        speed = float(np.interp(s.stamp, odom_stamps, odom_speeds))
-        integ.step(s, OdomSample(speed, s.stamp), dt)
-        prev = s.stamp
-    prior = integ.trajectory()
+    # A sample's dt runs from the latest stamp before it, or from the start.
+    prev = np.maximum.accumulate(np.concatenate(([start_stamp], imu[:, 0])))[:-1]
+    keep = imu[:, 0] > prev
+    rows = imu[keep]
+    prior = dead_reckon(start_stamp, start_position, np.array([1.0, 0.0, 0.0, 0.0]),
+                        rows[:, 0], rows[:, 0] - prev[keep], rows[:, 1:4],
+                        rows[:, 4:7], np.interp(rows[:, 0], odom[:, 0], odom[:, 1]),
+                        beta)
     windows = []
     for stamp, scan in scans:
         ts = scan.timestamps
         end = float(ts.max()) if ts is not None and len(ts) else stamp
         windows.append(prior.window(stamp, end))
     return windows
-
-
-def integrate_prior(position, odom: OdomSample, orientation: OrientationState,
-                    dt: float) -> RigidTransform:
-    """Advance the pose along the orientation's forward axis by linear_speed * dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    rot = orientation.matrix
-    new_pos = np.asarray(position, dtype=np.float64) + odom.linear_speed * dt * rot[:, 0]
-    return RigidTransform(rot, new_pos, FRAME_LIDAR, FRAME_MAP)
 
 
 def _interp_poses(prior: PriorTrajectory, times: np.ndarray):

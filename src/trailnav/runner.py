@@ -5,21 +5,22 @@ the teach/repeat mission, and run logging together."""
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .config import GlobalConfig
 from .controller import Pose2D, Status, wrap_angle
-from .csvio import read_csv, write_csv
-from .geom import RigidTransform
+from .csvio import CsvFormatError, read_csv, read_float_csv, write_csv
+from .geom import RigidTransform, _quat_normalize
 from .mapping import VoxelMap
 from .mission import (InitResult, MissionState, RepeatStepResult, finalize_teach,
                       initialize_localization, load_database, new_repeat_state,
                       new_teach_state, repeat_step, teach_step)
 from .npcd import read_npcd, write_npcd
-from .prior import (GRAVITY, ImuSample, OdomSample, OrientationState,
-                    PriorIntegrator, PriorTrajectory, prior_windows_from_log)
+from .prior import (GRAVITY, PriorTrajectory, dead_reckon,
+                    prior_windows_from_log)
 from .simworld import RobotState, World, simulate_lidar, step_robot
 from .trajectory import ReferenceTrajectory
 
@@ -52,13 +53,13 @@ ODOM_HEADER = ["stamp", "v"]
 @dataclass
 class ScanLog:
     """Streams a run's raw scans to ``out_dir`` as they come, one NPCD file
-    per scan, and keeps the IMU/odometry samples until ``close`` writes
+    per scan, and keeps the IMU/odometry sample rows until ``close`` writes
     ``scans.csv``, ``imu.csv`` and ``odom.csv``."""
 
     out_dir: Path
-    rows: list = field(default_factory=list)         # (stamp, NPCD file name)
-    imu: list = field(default_factory=list)          # ImuSample
-    odom: list = field(default_factory=list)         # OdomSample
+    rows: list = field(default_factory=list)   # (stamp, NPCD file name)
+    imu: list = field(default_factory=list)    # (n, 7) blocks of IMU_HEADER rows
+    odom: list = field(default_factory=list)   # (n, 2) blocks of ODOM_HEADER rows
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -72,39 +73,47 @@ class ScanLog:
     def close(self) -> None:
         write_csv(self.out_dir / "scans.csv", SCANS_HEADER, self.rows)
         write_csv(self.out_dir / "imu.csv", IMU_HEADER,
-                  ((s.stamp, *s.gyro, *s.accel) for s in self.imu))
+                  chain.from_iterable(self.imu))
         write_csv(self.out_dir / "odom.csv", ODOM_HEADER,
-                  ((s.stamp, s.linear_speed) for s in self.odom))
+                  chain.from_iterable(self.odom))
 
 
 def load_scan_log(scans_dir):
-    """Read a logged run back: [(stamp, scan)], imu samples, odom samples."""
+    """Read a logged run back: [(stamp, scan)], the (n, 7) IMU rows and the
+    (m, 2) odometry rows. A log with scans has samples in both files."""
     scans_dir = Path(scans_dir)
     scans = [(stamp, read_npcd(scans_dir / name, frame="L")) for stamp, name in
              read_csv(scans_dir / "scans.csv", SCANS_HEADER, (float, str))]
-    imu = [ImuSample(gyro=row[1:4], accel=row[4:7], stamp=row[0])
-           for row in read_csv(scans_dir / "imu.csv", IMU_HEADER)]
-    odom = [OdomSample(linear_speed=v, stamp=stamp) for stamp, v in
-            read_csv(scans_dir / "odom.csv", ODOM_HEADER)]
-    return scans, imu, odom
+    samples = []
+    for path, header in ((scans_dir / "imu.csv", IMU_HEADER),
+                         (scans_dir / "odom.csv", ODOM_HEADER)):
+        rows = read_float_csv(path, header)
+        if scans and not len(rows):
+            raise CsvFormatError(f"{path}: line 2: no samples for the "
+                                 f"{len(scans)} logged scans")
+        samples.append(rows)
+    return scans, *samples
 
 
 # -- true-motion rollout and simulated sensing --------------------------------
 
+ROLLOUT_SUBSTEPS = 20   # true-motion integration steps per scan period
+
 
 def _rollout(world: World, state: RobotState, v: float, omega: float,
-             slip_rot: float, period: float, n_sub: int = 20):
-    """Integrate the true motion over one scan period with fine substeps.
+             slip_rot: float, period: float):
+    """Integrate the true motion over one scan period in ``ROLLOUT_SUBSTEPS``
+    substeps.
 
     Returns (pose_fn over absolute time, final RobotState); pose_fn
     interpolates the substep poses (heading unwrapped)."""
-    dt = period / n_sub
+    dt = period / ROLLOUT_SUBSTEPS
     times = [state.stamp]
     xs = [state.pose.x]
     ys = [state.pose.y]
     ths = [state.pose.theta_r]
     s = state
-    for _ in range(n_sub):
+    for _ in range(ROLLOUT_SUBSTEPS):
         s = step_robot(world, s, (v, omega), dt, slip_rot)
         times.append(s.stamp)
         xs.append(s.pose.x)
@@ -122,11 +131,6 @@ def _rollout(world: World, state: RobotState, v: float, omega: float,
     return pose_fn, s
 
 
-def _yaw_orientation(yaw: float) -> OrientationState:
-    half = 0.5 * yaw
-    return OrientationState(np.array([np.cos(half), 0.0, 0.0, np.sin(half)]))
-
-
 def _prior_window(anchor: RigidTransform, t0: float, period: float,
                   rate_hz: float, beta: float, gyro_z: float, speed: float,
                   log: ScanLog | None = None) -> PriorTrajectory:
@@ -134,18 +138,17 @@ def _prior_window(anchor: RigidTransform, t0: float, period: float,
     last registered pose. Simulated IMU: planar motion, gravity along +z."""
     n = max(int(round(rate_hz * period)), 1)
     dt = period / n
-    integ = PriorIntegrator(start_stamp=t0, start_position=anchor.translation,
-                            start_orientation=_yaw_orientation(anchor.yaw),
-                            beta=beta)
-    for i in range(1, n + 1):
-        imu = ImuSample(gyro=(0.0, 0.0, gyro_z), accel=(0.0, 0.0, GRAVITY),
-                        stamp=t0 + i * dt)
-        odom = OdomSample(linear_speed=speed, stamp=t0 + i * dt)
-        integ.step(imu, odom, dt)
-        if log is not None:
-            log.imu.append(imu)
-            log.odom.append(odom)
-    return integ.trajectory()
+    stamps = t0 + np.arange(1, n + 1) * dt
+    gyro = np.tile(np.array([0.0, 0.0, gyro_z]), (n, 1))
+    accel = np.tile(np.array([0.0, 0.0, GRAVITY]), (n, 1))
+    speeds = np.full(n, float(speed))
+    if log is not None:
+        log.imu.append(np.column_stack([stamps, gyro, accel]))
+        log.odom.append(np.column_stack([stamps, speeds]))
+    half = 0.5 * anchor.yaw
+    quat = _quat_normalize(np.array([np.cos(half), 0.0, 0.0, np.sin(half)]))
+    return dead_reckon(t0, anchor.translation, quat, stamps, np.full(n, dt),
+                       gyro, accel, speeds, beta)
 
 
 def _sensor_anchor(world: World, state: RobotState,
@@ -180,6 +183,9 @@ class TeachRunResult:
     scan_log: Path | None
 
 
+WAYPOINT_TOL = 1.0   # m, distance at which a teach waypoint counts as reached
+
+
 def _waypoint_command(pose: Pose2D, waypoint, v_teach: float):
     bearing = float(np.arctan2(waypoint[1] - pose.y, waypoint[0] - pose.x))
     err = wrap_angle(bearing - pose.theta_r)
@@ -190,8 +196,8 @@ def _waypoint_command(pose: Pose2D, waypoint, v_teach: float):
 
 def run_teach(world: World, cfg: GlobalConfig, waypoints,
               out_dir=None, start: Pose2D | None = None,
-              v_teach: float = 1.0, wp_tol: float = 1.0,
-              max_ticks: int = 5000, scan_log_dir=None) -> TeachRunResult:
+              v_teach: float = 1.0, max_ticks: int = 5000,
+              scan_log_dir=None) -> TeachRunResult:
     """Drive the scripted waypoint follower (using ground-truth pose) while the
     teach pipeline builds the map; optionally persist the database to out_dir.
 
@@ -241,7 +247,7 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
             truth_poses.append(_sensor_anchor(world, state, lp.mount_height)
                                .retagged("R", "G"))
             if np.hypot(state.pose.x - waypoints[wp_i][0],
-                        state.pose.y - waypoints[wp_i][1]) < wp_tol:
+                        state.pose.y - waypoints[wp_i][1]) < WAYPOINT_TOL:
                 wp_i += 1
     finally:
         if log is not None:
@@ -353,7 +359,7 @@ def run_replay(scans_dir, cfg: GlobalConfig, out_dir) -> Path:
     """Run a logged scan sequence back through the teach pipeline, rebuilding
     the prior from the logged IMU/odometry streams, and persist a database."""
     scans, imu, odom = load_scan_log(scans_dir)
-    windows = prior_windows_from_log(scans, imu, odom, beta=cfg.prior.beta)
+    windows = prior_windows_from_log(scans, imu, odom, cfg.prior.beta)
     mission = new_teach_state(cfg.registration, cfg.mapping)
     for (_, scan), window in zip(scans, windows):
         teach_step(mission, scan, window)

@@ -254,10 +254,12 @@ def step_robot(world: World, state: RobotState, u, dt: float,
 # Heightfield samples per ground-march block: the march's transient arrays
 # stay a few MB whatever the ray count (~3 300 rays at 161 steps).
 _GROUND_BLOCK_SAMPLES = 2 ** 19
+_GROUND_COARSE_STEP = 0.5    # m between the march's heightfield samples
+_GROUND_REFINE_ITERS = 30    # bisection steps per crossing ray
+_T_MIN = 0.05                # m, primitive hits nearer the sensor are ignored
 
 
-def _ray_ground(origins, dirs, ground: Heightfield, max_range,
-                coarse_step=0.5, refine_iters=30):
+def _ray_ground(origins, dirs, ground: Heightfield, max_range):
     """First ray/heightfield crossing per ray via coarse march + bisection.
 
     A bilinear sample lies between the grid's min and max up to rounding, so
@@ -268,7 +270,7 @@ def _ray_ground(origins, dirs, ground: Heightfield, max_range,
     then the crossing rays are bisected together; each ray's result does not
     depend on the block it is in.
     """
-    n_steps = max(int(np.ceil(max_range / coarse_step)) + 1, 2)
+    n_steps = max(int(np.ceil(max_range / _GROUND_COARSE_STEP)) + 1, 2)
     ts = np.linspace(0.0, max_range, n_steps)
     grid = ground.grid
     margin = 1e-9 * (1.0 + np.abs(grid).max())
@@ -288,7 +290,7 @@ def _ray_ground(origins, dirs, ground: Heightfield, max_range,
         rows = cand[hit]
         o = origins[rows]
         d = dirs[rows]
-        for _ in range(refine_iters):
+        for _ in range(_GROUND_REFINE_ITERS):
             t_mid = 0.5 * (t_lo + t_hi)
             p = o + d * t_mid[:, None]
             under = p[:, 2] < ground.sample(p[:, 0], p[:, 1])
@@ -325,7 +327,7 @@ def _in_reach(origins, xy, radii, max_range):
                       <= max_range + radii + 1.0)[0]
 
 
-def _ray_cylinders(origins, dirs, trees: Trees, max_range, t_min=0.05):
+def _ray_cylinders(origins, dirs, trees: Trees, max_range):
     """Nearest finite-cylinder (trunk) hit per unit ray; only the trunks in
     reach of the rays are tested."""
     best = np.full(len(origins), np.inf)
@@ -344,13 +346,13 @@ def _ray_cylinders(origins, dirs, trees: Trees, max_range, t_min=0.05):
         t = np.where(valid, (-b - np.sqrt(np.maximum(disc, 0.0))) /
                      np.where(a > 1e-12, 2 * a, 1.0), np.inf)
         z = oz + dz * t
-        good = valid & (t > t_min) & (t < max_range) & \
+        good = valid & (t > _T_MIN) & (t < max_range) & \
             (z >= trees.base_z[i] - 0.5) & (z <= trees.trunk_top[i])
         best = np.where(good & (t < best), t, best)
     return best
 
 
-def _ray_spheres(origins, dirs, centers, radii, max_range, t_min=0.05):
+def _ray_spheres(origins, dirs, centers, radii, max_range):
     """Two nearest sphere (foliage shell) entry hits per ray."""
     n = len(origins)
     best1 = np.full(n, np.inf)
@@ -362,7 +364,7 @@ def _ray_spheres(origins, dirs, centers, radii, max_range, t_min=0.05):
         disc = b * b - 4 * c
         valid = disc > 0
         t = np.where(valid, (-b - np.sqrt(np.maximum(disc, 0.0))) / 2.0, np.inf)
-        good = valid & (t > t_min) & (t < max_range)
+        good = valid & (t > _T_MIN) & (t < max_range)
         t = np.where(good, t, np.inf)
         closer = t < best1
         best2 = np.where(closer, best1, np.minimum(best2, t))
@@ -370,7 +372,7 @@ def _ray_spheres(origins, dirs, centers, radii, max_range, t_min=0.05):
     return best1, best2
 
 
-def _ray_boxes(origins, dirs, boxes, max_range, t_min=0.05):
+def _ray_boxes(origins, dirs, boxes, max_range):
     """Nearest axis-aligned box entry hit per ray (slab method)."""
     best = np.full(len(origins), np.inf)
     for bx in boxes:
@@ -382,7 +384,7 @@ def _ray_boxes(origins, dirs, boxes, max_range, t_min=0.05):
             t2 = (hi - origins) * inv
         t_near = np.nanmax(np.minimum(t1, t2), axis=1)
         t_far = np.nanmin(np.maximum(t1, t2), axis=1)
-        good = (t_near <= t_far) & (t_near > t_min) & (t_near < max_range)
+        good = (t_near <= t_far) & (t_near > _T_MIN) & (t_near < max_range)
         best = np.where(good & (t_near < best), t_near, best)
     return best
 

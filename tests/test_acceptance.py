@@ -26,7 +26,7 @@ from trailnav.icp import (MatchSet, RegistrationConfig, apply_input_filters,
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, load_map, retile, save_map)
 from trailnav.mission import load_database, new_teach_state, teach_step
-from trailnav.prior import ImuSample, OdomSample, PriorIntegrator, deskew
+from trailnav.prior import dead_reckon, deskew
 from trailnav.runner import (_prior_window, _rollout, _sensor_anchor,
                              initialize_at_rest, run_repeat, run_teach)
 from trailnav.simworld import (CLASS_BUILDING, CLASS_SNOWFALL, LidarParams,
@@ -603,16 +603,15 @@ def test_criterion_10_deskewing():
                       omega * t)
 
     scan = simulate_lidar(world, true_pose, lp, seed=0, t0=0.0)
-    integ = PriorIntegrator(start_stamp=0.0,
-                            start_position=np.array([0.0, 0.0,
-                                                     lp.mount_height]),
-                            beta=0.1)
-    for i in range(1, 12):
-        t = 0.01 * i
-        integ.step(ImuSample(np.array([0.0, 0.0, omega]),
-                             np.array([0.0, 0.0, 9.81]), t),
-                   OdomSample(v, t), 0.01)
-    out = deskew(scan, integ.trajectory())
+    start = np.array([0.0, 0.0, lp.mount_height])
+    level = np.array([1.0, 0.0, 0.0, 0.0])
+    stamps = 0.01 * np.arange(1, 12)
+    dts = np.full(11, 0.01)
+    up = np.tile([0.0, 0.0, 9.81], (11, 1))
+    prior = dead_reckon(0.0, start, level, stamps, dts,
+                        np.tile([0.0, 0.0, omega], (11, 1)), up,
+                        np.full(11, v), 0.1)
+    out = deskew(scan, prior)
     # express the deskewed cloud in world coordinates via the true pose at
     # the anchor stamp (the scan's last timestamp) and check the wall plane
     t_anchor = float(scan.timestamps.max())
@@ -623,15 +622,9 @@ def test_criterion_10_deskewing():
     residual = float(np.abs(wx - 10.0).max())
 
     still = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=0, t0=0.0)
-    integ2 = PriorIntegrator(start_stamp=0.0,
-                             start_position=np.array([0.0, 0.0,
-                                                      lp.mount_height]),
-                             beta=0.1)
-    for i in range(1, 12):
-        integ2.step(ImuSample(np.zeros(3), np.array([0.0, 0.0, 9.81]),
-                              0.01 * i),
-                    OdomSample(0.0, 0.01 * i), 0.01)
-    out2 = deskew(still, integ2.trajectory())
+    still_prior = dead_reckon(0.0, start, level, stamps, dts,
+                              np.zeros((11, 3)), up, np.zeros(11), 0.1)
+    out2 = deskew(still, still_prior)
     identity = np.array_equal(out2.points, still.points)
     ok = keep.sum() > 100 and residual < 1e-3 and identity
     _report(10, "deskewing", ok,

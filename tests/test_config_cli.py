@@ -197,7 +197,7 @@ def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
     per_scan = round(cfg.prior.rate_hz / cfg.sim.lidar.rate)
     assert len(imu) == len(odom) == (k + 1) * per_scan
     # The failing scan's prior window is logged too.
-    assert scans[-1][0] < imu[-per_scan].stamp < imu[-1].stamp
+    assert scans[-1][0] < imu[-per_scan, 0] < imu[-1, 0]
     assert len(scans[-1][1]) > 100
 
 

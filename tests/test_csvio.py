@@ -4,7 +4,9 @@ import pytest
 from trailnav.analysis import CrossTrackSeries
 from trailnav.cli import main
 from trailnav.csvio import CsvFormatError, read_csv, read_float_csv, write_csv
+from trailnav.geom import PointCloud
 from trailnav.mapping import MAP_FORMAT, MAP_VERSION
+from trailnav.npcd import write_npcd
 from trailnav.trajectory import ReferenceTrajectory
 
 
@@ -123,6 +125,24 @@ def test_replay_short_imu_row_exits_four(tmp_path, capsys):
                                "--out-dir", str(tmp_path / "r")],
                       scans / "imu.csv")
     assert "line 3: 5 cells" in err
+
+
+@pytest.mark.parametrize("empty", ["imu.csv", "odom.csv"])
+def test_replay_log_without_samples_exits_four(tmp_path, capsys, empty):
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    write_npcd(scans / "scan_00000.npcd",
+               PointCloud(np.zeros((2, 3)), timestamps=np.array([0.0, 0.01])))
+    (scans / "scans.csv").write_text("stamp,file\n0.0,scan_00000.npcd\n")
+    (scans / "imu.csv").write_text("stamp,gx,gy,gz,ax,ay,az\n"
+                                   "0.01,0.0,0.0,0.0,0.0,0.0,9.81\n")
+    (scans / "odom.csv").write_text("stamp,v\n0.01,1.0\n")
+    header = (scans / empty).read_text().splitlines()[0]
+    (scans / empty).write_text(header + "\n")
+    err = _exits_four(capsys, ["replay", "--scans", str(scans),
+                               "--out-dir", str(tmp_path / "r")],
+                      scans / empty)
+    assert "line 2: no samples for the 1 logged scans" in err
 
 
 def test_repeat_truncated_trajectory_exits_four(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every top-level function and class in ``src/trailnav``, and every
 non-dunder method and property of those classes, has a caller in the
 program: in ``src/``, ``scripts/`` or the benchmark's non-test modules.
-Tests alone do not keep a name alive."""
+Every module-level constant there is read by one of those files. Tests alone
+do not keep a name alive."""
 
 import ast
 from pathlib import Path
@@ -19,10 +20,15 @@ def _program_files():
                 if not p.name.startswith("test_"))
 
 
-def _used_names():
+def _used_names(reads_only=False):
+    """Names the program files mention. With ``reads_only`` only names read
+    (load context) count, so an assignment or an import is not a use."""
     used = set()
     for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text())):
+            if reads_only and not isinstance(getattr(node, "ctx", None),
+                                             ast.Load):
+                continue
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -32,9 +38,9 @@ def _used_names():
     return used
 
 
-def _unused(defined):
+def _unused(defined, reads_only=False):
     """``defined`` maps a name to where it is defined."""
-    alive = _used_names() | ALLOWED_TEST_ONLY
+    alive = _used_names(reads_only) | ALLOWED_TEST_ONLY
     return sorted(where for name, where in defined.items() if name not in alive)
 
 
@@ -64,3 +70,17 @@ def test_every_method_and_property_has_a_program_caller():
                                        f"{name}:{cls.name}.{node.name}")
     unused = _unused(defined)
     assert not unused, f"defined but never used outside tests: {unused}"
+
+
+def test_every_module_constant_is_read_by_the_program():
+    defined = {}
+    for name, tree in _src_trees():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    defined[target.id] = f"{name}:{target.id}"
+    unused = _unused(defined, reads_only=True)
+    assert not unused, f"constants never read by the program: {unused}"

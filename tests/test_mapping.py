@@ -192,6 +192,18 @@ def test_retile_local_box_extent(tmp_path):
     assert np.array_equal(hi - lo + 1, [12, 12, 12])
 
 
+def test_retile_sizes_the_local_cube_in_the_maps_voxels(tmp_path):
+    # A map of 5 m voxels retiled under a config that says 20 m: a voxel
+    # 17 m out is within r = 20 m of the robot and stays local.
+    vmap = VoxelMap(5.0, spill_dir=tmp_path)
+    cfg = _map_cfg(r=20.0, v_s=20.0)
+    insert_scan(vmap, PointCloud(np.array([[17.0, 0.5, 0.5]]), FRAME_MAP),
+                [0, 0, 0], cfg.rho)
+    _, actions = retile(vmap, [0.5, 0.5, 0.5], cfg)
+    assert actions == []
+    assert vmap.voxel_key([17.0, 0.5, 0.5]) in vmap.voxels
+
+
 def test_retile_partitions_and_moves_voxels(tmp_path):
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     cfg = _map_cfg(r=10.0, v_s=5.0)

@@ -14,7 +14,7 @@ from trailnav.mission import (MissionState, Phase, TeachAbort, finalize_teach,
                               new_repeat_state, new_teach_state, repeat_step,
                               teach_step)
 import trailnav.runner as runner
-from trailnav.prior import PriorIntegrator, PriorTrajectory
+from trailnav.prior import PriorTrajectory
 from trailnav.runner import (_prior_window, load_scan_log, run_repeat,
                              run_teach)
 from trailnav.simworld import LidarParams, WorldParams, generate_world
@@ -40,8 +40,8 @@ def _small_world(seed=0, length=15.0):
 @pytest.fixture(scope="module")
 def logged_teach(tmp_path_factory):
     """A small teach that streams its scan log, and what it fed the pipeline:
-    each ``teach_step``'s (scan, prior tail) and each (imu, odom) sample the
-    prior integrator stepped on, in order."""
+    each ``teach_step``'s (scan, prior tail) and the (stamps, gyro, accel,
+    speeds) of each window the prior integrator ran over, in order."""
     cfg = _small_cfg()
     world = _small_world()
     out = tmp_path_factory.mktemp("teach")
@@ -51,14 +51,17 @@ def logged_teach(tmp_path_factory):
         received.append((scan.copy(), prior_tail))
         teach_step(state, scan, prior_tail)
 
-    def recording_step(integ, imu, odom, dt):
-        samples.append((imu, odom))
-        integrator_step(integ, imu, odom, dt)
+    def recording_dead_reckon(start_stamp, position, quat, stamps, dts, gyro,
+                              accel, speeds, beta):
+        samples.append((stamps.copy(), gyro.copy(), accel.copy(),
+                        speeds.copy()))
+        return dead_reckon(start_stamp, position, quat, stamps, dts, gyro,
+                           accel, speeds, beta)
 
-    integrator_step = PriorIntegrator.step
+    dead_reckon = runner.dead_reckon
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "teach_step", recording_teach_step)
-        mp.setattr(PriorIntegrator, "step", recording_step)
+        mp.setattr(runner, "dead_reckon", recording_dead_reckon)
         result = run_teach(world, cfg, waypoints=[(15.0, 0.0)],
                            out_dir=out / "db", v_teach=1.0,
                            scan_log_dir=out / "scans")
@@ -370,15 +373,11 @@ def test_streamed_scan_log_holds_what_teach_step_received(logged_teach):
         # Class labels are simulator truth, not sensor data: never logged.
         assert scan.labels is None and want.labels is not None
     # Each scan's prior samples follow it, in the order they were integrated.
-    assert np.array_equal([s.stamp for s in imu], np.concatenate(
+    assert np.array_equal(imu[:, 0], np.concatenate(
         [tail.stamps[1:] for _, tail in received]))
-    assert len(imu) == len(odom) == len(samples)
-    for got_imu, got_odom, (want_imu, want_odom) in zip(imu, odom, samples):
-        assert got_imu.stamp == want_imu.stamp
-        assert np.array_equal(got_imu.gyro, want_imu.gyro)
-        assert np.array_equal(got_imu.accel, want_imu.accel)
-        assert got_odom.stamp == want_odom.stamp
-        assert got_odom.linear_speed == want_odom.linear_speed
+    stamps, gyro, accel, speeds = (np.concatenate(a) for a in zip(*samples))
+    assert np.array_equal(imu, np.column_stack([stamps, gyro, accel]))
+    assert np.array_equal(odom, np.column_stack([stamps, speeds]))
 
 
 def _logged_args(cfg, result, tmp_path):

@@ -2,84 +2,96 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation, Slerp
 
-from trailnav.geom import FRAME_LIDAR, PointCloud, RigidTransform
-from trailnav.prior import (GRAVITY, ImuSample, OdomSample, OrientationState,
-                            PriorCoverageError, PriorIntegrator,
-                            PriorTrajectory, deskew, integrate_prior,
+from trailnav.geom import FRAME_LIDAR, PointCloud, _quat_to_matrix
+from trailnav.prior import (GRAVITY, PriorCoverageError, PriorTrajectory,
+                            dead_reckon, deskew, prior_windows_from_log,
                             update_orientation)
 from trailnav.runner import load_scan_log
 
+LEVEL = np.array([1.0, 0.0, 0.0, 0.0])
+UP = np.array([0.0, 0.0, GRAVITY])
 
-def _roll_pitch(state):
-    m = state.matrix
+
+def _yaw_quat(yaw):
+    return np.array([np.cos(yaw / 2), 0.0, 0.0, np.sin(yaw / 2)])
+
+
+def _yaw(quat):
+    m = _quat_to_matrix(quat)
+    return float(np.arctan2(m[1, 0], m[0, 0]))
+
+
+def _roll_pitch(quat):
+    m = _quat_to_matrix(quat)
     return (float(np.arctan2(m[2, 1], m[2, 2])),
             float(np.arcsin(np.clip(-m[2, 0], -1.0, 1.0))))
 
 
-def _level_imu(gyro_z=0.0, stamp=0.0):
-    return ImuSample(gyro=(0.0, 0.0, gyro_z), accel=(0.0, 0.0, GRAVITY),
-                     stamp=stamp)
+def _gyro(gyro_z=0.0):
+    return np.array([0.0, 0.0, gyro_z])
+
+
+def _level_run(n, dt, gyro_z, speed, position=(0.0, 0.0, 0.0), quat=LEVEL):
+    """``dead_reckon`` over ``n`` samples of a level IMU turning at
+    ``gyro_z`` and odometry at ``speed``, from stamp 0."""
+    return dead_reckon(0.0, position, quat, dt * np.arange(1, n + 1),
+                       np.full(n, dt), np.tile(_gyro(gyro_z), (n, 1)),
+                       np.tile(UP, (n, 1)), np.full(n, speed), 0.1)
 
 
 def test_gyro_only_yaw_integration():
-    state = OrientationState()
-    dt = 0.01
+    quat = LEVEL
     for _ in range(100):
-        state = update_orientation(state, _level_imu(gyro_z=0.5), dt)
-    assert state.yaw == pytest.approx(0.5, abs=1e-9)
-    roll, pitch = _roll_pitch(state)
+        quat = update_orientation(quat, _gyro(0.5), UP, 0.01, 0.1)
+    assert _yaw(quat) == pytest.approx(0.5, abs=1e-9)
+    roll, pitch = _roll_pitch(quat)
     assert abs(roll) < 1e-9 and abs(pitch) < 1e-9
 
 
 def test_tilt_correction_converges_to_gravity():
     # Start 0.2 rad rolled; accel says gravity is straight up in the world.
     # Correction time constant is 1/beta = 10 s, so run well past it.
-    rolled = OrientationState(np.array([np.cos(0.1), np.sin(0.1), 0.0, 0.0]))
-    state = rolled
-    imu = _level_imu()
+    quat = np.array([np.cos(0.1), np.sin(0.1), 0.0, 0.0])
     for _ in range(10000):
-        state = update_orientation(state, imu, 0.01, beta=0.1)
-    roll, pitch = _roll_pitch(state)
+        quat = update_orientation(quat, _gyro(), UP, 0.01, 0.1)
+    roll, pitch = _roll_pitch(quat)
     assert abs(roll) < 1e-3 and abs(pitch) < 1e-3
 
 
 def test_level_correction_never_touches_yaw():
     # For a level (pure-yaw) state and a level accelerometer the correction
     # vanishes, so yaw stays exactly gyro-driven.
-    state = OrientationState(np.array([np.cos(0.4), 0.0, 0.0, np.sin(0.4)]))
-    yaw0 = state.yaw
+    quat = _yaw_quat(0.8)
+    yaw0 = _yaw(quat)
     for _ in range(200):
-        state = update_orientation(state, _level_imu(), 0.01, beta=0.2)
-    assert state.yaw == pytest.approx(yaw0, abs=1e-12)
-    roll, pitch = _roll_pitch(state)
+        quat = update_orientation(quat, _gyro(), UP, 0.01, 0.2)
+    assert _yaw(quat) == pytest.approx(yaw0, abs=1e-12)
+    roll, pitch = _roll_pitch(quat)
     assert abs(roll) < 1e-12 and abs(pitch) < 1e-12
 
 
 def test_zero_accel_skips_correction():
-    state = OrientationState()
-    imu = ImuSample(gyro=(0.0, 0.0, 0.0), accel=(0.0, 0.0, 0.0), stamp=0.0)
-    out = update_orientation(state, imu, 0.01)
-    assert np.allclose(out.quat, state.quat)
+    out = update_orientation(LEVEL, _gyro(), np.zeros(3), 0.01, 0.1)
+    assert np.allclose(out, LEVEL)
 
 
 def test_update_orientation_rejects_bad_dt():
     with pytest.raises(ValueError):
-        update_orientation(OrientationState(), _level_imu(), 0.0)
+        update_orientation(LEVEL, _gyro(), UP, 0.0, 0.1)
+    with pytest.raises(ValueError):
+        _level_run(3, 0.0, 0.0, 1.0)
 
 
-def test_integrate_prior_advances_along_heading():
-    yaw = np.pi / 2
-    state = OrientationState(np.array([np.cos(yaw / 2), 0, 0, np.sin(yaw / 2)]))
-    pose = integrate_prior([1.0, 0.0, 0.0], OdomSample(2.0, 0.0), state, 0.5)
+def test_dead_reckon_advances_along_heading():
+    traj = _level_run(1, 0.5, 0.0, 2.0, position=[1.0, 0.0, 0.0],
+                      quat=_yaw_quat(np.pi / 2))
+    pose = traj.pose_at_index(1)
     assert np.allclose(pose.translation, [1.0, 1.0, 0.0], atol=1e-12)
     assert pose.from_frame == "L" and pose.to_frame == "G"
 
 
 def test_integrator_straight_line():
-    integ = PriorIntegrator(start_stamp=0.0)
-    for i in range(1, 101):
-        integ.step(_level_imu(stamp=i * 0.01), OdomSample(1.0, i * 0.01), 0.01)
-    traj = integ.trajectory()
+    traj = _level_run(100, 0.01, 0.0, 1.0)
     assert len(traj) == 101
     assert traj.translations[-1][0] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(traj.stamps) > 0)
@@ -87,15 +99,29 @@ def test_integrator_straight_line():
 
 def test_integrator_arc_radius():
     # v = 1, omega = 0.5 -> circle radius 2.
-    integ = PriorIntegrator(start_stamp=0.0)
     dt = 0.001
-    for i in range(1, int(2 * np.pi / 0.5 / dt) + 1):
-        integ.step(_level_imu(gyro_z=0.5, stamp=i * dt),
-                   OdomSample(1.0, i * dt), dt)
-    traj = integ.trajectory()
+    traj = _level_run(int(2 * np.pi / 0.5 / dt), dt, 0.5, 1.0)
     center = np.array([0.0, 2.0, 0.0])
     radii = np.linalg.norm(traj.translations - center, axis=1)
     assert np.max(np.abs(radii - 2.0)) < 0.01
+
+
+def test_logged_prior_skips_samples_not_after_the_last_one():
+    rng = np.random.default_rng(2)
+    stamps = np.array([0.01, 0.02, 0.02, 0.015, 0.03, 0.04, 0.005, 0.05])
+    imu = np.column_stack([stamps, rng.normal(0.0, 0.3, (8, 3)),
+                           UP + rng.normal(0.0, 0.2, (8, 3))])
+    odom = np.array([[0.0, 1.0], [0.025, 1.5], [0.06, 0.5]])
+    scans = [(0.0, PointCloud(np.zeros((2, 3)), timestamps=np.array([0.0, 0.05])))]
+    got = prior_windows_from_log(scans, imu, odom, 0.1)[0]
+    kept = [0, 1, 4, 5, 7]
+    assert np.array_equal(got.stamps, np.concatenate(([0.0], stamps[kept])))
+    want = dead_reckon(0.0, np.zeros(3), LEVEL, stamps[kept],
+                       np.diff(np.concatenate(([0.0], stamps[kept]))),
+                       imu[kept, 1:4], imu[kept, 4:7],
+                       np.interp(stamps[kept], odom[:, 0], odom[:, 1]), 0.1)
+    assert np.array_equal(got.translations, want.translations)
+    assert np.array_equal(got.quats, want.quats)
 
 
 def test_trajectory_requires_increasing_stamps():
@@ -241,10 +267,8 @@ def test_imu_odom_csv_round_trip(tmp_path):
                                       "0.0,0.1,0.2,0.3,0.0,0.0,9.81\n"
                                       "0.01,0.0,0.0,0.5,0.1,0.0,9.8\n")
     (tmp_path / "odom.csv").write_text("stamp,v\n0.0,1.5\n0.01,1.4\n")
-    scans, samples, odom = load_scan_log(tmp_path)
+    scans, imu, odom = load_scan_log(tmp_path)
     assert scans == []
-    assert len(samples) == 2
-    assert samples[0].gyro[2] == 0.3
-    assert samples[1].accel[0] == 0.1
-    assert samples[1].stamp == 0.01
-    assert len(odom) == 2 and odom[1].linear_speed == 1.4
+    assert np.array_equal(imu, [[0.0, 0.1, 0.2, 0.3, 0.0, 0.0, 9.81],
+                                [0.01, 0.0, 0.0, 0.5, 0.1, 0.0, 9.8]])
+    assert np.array_equal(odom, [[0.0, 1.5], [0.01, 1.4]])

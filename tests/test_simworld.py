@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from trailnav.controller import Pose2D
 from trailnav import simworld
-from trailnav.prior import ImuSample, OdomSample, PriorIntegrator, deskew
+from trailnav.prior import dead_reckon, deskew
 from trailnav.simworld import (CLASS_BUILDING, CLASS_GROUND, CLASS_SNOWFALL,
                                CLASS_VEGETATION, Heightfield, LidarParams,
                                RobotState, WorldParams, accumulate_snow,
@@ -143,12 +143,11 @@ def test_deskew_moving_scan_straightens_wall():
     pose_fn = lambda t: Pose2D(v * t, 0.0, 0.0)  # noqa: E731
     scan = simulate_lidar(world, pose_fn, lp, seed=0, t0=0.0)
 
-    integ = PriorIntegrator(start_stamp=-0.01, beta=0.1)
-    for i in range(1, 14):
-        t = -0.01 + 0.01 * i
-        integ.step(ImuSample(np.zeros(3), np.array([0.0, 0.0, 9.81]), t),
-                   OdomSample(v, t), 0.01)
-    out = deskew(scan, integ.trajectory())
+    prior = dead_reckon(-0.01, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
+                        -0.01 + 0.01 * np.arange(1, 14), np.full(13, 0.01),
+                        np.zeros((13, 3)), np.tile([0.0, 0.0, 9.81], (13, 1)),
+                        np.full(13, v), 0.1)
+    out = deskew(scan, prior)
     keep = out.labels == CLASS_BUILDING
     xs = out.points[keep, 0]
     assert keep.sum() > 100
