@@ -133,13 +133,18 @@ class VoxelMap:
         self.last_inserted = []
         self._pre_insert = None
 
+    def _local_chunks(self) -> list:
+        """The non-empty local chunks in sorted voxel order, the order of the
+        rows of ``_local_arrays``."""
+        return [self.voxels[k] for k in sorted(self.voxels)
+                if len(self.voxels[k])]
+
     def _local_arrays(self):
         """Concatenated local points in sorted voxel order, a kd-tree over
         them, and the registration reference built on both (None when a
         normal is missing); cached until invalidated."""
         if self._cache is None:
-            chunks = [self.voxels[k] for k in sorted(self.voxels)
-                      if len(self.voxels[k])]
+            chunks = self._local_chunks()
             pts = np.vstack([c.points for c in chunks] or [np.zeros((0, 3))])
             normals = np.vstack([c.normals for c in chunks] or
                                 [np.zeros((0, 3))])
@@ -221,19 +226,50 @@ def _normals_for(targets, neigh, viewpoints=None):
     return normals
 
 
-def _nearest(targets, sources, k):
-    """The k nearest of the union of sources, a list of (points, kd-tree over
-    them), gathered as (len(targets), k, 3), nearest first: each source gives
-    its own k nearest, and a stable sort by distance merges them."""
-    dists, neigh = [], []
-    for pts, tree in sources:
+# Groups of targets per bounded search of the inserted points' tree:
+# cKDTree takes one distance bound per call.
+_BOUND_GROUPS = 8
+
+
+def _nearest(targets, base, added, k):
+    """The k nearest of the base and the added points, each a (points,
+    kd-tree over them) pair and base possibly None, gathered as
+    (len(targets), k, 3), nearest first: each tree gives the indices of its
+    own k nearest into the stacked points, a stable sort by distance merges
+    them, base first, and the merged neighbours are gathered once.
+
+    An added point at or beyond a target's k-th base distance sorts after
+    all k base neighbours, so when the base has k points the added tree is
+    searched only below that distance, which finds the start of what an
+    unbounded search finds. Targets are grouped by that distance, each group
+    searched below its largest, with a margin far above rounding."""
+    n = len(targets)
+    dists, idxs, stacked = [], [], []
+    reach = np.full(n, np.inf)
+    if base is not None:
+        pts, tree = base
         d, idx = tree.query(targets, k=min(k, len(pts)))
-        idx = idx.reshape(len(targets), -1)
-        dists.append(d.reshape(idx.shape))
-        neigh.append(pts[idx])
+        dists.append(d.reshape(n, -1))
+        idxs.append(idx.reshape(n, -1))
+        stacked.append(pts)
+        if len(pts) >= k:
+            reach = dists[0][:, -1]
+    pts, tree = added
+    d = np.empty((n, min(k, len(pts))))
+    idx = np.empty(d.shape, dtype=np.intp)
+    for group in np.array_split(np.argsort(reach), _BOUND_GROUPS):
+        if len(group):
+            dg, ig = tree.query(
+                targets[group], k=d.shape[1],
+                distance_upper_bound=reach[group].max() * (1 + 1e-9))
+            d[group], idx[group] = (dg.reshape(len(group), -1),
+                                    ig.reshape(len(group), -1))
+    dists.append(d)
+    idxs.append(idx + sum(len(p) for p in stacked))
+    stacked.append(pts)
     order = np.argsort(np.hstack(dists), axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(np.concatenate(neigh, axis=1),
-                              order[:, :, None], axis=1)
+    merged = np.take_along_axis(np.hstack(idxs), order, axis=1)
+    return np.vstack(stacked)[merged]
 
 
 def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, sensor) -> None:
@@ -242,12 +278,12 @@ def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, sensor) -> None:
     that saw every row.
 
     No kd-tree over the whole map is built: a point's n_n nearest neighbours
-    are merged from the tree ``insert_scan`` queried before it added the rows
-    and one small tree over the added points. cKDTree reports the same float
-    distance for a pair whichever tree holds the point, so the neighbours come
-    in the order a tree over the whole map gives, except among candidates at
-    exactly the same distance, which that tree orders by its walk. The record
-    of the insertion and its tree are dropped once the normals are written.
+    are merged from the base tree ``insert_scan`` gated against and one small
+    tree over the added points. cKDTree reports the same float distance for a
+    pair whichever tree holds the point, so the neighbours come in the order
+    a tree over the whole map gives, except among candidates at exactly the
+    same distance, which that tree orders by its walk. The record of the
+    insertion and its tree are dropped once the normals are written.
     With nothing inserted since the map last changed, the map and its cache
     are left untouched."""
     if not vmap.last_inserted:
@@ -257,9 +293,9 @@ def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, sensor) -> None:
     pts = np.vstack([chunk.points[rows] for chunk, rows in parts])
     if len(base_pts) + len(pts) < cfg.n_n:
         return
-    sources = [] if base_tree is None else [(base_pts, base_tree)]
-    sources.append((pts, cKDTree(pts)))
-    normals = _normals_for(pts, _nearest(pts, sources, cfg.n_n),
+    base = None if base_tree is None else (base_pts, base_tree)
+    normals = _normals_for(pts, _nearest(pts, base, (pts, cKDTree(pts)),
+                                         cfg.n_n),
                            _sensor_position(sensor))
     splits = np.cumsum([len(rows) for _, rows in parts])[:-1]
     for (chunk, rows), part_normals in zip(parts, np.split(normals, splits)):
@@ -272,11 +308,15 @@ def _sensor_position(position) -> np.ndarray:
 
 
 def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
-                rho: float) -> None:
-    """Append scan points (in index order) whose nearest map point, including
-    points accepted earlier in this call, is farther than rho, and list the
-    new rows in ``last_inserted``; the map keeps the local points and kd-tree
-    from before the insertion for ``refresh_normals``. ``sensor_pose`` is not
+                rho: float, base=None) -> None:
+    """Append scan points (in index order) whose nearest base point, or point
+    accepted earlier in this call, is farther than rho, and list the new rows
+    in ``last_inserted``; the map keeps the base for ``refresh_normals``.
+
+    ``base`` is a (local points, kd-tree or None) pair and defaults to the
+    map's cached local arrays. A teach tick passes the arrays it registered
+    on, from before ``filter_dynamic`` dropped points, so the gate and the
+    normals see the map the scan was registered on. ``sensor_pose`` is not
     used."""
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("insert_scan expects a registered (map-frame) scan")
@@ -284,7 +324,7 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     pts = scan_in_g.points
     if len(pts) == 0:
         return
-    base_pts, tree, _ = vmap._local_arrays()
+    base_pts, tree = vmap._local_arrays()[:2] if base is None else base
     if tree is not None:
         # Only d > rho matters; cKDTree's bound is strict, hence nextafter.
         d, _ = tree.query(pts, k=1,
@@ -296,8 +336,8 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
         return
     cpts = pts[cand]
     accepted = np.ones(len(cand), dtype=bool)
-    pairs = sorted(cKDTree(cpts).query_pairs(rho), key=lambda ij: (ij[1], ij[0]))
-    for i, j in pairs:
+    pairs = cKDTree(cpts).query_pairs(rho, output_type="ndarray")
+    for i, j in pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))].tolist():
         if accepted[i]:
             accepted[j] = False
     sel = cand[accepted]
@@ -334,6 +374,12 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     Only map points within the sensor range r take part. A map point is on a
     beam when its direction is within beam_half_angle of the beam direction and
     it sits at least rho closer to the sensor than the return.
+
+    The local points come from the map's cached arrays, which a teach tick's
+    registration has just built, so nothing is re-stacked. A teach tick
+    filters before ``insert_scan``: a new point sits on its own beam at that
+    beam's range, coincident and not seen through, so its zero dyn_prob
+    would stay 0 had it been filtered.
     """
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("filter_dynamic expects a registered (map-frame) scan")
@@ -348,20 +394,25 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     beam_pts = scan_in_g.points[ok]
     if len(beam_dir) == 0:
         return
-    dir_tree = cKDTree(beam_dir)
+    # Only exact nearest-direction queries: an unbalanced tree builds faster
+    # and answers them alike.
+    dir_tree = cKDTree(beam_dir, balanced_tree=False)
     chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
 
     # One gathered pass over every chunk; rows without a hit keep their value
     # bit for bit (x + 0.0 - 0.0 == x).
-    chunks = [chunk for chunk in vmap.voxels.values() if len(chunk)]
-    if not chunks:
+    pts = vmap._local_arrays()[0]
+    if len(pts) == 0:
         return
-    pts = np.vstack([chunk.points for chunk in chunks])
+    chunks = vmap._local_chunks()
     dyn = np.concatenate([chunk.dyn_prob for chunk in chunks])
     rel = pts - sensor
     rng = np.linalg.norm(rel, axis=1)
     rows = np.nonzero((rng > 1e-9) & (rng <= cfg.r))[0]
-    dd, bi = dir_tree.query(rel[rows] / rng[rows, None], k=1)
+    dd, bi = _nearest_beams(dir_tree, rel[rows] / rng[rows, None], rng[rows],
+                            chord, cfg.rho)
+    found = bi < len(beam_dir)
+    rows, dd, bi = rows[found], dd[found], bi[found]
     seen_through = (dd <= chord) & (rng[rows] <= beam_range[bi] - cfg.rho)
     coincident = np.linalg.norm(pts[rows] - beam_pts[bi], axis=1) < cfg.rho
     hit = seen_through.any() or coincident.any()
@@ -378,6 +429,28 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
         if drop.any():
             chunk.keep(~drop)
     vmap._invalidate()
+
+
+def _nearest_beams(dir_tree, dirs, rng, chord, rho):
+    """Distance and index of each map point's nearest beam direction, or
+    (inf, len(beams)) where that beam can neither pass through nor meet the
+    point; dirs are the points' unit directions and rng their ranges.
+
+    A beam passes through a point only within chord of its direction. A
+    return lies within rho of a point at range rng > rho only within
+    rho / (rng - rho) of its direction, since |a - b| >= |(|a| - |b|)| and
+    |a - b| >= min(|a|, |b|) * |a/|a| - b/|b||. From rng = rho + rho / chord
+    on, that is at most chord, so those points are searched only within
+    chord; the bound's margin is far above rounding. cKDTree returns the
+    same neighbour for a bounded query as for an unbounded one when it finds
+    one."""
+    far = rng * chord >= rho * (1.0 + chord)
+    dd = np.full(len(dirs), np.inf)
+    bi = np.full(len(dirs), dir_tree.n)
+    dd[far], bi[far] = dir_tree.query(dirs[far], k=1,
+                                      distance_upper_bound=chord * (1 + 1e-9))
+    dd[~far], bi[~far] = dir_tree.query(dirs[~far], k=1)
+    return dd, bi
 
 
 def _local_box(vmap: VoxelMap, robot_voxel, cfg: MappingConfig):

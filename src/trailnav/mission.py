@@ -112,8 +112,17 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: PriorTrajectory,
 
 def teach_step(state: MissionState, scan: PointCloud,
                prior_tail: PriorTrajectory) -> None:
-    """One teach tick: localize (an empty map starts at the prior), insert,
-    dynamic-filter, retile; the registered pose joins the raw trajectory."""
+    """One teach tick: localize (an empty map starts at the prior),
+    dynamic-filter the map, insert the scan, compute the new points' normals,
+    retile; the registered pose joins the raw trajectory.
+
+    The filter works on the local arrays registration cached. Insertion gates
+    against those same arrays, from before the filter dropped points, and the
+    normals merge starts from them; the map ends as if the scan had been
+    inserted before the filter ran, since the filter leaves a new point
+    untouched. The exception is a spilled chunk that insertion reloads, which
+    the local cube's margin keeps from happening near the robot: its old
+    points miss this tick's filter."""
     if state.phase is not Phase.TEACH:
         raise ValueError("teach_step requires the Teach phase")
     scan_id = state.scan_count
@@ -127,10 +136,12 @@ def teach_step(state: MissionState, scan: PointCloud,
         return
     t_hat, reading_in_map = result.T_hat, result.reading_in_map
     sensor = t_hat.translation
-    insert_scan(state.map, reading_in_map, sensor, state.map_cfg.rho)
-    refresh_normals(state.map, state.map_cfg, sensor)
-    filter_dynamic(state.map, reading_in_map, sensor, state.map_cfg)
-    retile(state.map, sensor, state.map_cfg)
+    vmap, map_cfg = state.map, state.map_cfg
+    registered_on = vmap._local_arrays()[:2]   # a cache hit after register
+    filter_dynamic(vmap, reading_in_map, sensor, map_cfg)
+    insert_scan(vmap, reading_in_map, sensor, map_cfg.rho, registered_on)
+    refresh_normals(vmap, map_cfg, sensor)
+    retile(vmap, sensor, map_cfg)
     stamp = float(scan.timestamps.max()) if scan.timestamps is not None else 0.0
     state.raw_stamps.append(stamp)
     state.raw_poses.append(t_hat)

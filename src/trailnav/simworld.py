@@ -155,8 +155,6 @@ class World:
 class RobotState:
     pose: Pose2D
     z: float = 0.0
-    v: float = 0.0
-    omega: float = 0.0
     stamp: float = 0.0
 
 
@@ -245,7 +243,7 @@ def step_robot(world: World, state: RobotState, u, dt: float,
     y = state.pose.y + v * np.sin(state.pose.theta_r) * dt
     theta = wrap_angle(state.pose.theta_r + omega * (1.0 - slip_rot) * dt)
     return RobotState(pose=Pose2D(x, y, theta), z=float(world.ground_height(x, y)),
-                      v=v, omega=omega, stamp=state.stamp + dt)
+                      stamp=state.stamp + dt)
 
 
 # -- ray casting -------------------------------------------------------------
@@ -375,11 +373,12 @@ def _ray_spheres(origins, dirs, centers, radii, max_range):
 def _ray_boxes(origins, dirs, boxes, max_range):
     """Nearest axis-aligned box entry hit per ray (slab method)."""
     best = np.full(len(origins), np.inf)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / dirs
     for bx in boxes:
         lo = np.array([bx.xmin, bx.ymin, bx.z_base])
         hi = np.array([bx.xmax, bx.ymax, bx.z_top])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs
+        with np.errstate(invalid="ignore"):
             t1 = (lo - origins) * inv
             t2 = (hi - origins) * inv
         t_near = np.nanmax(np.minimum(t1, t2), axis=1)

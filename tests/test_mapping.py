@@ -505,3 +505,59 @@ def test_filter_dynamic_without_a_hit_keeps_the_cache(tmp_path):
     assert vmap._cache is cache
     for key, chunk in vmap.voxels.items():
         assert np.array_equal(chunk.dyn_prob, dyn[key])
+
+
+def test_filter_dynamic_leaves_the_scans_own_new_points_alone(tmp_path):
+    vmap, cfg = _bumpy_map(tmp_path)
+    refresh_normals(vmap, cfg, _BUMPY_SENSORS[-1])
+    for chunk in vmap.voxels.values():
+        chunk.dyn_prob[:] = 0.7        # one more see-through drops a point
+    # Returns 1 m beyond map points: the map points are seen through, and
+    # the returns, off the surface, are inserted as new points.
+    sensor = np.array([1.0, 0.5, 2.0])
+    pts = vmap.all_points_cloud().points
+    pick = np.random.default_rng(3).choice(len(pts), 400, replace=False)
+    ray = pts[pick] - sensor
+    scan = PointCloud(pts[pick] + ray / np.linalg.norm(ray, axis=1,
+                                                       keepdims=True), FRAME_MAP)
+    insert_scan(vmap, scan, sensor, cfg.rho)
+    inserted = {key: vmap.voxels[key].points[rows].copy()
+                for key, rows in vmap.last_inserted}
+    assert sum(len(p) for p in inserted.values()) > 300
+    before = vmap.local_point_count()
+    filter_dynamic(vmap, scan, sensor, cfg)
+    assert before - vmap.local_point_count() >= 300
+    # Every new point is still there, last in its chunk, with dyn_prob 0.
+    for key, new_pts in inserted.items():
+        chunk = vmap.voxels[key]
+        assert np.array_equal(chunk.points[len(chunk) - len(new_pts):], new_pts)
+        assert (chunk.dyn_prob[len(chunk) - len(new_pts):] == 0.0).all()
+
+
+def test_bounded_beam_search_misses_only_beams_that_cannot_act():
+    from trailnav.mapping import _nearest_beams
+    cfg = _map_cfg()
+    chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
+    rng = np.random.default_rng(4)
+    beams = rng.normal(size=(3000, 3)) * [1.0, 1.0, 0.2]
+    beams *= rng.uniform(0.5, 40.0, (len(beams), 1)) / np.linalg.norm(
+        beams, axis=1, keepdims=True)
+    # Map points near returns, at every range around rho + rho / chord.
+    pts = beams[rng.integers(0, len(beams), 5000)] + rng.normal(0, 0.08,
+                                                                (5000, 3))
+    rng_pts = np.linalg.norm(pts, axis=1)
+    dirs = pts / rng_pts[:, None]
+    tree = cKDTree(beams / np.linalg.norm(beams, axis=1, keepdims=True))
+    dd, bi = _nearest_beams(tree, dirs, rng_pts, chord, cfg.rho)
+    ref_dd, ref_bi = tree.query(dirs, k=1)
+    found = bi < tree.n
+    assert np.array_equal(dd[found], ref_dd[found])
+    assert np.array_equal(bi[found], ref_bi[found])
+    far = rng_pts >= cfg.rho + cfg.rho / chord
+    assert (~found).any() and (~found == (far & (ref_dd > chord))).all()
+    # A missed beam neither passes through its point nor meets it.
+    assert (ref_dd[~found] > chord).all()
+    gap = np.linalg.norm(pts[~found] - beams[ref_bi[~found]], axis=1)
+    assert (gap >= cfg.rho).all()
+    assert ((rng_pts < cfg.rho + cfg.rho / chord) & (ref_dd > chord)
+            & (np.linalg.norm(pts - beams[ref_bi], axis=1) < cfg.rho)).any()

@@ -251,6 +251,52 @@ def test_teach_produces_database(taught):
     assert np.linalg.norm(est_end - true_end) < 0.5
 
 
+def _teach_step_insert_first(state, scan, prior_tail):
+    """A teach tick in the order insert, normals, dynamic filter, each step
+    on the map the one before left; returns how many points the filter
+    dropped."""
+    from trailnav.mapping import (filter_dynamic, insert_scan,
+                                  refresh_normals, retile)
+    from trailnav.mission import localize
+    result = localize(state.map, scan, prior_tail, state.reg_cfg)
+    if result is None:
+        return 0
+    vmap, cfg, sensor = state.map, state.map_cfg, result.T_hat.translation
+    insert_scan(vmap, result.reading_in_map, sensor, cfg.rho)
+    refresh_normals(vmap, cfg, sensor)
+    before = vmap.local_point_count()
+    filter_dynamic(vmap, result.reading_in_map, sensor, cfg)
+    dropped = before - vmap.local_point_count()
+    retile(vmap, sensor, cfg)
+    state.raw_poses.append(result.T_hat)
+    return dropped
+
+
+def test_filtering_before_insertion_builds_the_same_map(logged_teach):
+    # The fixture's teach ran teach_step; replay its inputs inserting first.
+    _, cfg, result, received, _ = logged_teach
+    state = new_teach_state(cfg.registration, cfg.mapping)
+    dropped = sum(_teach_step_insert_first(state, scan, prior_tail)
+                  for scan, prior_tail in received)
+    assert dropped > 0
+    taught = result.state
+    assert len(state.raw_poses) == len(taught.raw_poses)
+    for a, b in zip(state.raw_poses, taught.raw_poses):
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
+    for attr in ("voxels", "nonlocal_manifest"):
+        assert getattr(state.map, attr).keys() == getattr(taught.map, attr).keys()
+
+    def chunk(vmap, key):
+        return vmap.voxels[key] if key in vmap.voxels else vmap._read_chunk(key)
+
+    for key in taught.map.all_keys():
+        a, b = chunk(state.map, key), chunk(taught.map, key)
+        for field in ("points", "normals", "dyn_prob", "labels"):
+            assert np.array_equal(getattr(a, field), getattr(b, field),
+                                  equal_nan=field == "normals"), (key, field)
+
+
 def test_teach_is_deterministic(taught, tmp_path, monkeypatch):
     """The same teach without a scan log gives the same map and poses, and
     writes and keeps no scan log."""
