@@ -19,8 +19,9 @@ from .icp import DegenerateRegistration, RegistrationFailure
 from .mapping import MapLoadError, PersistenceError, compute_normals
 from .mission import TeachAbort, load_database, localize
 from .npcd import NpcdError
-from .prior import PriorCoverageError, prior_windows_from_log
-from .runner import load_scan_log, run_repeat, run_replay, run_teach, save_run_log
+from .prior import PriorCoverageError
+from .runner import (read_scan_log, run_repeat, run_replay, run_teach,
+                     save_run_log)
 from .simworld import WorldParams, generate_world, load_world_spec, save_world_spec
 from .trajectory import ReferenceTrajectory
 
@@ -203,31 +204,28 @@ def _cmd_curvature_bins(args) -> int:
     return EXIT_OK
 
 
-def _registered_scans(args, cfg: GlobalConfig, only=None):
-    """Register each logged scan, or only the one at index ``only``, in the
-    database map from the run's logged prior. Scans left empty by the input
-    filters are skipped. Returns ([(index, T_hat, scan_in_map)], vmap)."""
-    vmap, trajectory = load_database(args.db)
-    scans, imu, odom = load_scan_log(args.scans)
-    windows = prior_windows_from_log(scans, imu, odom, cfg.prior.beta,
-                                     start_position=trajectory.positions[0])
+def _registered_scans(args, cfg: GlobalConfig, vmap, trajectory, only=None):
+    """Register each logged scan in the database map ``vmap`` from the run's
+    logged prior as the log is read, or only the one at index ``only``,
+    reading the log no further. Scans left empty by the input filters are
+    skipped. Yields (index, T_hat, scan_in_map)."""
+    log = read_scan_log(args.scans, cfg.prior.beta, trajectory.positions[0])
     if vmap.registration_reference() is None:
         raise RegistrationFailure("map has no usable normals")
-    out = []
-    for i, ((_, scan), window) in enumerate(zip(scans, windows)):
-        if only is not None and i != only:
-            continue
-        result = localize(vmap, scan, window, cfg.registration)
-        if result is not None:
-            out.append((i, result.T_hat, result.reading_in_map))
-    return out, vmap
+    for i, (scan, window) in enumerate(log):
+        if only in (None, i):
+            result = localize(vmap, scan, window, cfg.registration)
+            if result is not None:
+                yield i, result.T_hat, result.reading_in_map
+        if only is not None and i >= only:
+            return
 
 
 def _cmd_overlap(args) -> int:
     cfg = _load_cfg(args)
-    registered, vmap = _registered_scans(args, cfg)
+    vmap, trajectory = load_database(args.db)
     ids, pcts = [], []
-    for i, _, scan_g in registered:
+    for i, _, scan_g in _registered_scans(args, cfg, vmap, trajectory):
         ids.append(i)
         pcts.append(analysis.scan_overlap(scan_g, vmap, args.threshold))
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,11 +236,13 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_perturbation(args) -> int:
     cfg = _load_cfg(args)
-    registered, vmap = _registered_scans(args, cfg, only=args.scan_index)
-    if not registered:
+    vmap, trajectory = load_database(args.db)
+    found = next(_registered_scans(args, cfg, vmap, trajectory,
+                                   only=args.scan_index), None)
+    if found is None:
         print(f"scan index {args.scan_index} not found", file=sys.stderr)
         return EXIT_IO
-    _, t_hat, scan_g = registered[0]
+    _, t_hat, scan_g = found
     scan_l = transform_cloud(scan_g, t_hat.inverse())
     map_l = transform_cloud(vmap.registration_reference()[0], t_hat.inverse())
     offsets, errors, std = analysis.perturbation_uncertainty(

@@ -11,8 +11,8 @@ import numpy as np
 
 
 class CsvFormatError(ValueError):
-    """A table file whose header, row width or cell is not the expected one;
-    the message names the file, the line and the expected header."""
+    """A table file whose header, row width or cell is not the expected one,
+    or that holds too few rows; the message names the file."""
 
 
 def write_csv(path, header, rows) -> None:

@@ -193,26 +193,22 @@ def point_to_plane_error(p: np.ndarray, q: np.ndarray, n: np.ndarray,
 
 def minimize_step(p: np.ndarray, n: np.ndarray, res: np.ndarray,
                   weights: np.ndarray,
-                  current: RigidTransform | None = None) -> RigidTransform:
+                  current: RigidTransform) -> RigidTransform:
     """Least-squares minimizer of the linearized point-to-plane residuals over
     (t_x, t_y, t_z, yaw); roll and pitch are identically zero.
 
     Rows are pairs as in ``point_to_plane_error``, and ``res`` holds its
-    residuals; only pairs of weight 1 enter. ``p`` is in the map frame. When
-    ``current`` is given, the increment is expressed in that transform's source
-    frame (right-composition); otherwise the reading's own frame is used.
+    residuals; only pairs of weight 1 enter. ``p`` is in the map frame. The
+    increment is expressed in the source frame of ``current``, the estimate
+    it corrects (right-composition).
     """
     keep = np.flatnonzero(weights == 1)
     if len(keep) < 4:
         raise DegenerateRegistration(
             f"need at least 4 weighted pairs, got {len(keep)}")
     p_g, n, res = (np.take(a, keep, axis=0) for a in (p, n, res))
-    if current is None:
-        rot = np.eye(3)
-        p_local = p_g
-    else:
-        rot = current.rotation
-        p_local = (p_g - current.translation) @ rot
+    rot = current.rotation
+    p_local = (p_g - current.translation) @ rot
     n_local = n @ rot  # rot^T applied row-wise
     # Yaw column: (z x p) . n.
     yaw_col = p_local[:, 0] * n_local[:, 1] - p_local[:, 1] * n_local[:, 0]
@@ -223,10 +219,8 @@ def minimize_step(p: np.ndarray, n: np.ndarray, res: np.ndarray,
         raise DegenerateRegistration(
             "normal system is rank deficient", null_direction=vt[-1])
     x = vt.T @ ((u.T @ b) / s)
-    delta = RigidTransform.from_yaw(x[3], x[:3], from_frame="L", to_frame="L")
-    if current is not None:
-        delta = delta.retagged(current.from_frame, current.from_frame)
-    return delta
+    return RigidTransform.from_yaw(x[3], x[:3], from_frame=current.from_frame,
+                                   to_frame=current.from_frame)
 
 
 def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,

@@ -200,9 +200,10 @@ class VoxelMap:
 
 
 def compute_normals(cloud: PointCloud, n_n: int,
-                    viewpoints: np.ndarray | None = None) -> PointCloud:
+                    viewpoints: np.ndarray) -> PointCloud:
     """Per-point normals as the least-variance principal direction of the n_n
-    nearest neighbors, oriented toward the per-point viewpoint when given."""
+    nearest neighbors, oriented toward the per-point (or one shared)
+    viewpoint."""
     if len(cloud) < n_n:
         raise ValueError(f"need at least n_n={n_n} points, got {len(cloud)}")
     _, idx = cKDTree(cloud.points).query(cloud.points, k=n_n)
@@ -211,18 +212,16 @@ def compute_normals(cloud: PointCloud, n_n: int,
     return out
 
 
-def _normals_for(targets, neigh, viewpoints=None):
+def _normals_for(targets, neigh, viewpoints):
     """Normals of targets from their gathered neighbours neigh (n, k, 3),
-    nearest first."""
+    nearest first, oriented toward the viewpoints."""
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered)
     _, vecs = np.linalg.eigh(cov)
     normals = vecs[:, :, 0]                              # smallest eigenvalue
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    if viewpoints is not None:
-        to_sensor = np.asarray(viewpoints) - targets
-        flip = np.einsum("ij,ij->i", normals, to_sensor) < 0
-        normals[flip] *= -1.0
+    to_sensor = np.asarray(viewpoints) - targets
+    normals[np.einsum("ij,ij->i", normals, to_sensor) < 0] *= -1.0
     return normals
 
 

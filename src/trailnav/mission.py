@@ -71,9 +71,9 @@ class RepeatStepResult:
     skipped: bool = False
 
 
-def new_teach_state(reg_cfg: RegistrationConfig, map_cfg: MappingConfig,
-                    spill_dir=None) -> MissionState:
-    return MissionState(phase=Phase.TEACH, map=VoxelMap(map_cfg.v_s, spill_dir),
+def new_teach_state(reg_cfg: RegistrationConfig,
+                    map_cfg: MappingConfig) -> MissionState:
+    return MissionState(phase=Phase.TEACH, map=VoxelMap(map_cfg.v_s),
                         reg_cfg=reg_cfg, map_cfg=map_cfg)
 
 

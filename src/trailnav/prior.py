@@ -100,39 +100,6 @@ def dead_reckon(start_stamp: float, position, quat: np.ndarray,
                            translations, quats)
 
 
-def prior_windows_from_log(scans, imu: np.ndarray, odom: np.ndarray, beta: float,
-                           start_position=(0.0, 0.0, 0.0)) -> list[PriorTrajectory]:
-    """Dead-reckon a logged run's prior from its IMU and odometry, and cut it
-    into one window per scan.
-
-    ``scans`` is the run's [(stamp, scan)] list, ``imu`` the (n, 7) rows
-    (stamp, gyro xyz, accel xyz) and ``odom`` the (m, 2) rows (stamp, speed)
-    of its log. The prior starts level, heading along x, at the first scan's
-    stamp, where the run's first prior window began, so it covers every
-    logged point stamp. Odometry speed is interpolated at each IMU stamp. An
-    IMU sample whose stamp is not after every earlier one and the start is
-    skipped. A scan's window runs from its stamp to its last point, so the
-    window's last pose is the scan-end prior that registration starts from.
-    """
-    if not scans:
-        raise ValueError("a logged run needs at least one scan")
-    start_stamp = scans[0][0]
-    # A sample's dt runs from the latest stamp before it, or from the start.
-    prev = np.maximum.accumulate(np.concatenate(([start_stamp], imu[:, 0])))[:-1]
-    keep = imu[:, 0] > prev
-    rows = imu[keep]
-    prior = dead_reckon(start_stamp, start_position, np.array([1.0, 0.0, 0.0, 0.0]),
-                        rows[:, 0], rows[:, 0] - prev[keep], rows[:, 1:4],
-                        rows[:, 4:7], np.interp(rows[:, 0], odom[:, 0], odom[:, 1]),
-                        beta)
-    windows = []
-    for stamp, scan in scans:
-        ts = scan.timestamps
-        end = float(ts.max()) if ts is not None and len(ts) else stamp
-        windows.append(prior.window(stamp, end))
-    return windows
-
-
 def _interp_poses(prior: PriorTrajectory, times: np.ndarray):
     """Linear translation / slerp rotation interpolation at the given times."""
     trans = np.column_stack([

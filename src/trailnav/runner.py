@@ -19,8 +19,7 @@ from .mission import (InitResult, MissionState, RepeatStepResult, finalize_teach
                       initialize_localization, load_database, new_repeat_state,
                       new_teach_state, repeat_step, teach_step)
 from .npcd import read_npcd, write_npcd
-from .prior import (GRAVITY, PriorTrajectory, dead_reckon,
-                    prior_windows_from_log)
+from .prior import GRAVITY, PriorTrajectory, dead_reckon
 from .simworld import RobotState, World, simulate_lidar, step_robot
 from .trajectory import ReferenceTrajectory
 
@@ -78,21 +77,43 @@ class ScanLog:
                   chain.from_iterable(self.odom))
 
 
-def load_scan_log(scans_dir):
-    """Read a logged run back: [(stamp, scan)], the (n, 7) IMU rows and the
-    (m, 2) odometry rows. A log with scans has samples in both files."""
+def read_scan_log(scans_dir, beta: float, start_position=(0.0, 0.0, 0.0)):
+    """Yield a logged run's (scan, prior window) pairs, reading one scan file
+    per item.
+
+    The three tables are checked, and the logged IMU/odometry prior is dead
+    reckoned, before the first item. The prior starts level, heading along x,
+    at ``start_position`` and the first scan's stamp, where the run's first
+    prior window began, so it covers every logged point stamp. Odometry speed
+    is interpolated at each IMU stamp. An IMU sample whose stamp is not after
+    every earlier one and the start is skipped. A scan's window runs from its
+    stamp to its last point, so the window's last pose is the scan-end prior
+    that registration starts from."""
     scans_dir = Path(scans_dir)
-    scans = [(stamp, read_npcd(scans_dir / name, frame="L")) for stamp, name in
-             read_csv(scans_dir / "scans.csv", SCANS_HEADER, (float, str))]
-    samples = []
-    for path, header in ((scans_dir / "imu.csv", IMU_HEADER),
-                         (scans_dir / "odom.csv", ODOM_HEADER)):
-        rows = read_float_csv(path, header)
-        if scans and not len(rows):
-            raise CsvFormatError(f"{path}: line 2: no samples for the "
-                                 f"{len(scans)} logged scans")
-        samples.append(rows)
-    return scans, *samples
+    rows = read_csv(scans_dir / "scans.csv", SCANS_HEADER, (float, str))
+    imu, odom = (read_float_csv(scans_dir / name, header) for name, header in
+                 (("imu.csv", IMU_HEADER), ("odom.csv", ODOM_HEADER)))
+    if not rows:
+        raise CsvFormatError(f"{scans_dir / 'scans.csv'}: line 2: no scans "
+                             f"logged")
+    for name, samples in (("imu.csv", imu), ("odom.csv", odom)):
+        if not len(samples):
+            raise CsvFormatError(f"{scans_dir / name}: line 2: no samples for "
+                                 f"the {len(rows)} logged scans")
+    start_stamp = rows[0][0]
+    # A sample's dt runs from the latest stamp before it, or from the start.
+    prev = np.maximum.accumulate(np.concatenate(([start_stamp], imu[:, 0])))[:-1]
+    keep = imu[:, 0] > prev
+    imu = imu[keep]
+    prior = dead_reckon(start_stamp, start_position,
+                        np.array([1.0, 0.0, 0.0, 0.0]), imu[:, 0],
+                        imu[:, 0] - prev[keep], imu[:, 1:4], imu[:, 4:7],
+                        np.interp(imu[:, 0], odom[:, 0], odom[:, 1]), beta)
+    for stamp, name in rows:
+        scan = read_npcd(scans_dir / name, frame="L")
+        ts = scan.timestamps
+        end = float(ts.max()) if ts is not None and len(ts) else stamp
+        yield scan, prior.window(stamp, end)
 
 
 # -- true-motion rollout and simulated sensing --------------------------------
@@ -159,6 +180,34 @@ def _sensor_anchor(world: World, state: RobotState,
                                    from_frame="L", to_frame="G")
 
 
+def _truth_pose(world: World, cfg: GlobalConfig,
+                state: RobotState) -> RigidTransform:
+    """The true sensor pose of ``state`` as a robot-to-map pose."""
+    return (_sensor_anchor(world, state, cfg.sim.lidar.mount_height)
+            .retagged("R", "G"))
+
+
+def _sense(world: World, cfg: GlobalConfig, state: RobotState, v: float,
+           omega: float, anchor: RigidTransform, seed,
+           log: ScanLog | None = None):
+    """One simulated tick from ``state`` under the command (v, omega): the
+    true motion over one scan period, the scan taken along it and the prior
+    window anchored at ``anchor``, both also written to ``log`` when given.
+
+    Returns (scan, prior window, RobotState at the end of the period)."""
+    lp = cfg.sim.lidar
+    period = 1.0 / lp.rate
+    t0 = state.stamp
+    pose_fn, next_state = _rollout(world, state, v, omega, cfg.sim.slip_rot,
+                                   period)
+    scan = simulate_lidar(world, pose_fn, lp, seed=seed, t0=t0)
+    if log is not None:
+        log.add_scan(t0, scan)
+    tail = _prior_window(anchor, t0, period, cfg.prior.rate_hz, cfg.prior.beta,
+                         omega * (1.0 - cfg.sim.slip_rot), v, log)
+    return scan, tail, next_state
+
+
 def initialize_at_rest(world: World, vmap: VoxelMap, cfg: GlobalConfig,
                        pose: Pose2D, seed) -> InitResult:
     """Localization init from one scan taken at rest at ``pose`` at stamp 0,
@@ -205,47 +254,34 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
     simulated (~0.39 MB on disk per default-config scan), and ``scans.csv``,
     ``imu.csv`` and ``odom.csv`` when the run ends, also when it ends by
     ``TeachAbort``: the log then holds every scan up to and including the
-    failing one, each with its prior samples. ``load_scan_log`` reads the
+    failing one, each with its prior samples. ``read_scan_log`` reads the
     directory back. Without it the run keeps neither scans nor prior
     samples."""
     waypoints = [np.asarray(w, dtype=np.float64)[:2] for w in waypoints]
     if not waypoints:
         raise ValueError("run_teach needs at least one waypoint")
-    lp = cfg.sim.lidar
-    period = 1.0 / lp.rate
     if start is None:
         start = Pose2D(0.0, 0.0, 0.0)
     state = RobotState(pose=start,
                        z=float(world.ground_height(start.x, start.y)))
     mission = new_teach_state(cfg.registration, cfg.mapping)
     log = None if scan_log_dir is None else ScanLog(scan_log_dir)
-    truth_stamps = []
-    truth_poses = []
+    truth_stamps, truth_poses = [], []
     wp_i = 0
-    anchor = _sensor_anchor(world, state, lp.mount_height)
+    anchor = _sensor_anchor(world, state, cfg.sim.lidar.mount_height)
 
     try:
         for tick in range(max_ticks):
             if wp_i >= len(waypoints):
                 break
             v, omega = _waypoint_command(state.pose, waypoints[wp_i], v_teach)
-            t0 = state.stamp
-            pose_fn, next_state = _rollout(world, state, v, omega,
-                                           cfg.sim.slip_rot, period)
-            scan = simulate_lidar(world, pose_fn, lp, seed=(cfg.seed, tick),
-                                  t0=t0)
-            if log is not None:
-                log.add_scan(t0, scan)
-            tail = _prior_window(anchor, t0, period, cfg.prior.rate_hz,
-                                 cfg.prior.beta,
-                                 omega * (1.0 - cfg.sim.slip_rot), v, log)
+            scan, tail, state = _sense(world, cfg, state, v, omega, anchor,
+                                       (cfg.seed, tick), log)
             teach_step(mission, scan, tail)
             if mission.current_pose is not None:
                 anchor = mission.current_pose
-            state = next_state
             truth_stamps.append(state.stamp)
-            truth_poses.append(_sensor_anchor(world, state, lp.mount_height)
-                               .retagged("R", "G"))
+            truth_poses.append(_truth_pose(world, cfg, state))
             if np.hypot(state.pose.x - waypoints[wp_i][0],
                         state.pose.y - waypoints[wp_i][1]) < WAYPOINT_TOL:
                 wp_i += 1
@@ -276,20 +312,16 @@ class RepeatRunResult:
 
 def run_repeat(world: World, database, cfg: GlobalConfig,
                start: Pose2D, reverse: bool = False,
-               max_ticks: int = 5000, scan_seed_base: int = 10_000,
-               spill_dir=None) -> RepeatRunResult:
+               max_ticks: int = 5000,
+               scan_seed_base: int = 10_000) -> RepeatRunResult:
     """Autonomous repeat of a taught database in the given (possibly changed)
     world. ``database`` is a directory path or a (VoxelMap, trajectory) pair."""
     if isinstance(database, (str, Path)):
-        vmap, trajectory = load_database(database, spill_dir=spill_dir)
+        vmap, trajectory = load_database(database)
     else:
         vmap, trajectory = database
     if reverse:
         trajectory = trajectory.reversed()
-    lp = cfg.sim.lidar
-    period = 1.0 / lp.rate
-    state = RobotState(pose=start,
-                       z=float(world.ground_height(start.x, start.y)))
     init = initialize_at_rest(world, vmap, cfg, start,
                               seed=(cfg.seed, scan_seed_base))
     if not init.success:
@@ -299,7 +331,9 @@ def run_repeat(world: World, database, cfg: GlobalConfig,
     mission = new_repeat_state(vmap, trajectory, cfg.registration, cfg.mapping,
                                init.pose)
     anchor = init.pose
-    state = RobotState(pose=state.pose, z=state.z, stamp=state.stamp + period)
+    # The first tick starts one scan period after the scan taken at rest.
+    state = RobotState(pose=start, stamp=1.0 / cfg.sim.lidar.rate,
+                       z=float(world.ground_height(start.x, start.y)))
     v_cmd, om_cmd = 0.0, 0.0
     rows = []
     exec_stamps, exec_poses = [], []
@@ -307,25 +341,17 @@ def run_repeat(world: World, database, cfg: GlobalConfig,
     status = Status.CONTINUE
 
     for tick in range(max_ticks):
-        t0 = state.stamp
-        pose_fn, next_state = _rollout(world, state, v_cmd, om_cmd,
-                                       cfg.sim.slip_rot, period)
-        scan = simulate_lidar(world, pose_fn, lp,
-                              seed=(cfg.seed, scan_seed_base + 1 + tick), t0=t0)
-        tail = _prior_window(anchor, t0, period, cfg.prior.rate_hz,
-                             cfg.prior.beta,
-                             om_cmd * (1.0 - cfg.sim.slip_rot), v_cmd)
+        scan, tail, state = _sense(world, cfg, state, v_cmd, om_cmd, anchor,
+                                   (cfg.seed, scan_seed_base + 1 + tick))
         step: RepeatStepResult = repeat_step(mission, scan, tail,
                                              cfg.path_following)
-        state = next_state
         status = step.status
         if step.pose is not None and not step.skipped:
             anchor = step.pose
             exec_stamps.append(state.stamp)
             exec_poses.append(step.pose.retagged("R", "G"))
             truth_stamps.append(state.stamp)
-            truth_poses.append(_sensor_anchor(world, state, lp.mount_height)
-                               .retagged("R", "G"))
+            truth_poses.append(_truth_pose(world, cfg, state))
         if step.frenet is not None:
             cmd = step.command
             rows.append(LogRow(
@@ -356,11 +382,16 @@ def run_repeat(world: World, database, cfg: GlobalConfig,
 
 
 def run_replay(scans_dir, cfg: GlobalConfig, out_dir) -> Path:
-    """Run a logged scan sequence back through the teach pipeline, rebuilding
-    the prior from the logged IMU/odometry streams, and persist a database."""
-    scans, imu, odom = load_scan_log(scans_dir)
-    windows = prior_windows_from_log(scans, imu, odom, cfg.prior.beta)
+    """Run a logged scan sequence back through the teach pipeline, one scan
+    at a time, rebuilding the prior from the logged IMU/odometry streams, and
+    persist a database. A log that registers fewer than two scans raises
+    ``CsvFormatError``."""
     mission = new_teach_state(cfg.registration, cfg.mapping)
-    for (_, scan), window in zip(scans, windows):
+    for scan, window in read_scan_log(scans_dir, cfg.prior.beta):
         teach_step(mission, scan, window)
+    if len(mission.raw_poses) < 2:
+        raise CsvFormatError(
+            f"{Path(scans_dir) / 'scans.csv'}: {mission.scan_count} logged "
+            f"scans registered {len(mission.raw_poses)} poses; a database "
+            f"needs at least 2")
     return finalize_teach(mission, cfg.mission.d_ref, out_dir)

@@ -238,7 +238,7 @@ def step_robot(world: World, state: RobotState, u, dt: float,
     the heightfield."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    v, omega = (u.v_x, u.omega) if hasattr(u, "v_x") else (u[0], u[1])
+    v, omega = u
     x = state.pose.x + v * np.cos(state.pose.theta_r) * dt
     y = state.pose.y + v * np.sin(state.pose.theta_r) * dt
     theta = wrap_angle(state.pose.theta_r + omega * (1.0 - slip_rot) * dt)

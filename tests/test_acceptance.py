@@ -27,8 +27,8 @@ from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, load_map, retile, save_map)
 from trailnav.mission import load_database, new_teach_state, teach_step
 from trailnav.prior import dead_reckon, deskew
-from trailnav.runner import (_prior_window, _rollout, _sensor_anchor,
-                             initialize_at_rest, run_repeat, run_teach)
+from trailnav.runner import (_sense, _sensor_anchor, initialize_at_rest,
+                             run_repeat, run_teach)
 from trailnav.simworld import (CLASS_BUILDING, CLASS_SNOWFALL, LidarParams,
                                RobotState, Trees, WorldParams, accumulate_snow,
                                apply_snowfall, generate_world, simulate_lidar)
@@ -462,24 +462,20 @@ def test_criterion_07_snow_accumulation(snow_setup):
 
 
 def _snowfall_teach(world, cfg, with_snow, n_ticks=40):
-    lp = cfg.sim.lidar
-    period = 1.0 / lp.rate
+    """A straight 1 m/s teach on the runner's simulated tick, with snowfall
+    particles added to the first 20 scans when ``with_snow``."""
     state = RobotState(pose=Pose2D(0.0, 0.0, 0.0),
                        z=float(world.ground_height(0.0, 0.0)))
     mission = new_teach_state(cfg.registration, cfg.mapping)
-    anchor = _sensor_anchor(world, state, lp.mount_height)
+    anchor = _sensor_anchor(world, state, cfg.sim.lidar.mount_height)
     counts, admitted, prev = [], 0, 0
     for tick in range(n_ticks):
-        t0 = state.stamp
-        pose_fn, nxt = _rollout(world, state, 1.0, 0.0, 0.0, period)
-        scan = simulate_lidar(world, pose_fn, lp, seed=(cfg.seed, tick), t0=t0)
+        scan, tail, state = _sense(world, cfg, state, 1.0, 0.0, anchor,
+                                   (cfg.seed, tick))
         if with_snow and tick < 20:
             scan = apply_snowfall(scan, 500, near_radius=1.2, seed=500 + tick)
-        tail = _prior_window(anchor, t0, period, cfg.prior.rate_hz,
-                             cfg.prior.beta, 0.0, 1.0)
         teach_step(mission, scan, tail)
         anchor = mission.current_pose
-        state = nxt
         c = sum(int((ch.labels == CLASS_SNOWFALL).sum())
                 for ch in mission.map.voxels.values())
         admitted += max(c - prev, 0)

@@ -8,7 +8,9 @@ from trailnav.config import (ConfigError, GlobalConfig, config_from_dict,
                              config_to_dict, load_config, save_config)
 from trailnav.icp import RegistrationFailure
 from trailnav.mission import TeachAbort
-from trailnav.runner import load_scan_log
+from trailnav.csvio import read_csv, read_float_csv
+from trailnav.npcd import read_npcd
+from trailnav.runner import IMU_HEADER, ODOM_HEADER, SCANS_HEADER
 from trailnav.simworld import LidarParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -192,13 +194,16 @@ def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
                "--world", str(world_dir / "world_spec.txt"), *common])
     assert rc == 3
     assert f"failed on scan {k}" in capsys.readouterr().err
-    scans, imu, odom = load_scan_log(tmp_path / "t" / "scans")
+    log = tmp_path / "t" / "scans"
+    scans = read_csv(log / "scans.csv", SCANS_HEADER, (float, str))
+    imu = read_float_csv(log / "imu.csv", IMU_HEADER)
+    odom = read_float_csv(log / "odom.csv", ODOM_HEADER)
     assert len(scans) == k + 1
     per_scan = round(cfg.prior.rate_hz / cfg.sim.lidar.rate)
     assert len(imu) == len(odom) == (k + 1) * per_scan
     # The failing scan's prior window is logged too.
     assert scans[-1][0] < imu[-per_scan, 0] < imu[-1, 0]
-    assert len(scans[-1][1]) > 100
+    assert len(read_npcd(log / scans[-1][1])) > 100
 
 
 def test_cli_selftest_passes(capsys):

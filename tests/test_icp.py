@@ -204,6 +204,9 @@ def test_trim_count_property(n, eta_d):
     assert int(t.weights.sum()) == int(np.floor(eta_d * n + 0.5))
 
 
+_IDENTITY = RigidTransform.from_yaw(0.0, from_frame="G", to_frame="G")
+
+
 def _pairs(m, reading, reference):
     """The gathered rows ``point_to_plane_error`` and ``minimize_step`` take."""
     q, n = gather_reference(m, reference)
@@ -243,10 +246,9 @@ def test_minimize_step_recovers_small_offset():
     m = MatchSet(np.arange(n), np.arange(n), np.zeros(n), np.ones(n, np.int8))
     p, q, normals = _pairs(m, reading, ref)
     err, res = point_to_plane_error(p, q, normals, m.weights)
-    delta = minimize_step(p, normals, res, m.weights)
+    delta = minimize_step(p, normals, res, m.weights, _IDENTITY)
     # The correction must undo the injected offset to first order.
-    corrected, _ = point_to_plane_error(
-        delta.retagged("G", "G").apply(p), q, normals, m.weights)
+    corrected, _ = point_to_plane_error(delta.apply(p), q, normals, m.weights)
     assert corrected < 0.1 * err
 
 
@@ -261,7 +263,7 @@ def test_minimize_step_degenerate_plane_only():
     p, q, normals = _pairs(m, reading, ref)
     _, res = point_to_plane_error(p, q, normals, m.weights)
     with pytest.raises(DegenerateRegistration) as exc:
-        minimize_step(p, normals, res, m.weights)
+        minimize_step(p, normals, res, m.weights, _IDENTITY)
     assert exc.value.null_direction is not None
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.spatial import cKDTree
 from trailnav.cli import main
 from trailnav.config import GlobalConfig, save_config
 from trailnav.controller import ControllerConfig, Pose2D, Status
+from trailnav.csvio import read_csv, read_float_csv, write_csv
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
 from trailnav.icp import DegenerateRegistration, RegistrationFailure
 from trailnav.mission import (MissionState, Phase, TeachAbort, finalize_teach,
@@ -15,7 +17,8 @@ from trailnav.mission import (MissionState, Phase, TeachAbort, finalize_teach,
                               teach_step)
 import trailnav.runner as runner
 from trailnav.prior import PriorTrajectory
-from trailnav.runner import (_prior_window, load_scan_log, run_repeat,
+from trailnav.runner import (IMU_HEADER, ODOM_HEADER, SCANS_HEADER,
+                             _prior_window, read_scan_log, run_repeat,
                              run_teach)
 from trailnav.simworld import LidarParams, WorldParams, generate_world
 
@@ -408,11 +411,15 @@ def test_repeat_step_requires_phase_and_localization(taught):
 
 
 def test_streamed_scan_log_holds_what_teach_step_received(logged_teach):
-    _, _, result, received, samples = logged_teach
-    assert result.scan_log == result.db_dir.parent / "scans"
-    scans, imu, odom = load_scan_log(result.scan_log)
-    assert len(scans) == len(received) > 10
-    for (stamp, scan), (want, tail) in zip(scans, received):
+    _, cfg, result, received, samples = logged_teach
+    log = result.scan_log
+    assert log == result.db_dir.parent / "scans"
+    rows = _scan_rows(result)
+    imu = read_float_csv(log / "imu.csv", IMU_HEADER)
+    odom = read_float_csv(log / "odom.csv", ODOM_HEADER)
+    assert len(rows) == len(received) > 10
+    scans = (scan for scan, _ in read_scan_log(log, cfg.prior.beta))
+    for (stamp, _), scan, (want, tail) in zip(rows, scans, received):
         assert stamp == tail.stamps[0]
         assert np.array_equal(scan.points, want.points)
         assert np.array_equal(scan.timestamps, want.timestamps)
@@ -433,8 +440,9 @@ def _logged_args(cfg, result, tmp_path):
             "--scans", str(result.scan_log)]
 
 
-def _scan_count(result):
-    return len(load_scan_log(result.scan_log)[0])
+def _scan_rows(result):
+    """The teach run's logged (stamp, scan file) rows."""
+    return read_csv(result.scan_log / "scans.csv", SCANS_HEADER, (float, str))
 
 
 def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
@@ -450,22 +458,28 @@ def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
                  "--out-dir", str(tmp_path / "overlap"), *common]) == 0
     pct = np.loadtxt(tmp_path / "overlap" / "overlap.csv", delimiter=",",
                      skiprows=1)[:, 1]
-    assert len(pct) == _scan_count(result)
+    assert len(pct) == len(_scan_rows(result))
     assert np.median(pct) > 90.0
 
 
 def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
+    """It registers the one scan asked for and reads the log no further."""
     import trailnav.mission as mission
     _, cfg, result = taught
     common = _logged_args(cfg, result, tmp_path)
-    calls = []
+    calls, reads = [], []
 
     def counting_register(*args, **kwargs):
         calls.append(1)
         return register(*args, **kwargs)
 
-    register = mission.register
+    def counting_read_npcd(*args, **kwargs):
+        reads.append(1)
+        return read_npcd(*args, **kwargs)
+
+    register, read_npcd = mission.register, runner.read_npcd
     monkeypatch.setattr(mission, "register", counting_register)
+    monkeypatch.setattr(runner, "read_npcd", counting_read_npcd)
 
     def perturbation(index, out):
         return main(["analyze", "perturbation", "--db", str(result.db_dir),
@@ -474,9 +488,10 @@ def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
 
     assert perturbation(3, "pe") == 0
     assert (tmp_path / "pe" / "perturbation.csv").exists()
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(reads) == 4
     assert perturbation(-1, "before") == 4
-    assert perturbation(_scan_count(result), "after") == 4
+    assert len(reads) == 5
+    assert perturbation(len(_scan_rows(result)), "after") == 4
     assert len(calls) == 1
 
 
@@ -493,3 +508,85 @@ def test_degenerate_logged_scan_exits_three(taught, tmp_path, monkeypatch,
     assert main(["analyze", "overlap", "--db", str(result.db_dir),
                  "--out-dir", str(tmp_path / "overlap"), *common]) == 3
     assert "rank deficient" in capsys.readouterr().err
+
+
+def test_each_closed_loop_tick_rolls_the_truth_out_once(taught, monkeypatch):
+    """The benchmark marks ticks at ``runner._rollout``: both drivers call it
+    once per tick, before the tick's step, and the repeat's initialization
+    at rest never calls it."""
+    world, cfg, result = taught
+    events = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("_rollout", "initialize_localization", "teach_step",
+                 "repeat_step"):
+        monkeypatch.setattr(runner, name, recording(name, getattr(runner, name)))
+    run_teach(world, cfg, waypoints=[(15.0, 0.0)], v_teach=1.0, max_ticks=4)
+    assert events == ["_rollout", "teach_step"] * 4
+    events.clear()
+    rr = run_repeat(world, load_database(result.db_dir), cfg,
+                    start=Pose2D(0.2, 0.15, 0.05), max_ticks=4)
+    assert rr.init.success
+    assert events == ["initialize_localization"] + ["_rollout",
+                                                    "repeat_step"] * 4
+
+
+def test_scan_log_reader_reads_one_scan_per_item(taught, monkeypatch):
+    _, cfg, result = taught
+    reads = []
+
+    def counting_read_npcd(*args, **kwargs):
+        reads.append(1)
+        return read_npcd(*args, **kwargs)
+
+    read_npcd = runner.read_npcd
+    monkeypatch.setattr(runner, "read_npcd", counting_read_npcd)
+    log = read_scan_log(result.scan_log, cfg.prior.beta)
+    assert reads == []
+    n = len(_scan_rows(result))
+    for i, (scan, window) in enumerate(log, start=1):
+        assert len(reads) == i
+        assert window.stamps[0] <= scan.timestamps.min()
+        assert window.stamps[-1] >= scan.timestamps.max()
+    assert i == n
+
+
+def _short_log(result, tmp_path, n_scans):
+    """A copy of the teach's scan log that keeps its first ``n_scans``
+    scans and all of its IMU and odometry samples."""
+    log = tmp_path / "short"
+    shutil.copytree(result.scan_log, log)
+    write_csv(log / "scans.csv", SCANS_HEADER, _scan_rows(result)[:n_scans])
+    return log
+
+
+@pytest.mark.parametrize("command", ["replay", "overlap", "perturbation"])
+def test_log_without_scans_exits_four(taught, tmp_path, capsys, command):
+    _, cfg, result = taught
+    log = _short_log(result, tmp_path, 0)
+    save_config(cfg, tmp_path / "cfg.yaml")
+    argv = {"replay": ["replay"],
+            "overlap": ["analyze", "overlap", "--db", str(result.db_dir)],
+            "perturbation": ["analyze", "perturbation",
+                             "--db", str(result.db_dir)]}[command]
+    assert main([*argv, "--config", str(tmp_path / "cfg.yaml"),
+                 "--scans", str(log), "--out-dir", str(tmp_path / "out")]) == 4
+    assert f"{log / 'scans.csv'}: line 2: no scans logged" in \
+        capsys.readouterr().err
+
+
+def test_replay_of_one_scan_exits_four(taught, tmp_path, capsys):
+    _, cfg, result = taught
+    log = _short_log(result, tmp_path, 1)
+    save_config(cfg, tmp_path / "cfg.yaml")
+    assert main(["replay", "--config", str(tmp_path / "cfg.yaml"),
+                 "--scans", str(log), "--out-dir", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert str(log / "scans.csv") in err
+    assert "1 logged scans registered 1 poses" in err
+    assert not (tmp_path / "out" / "db").exists()

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation, Slerp
 
+from trailnav.csvio import read_float_csv, write_csv
 from trailnav.geom import FRAME_LIDAR, PointCloud, _quat_to_matrix
+from trailnav.npcd import write_npcd
 from trailnav.prior import (GRAVITY, PriorCoverageError, PriorTrajectory,
-                            dead_reckon, deskew, prior_windows_from_log,
-                            update_orientation)
-from trailnav.runner import load_scan_log
+                            dead_reckon, deskew, update_orientation)
+from trailnav.runner import (IMU_HEADER, ODOM_HEADER, SCANS_HEADER,
+                             read_scan_log)
 
 LEVEL = np.array([1.0, 0.0, 0.0, 0.0])
 UP = np.array([0.0, 0.0, GRAVITY])
@@ -106,14 +108,18 @@ def test_integrator_arc_radius():
     assert np.max(np.abs(radii - 2.0)) < 0.01
 
 
-def test_logged_prior_skips_samples_not_after_the_last_one():
+def test_logged_prior_skips_samples_not_after_the_last_one(tmp_path):
     rng = np.random.default_rng(2)
     stamps = np.array([0.01, 0.02, 0.02, 0.015, 0.03, 0.04, 0.005, 0.05])
     imu = np.column_stack([stamps, rng.normal(0.0, 0.3, (8, 3)),
                            UP + rng.normal(0.0, 0.2, (8, 3))])
     odom = np.array([[0.0, 1.0], [0.025, 1.5], [0.06, 0.5]])
-    scans = [(0.0, PointCloud(np.zeros((2, 3)), timestamps=np.array([0.0, 0.05])))]
-    got = prior_windows_from_log(scans, imu, odom, 0.1)[0]
+    write_npcd(tmp_path / "s.npcd", PointCloud(
+        np.zeros((2, 3)), timestamps=np.array([0.0, 0.05])))
+    write_csv(tmp_path / "scans.csv", SCANS_HEADER, [(0.0, "s.npcd")])
+    write_csv(tmp_path / "imu.csv", IMU_HEADER, imu)
+    write_csv(tmp_path / "odom.csv", ODOM_HEADER, odom)
+    [(_, got)] = read_scan_log(tmp_path, 0.1)
     kept = [0, 1, 4, 5, 7]
     assert np.array_equal(got.stamps, np.concatenate(([0.0], stamps[kept])))
     want = dead_reckon(0.0, np.zeros(3), LEVEL, stamps[kept],
@@ -260,15 +266,14 @@ def test_deskew_requires_timestamps():
 
 
 def test_imu_odom_csv_round_trip(tmp_path):
-    """The logged-run layout's IMU and odometry files, read by the one
-    logged-run loader (here with no scans)."""
-    (tmp_path / "scans.csv").write_text("stamp,file\n")
+    """The logged-run layout's IMU and odometry files, as the scan log
+    reader reads them."""
     (tmp_path / "imu.csv").write_text("stamp,gx,gy,gz,ax,ay,az\n"
                                       "0.0,0.1,0.2,0.3,0.0,0.0,9.81\n"
                                       "0.01,0.0,0.0,0.5,0.1,0.0,9.8\n")
     (tmp_path / "odom.csv").write_text("stamp,v\n0.0,1.5\n0.01,1.4\n")
-    scans, imu, odom = load_scan_log(tmp_path)
-    assert scans == []
+    imu = read_float_csv(tmp_path / "imu.csv", IMU_HEADER)
+    odom = read_float_csv(tmp_path / "odom.csv", ODOM_HEADER)
     assert np.array_equal(imu, [[0.0, 0.1, 0.2, 0.3, 0.0, 0.0, 9.81],
                                 [0.01, 0.0, 0.0, 0.5, 0.1, 0.0, 9.8]])
     assert np.array_equal(odom, [[0.0, 1.5], [0.01, 1.4]])
