@@ -116,10 +116,8 @@ def _world_from_args(args, cfg: GlobalConfig):
             seed, params = load_world_spec(args.world)
         except (ValueError, TypeError) as exc:   # bad JSON is a ValueError
             raise ConfigError(f"world spec {args.world}: {exc}") from exc
-        params.canopy_porosity = cfg.sim.canopy_porosity
         return generate_world(seed, params)
-    params = WorldParams(canopy_porosity=cfg.sim.canopy_porosity)
-    return generate_world(cfg.seed, params)
+    return generate_world(cfg.seed, WorldParams())
 
 
 def _cmd_world_gen(args) -> int:
@@ -127,8 +125,7 @@ def _cmd_world_gen(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     params = WorldParams(trail_length=args.trail_length,
                          trail_width=args.trail_width,
-                         tree_density=args.tree_density,
-                         canopy_porosity=cfg.sim.canopy_porosity)
+                         tree_density=args.tree_density)
     save_world_spec(args.out_dir / "world_spec.txt", cfg.seed, params)
     save_config(cfg, args.out_dir / "config_used.yaml")
     print(f"wrote {args.out_dir / 'world_spec.txt'}")

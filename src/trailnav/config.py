@@ -33,13 +33,10 @@ class PriorConfig:
 class SimConfig:
     lidar: LidarParams = field(default_factory=LidarParams)
     slip_rot: float = 0.0
-    canopy_porosity: float = 0.3
 
     def __post_init__(self):
         if not 0.0 <= self.slip_rot < 1.0:
             raise ValueError("slip_rot must lie in [0, 1)")
-        if not 0.0 <= self.canopy_porosity <= 1.0:
-            raise ValueError("canopy_porosity must lie in [0, 1]")
 
 
 @dataclass
@@ -75,9 +72,14 @@ _SECTIONS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build(cls, data: dict, path: str):
     """Instantiate a config dataclass from a dict, rejecting unknown keys and
-    reporting validation errors with their full key path."""
+    a non-integer value for an ``int`` field, and reporting validation errors
+    with their full key path."""
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(data) - set(known))
     if unknown:
@@ -86,6 +88,9 @@ def _build(cls, data: dict, path: str):
     kwargs = {}
     for name, value in data.items():
         key_path = f"{path}.{name}" if path else name
+        # Field annotations are strings: the config modules postpone them.
+        if known[name].type == "int" and not _is_int(value):
+            raise ConfigError(f"'{key_path}' must be an integer")
         if name == "lidar":
             if not isinstance(value, dict):
                 raise ConfigError(f"'{key_path}' must be a mapping")
@@ -118,7 +123,7 @@ def config_from_dict(data: dict) -> GlobalConfig:
                 raise ConfigError(f"'{name}' must be a mapping")
             kwargs[name] = _build(cls, section, name)
     if "seed" in data:
-        if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
+        if not _is_int(data["seed"]):
             raise ConfigError("'seed' must be an integer")
         kwargs["seed"] = data["seed"]
     return GlobalConfig(**kwargs)

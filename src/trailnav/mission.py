@@ -3,7 +3,6 @@ repeat localizes in the frozen map and drives the path follower."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,12 +21,6 @@ from .prior import PriorTrajectory, deskew
 from .trajectory import ReferenceTrajectory, subsample_by_distance
 
 INIT_OVERLAP_THRESHOLD = 0.5   # m, overlap distance used at localization init
-DEFAULT_OVERLAP_FLOOR = 40.0   # %
-
-
-class Phase(enum.Enum):
-    TEACH = "teach"
-    REPEAT = "repeat"
 
 
 class TeachAbort(RuntimeError):
@@ -40,18 +33,32 @@ class TeachAbort(RuntimeError):
 
 
 @dataclass
-class MissionState:
-    phase: Phase
+class TeachState:
+    """A teach in progress: the growing map and the registered raw poses;
+    ``finalize_teach`` sets the subsampled trajectory."""
+
     map: VoxelMap
     reg_cfg: RegistrationConfig
     map_cfg: MappingConfig
-    trajectory: ReferenceTrajectory | None = None
     current_pose: RigidTransform | None = None
-    localized: bool = False
-    intervention_count: int = 0
     scan_count: int = 0
     raw_stamps: list = field(default_factory=list)
     raw_poses: list = field(default_factory=list)
+    trajectory: ReferenceTrajectory | None = None
+
+
+@dataclass
+class RepeatState:
+    """A repeat localized in the frozen map from its initialization pose."""
+
+    map: VoxelMap
+    trajectory: ReferenceTrajectory
+    reg_cfg: RegistrationConfig
+    map_cfg: MappingConfig
+    ctrl_cfg: ControllerConfig
+    current_pose: RigidTransform
+    scan_count: int = 0
+    intervention_count: int = 0
 
 
 @dataclass
@@ -72,17 +79,8 @@ class RepeatStepResult:
 
 
 def new_teach_state(reg_cfg: RegistrationConfig,
-                    map_cfg: MappingConfig) -> MissionState:
-    return MissionState(phase=Phase.TEACH, map=VoxelMap(map_cfg.v_s),
-                        reg_cfg=reg_cfg, map_cfg=map_cfg)
-
-
-def new_repeat_state(vmap: VoxelMap, trajectory: ReferenceTrajectory,
-                     reg_cfg: RegistrationConfig, map_cfg: MappingConfig,
-                     pose: RigidTransform) -> MissionState:
-    return MissionState(phase=Phase.REPEAT, map=vmap, reg_cfg=reg_cfg,
-                        map_cfg=map_cfg, trajectory=trajectory,
-                        current_pose=pose, localized=True)
+                    map_cfg: MappingConfig) -> TeachState:
+    return TeachState(VoxelMap(map_cfg.v_s), reg_cfg, map_cfg)
 
 
 def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: PriorTrajectory,
@@ -110,7 +108,7 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: PriorTrajectory,
     return register(filtered, reference, prior_pose, reg_cfg, ref_index=tree)
 
 
-def teach_step(state: MissionState, scan: PointCloud,
+def teach_step(state: TeachState, scan: PointCloud,
                prior_tail: PriorTrajectory) -> None:
     """One teach tick: localize (an empty map starts at the prior),
     dynamic-filter the map, insert the scan, compute the new points' normals,
@@ -123,8 +121,6 @@ def teach_step(state: MissionState, scan: PointCloud,
     untouched. The exception is a spilled chunk that insertion reloads, which
     the local cube's margin keeps from happening near the robot: its old
     points miss this tick's filter."""
-    if state.phase is not Phase.TEACH:
-        raise ValueError("teach_step requires the Teach phase")
     scan_id = state.scan_count
     state.scan_count += 1
     try:
@@ -142,17 +138,14 @@ def teach_step(state: MissionState, scan: PointCloud,
     insert_scan(vmap, reading_in_map, sensor, map_cfg.rho, registered_on)
     refresh_normals(vmap, map_cfg, sensor)
     retile(vmap, sensor, map_cfg)
-    stamp = float(scan.timestamps.max()) if scan.timestamps is not None else 0.0
-    state.raw_stamps.append(stamp)
+    state.raw_stamps.append(float(scan.timestamps.max()))
     state.raw_poses.append(t_hat)
     state.current_pose = t_hat
 
 
-def finalize_teach(state: MissionState, d_ref: float, out_dir) -> Path:
+def finalize_teach(state: TeachState, d_ref: float, out_dir) -> Path:
     """Subsample the raw trajectory (consecutive kept poses >= d_ref apart,
     endpoints always kept) and persist map + trajectory as a database."""
-    if state.phase is not Phase.TEACH:
-        raise ValueError("finalize_teach requires the Teach phase")
     if len(state.raw_poses) < 2:
         raise ValueError("finalize_teach needs at least 2 raw poses")
     positions = np.array([p.translation for p in state.raw_poses])
@@ -177,7 +170,7 @@ def load_database(db_dir, spill_dir=None):
 def initialize_localization(vmap: VoxelMap, scan: PointCloud,
                             prior_tail: PriorTrajectory,
                             reg_cfg: RegistrationConfig,
-                            overlap_floor: float = DEFAULT_OVERLAP_FLOOR) -> InitResult:
+                            overlap_floor: float) -> InitResult:
     """Localize the first scan at the start prior; success requires
     convergence and scan overlap at or above the floor."""
     if vmap.registration_reference() is None:
@@ -199,15 +192,11 @@ def initialize_localization(vmap: VoxelMap, scan: PointCloud,
     return InitResult(True, result.T_hat, overlap)
 
 
-def repeat_step(state: MissionState, scan: PointCloud,
-                prior_tail: PriorTrajectory,
-                ctrl_cfg: ControllerConfig) -> RepeatStepResult:
+def repeat_step(state: RepeatState, scan: PointCloud,
+                prior_tail: PriorTrajectory) -> RepeatStepResult:
     """One repeat tick: localize in the frozen map (no insertion, no dynamic
     filtering; retile for locality only) and compute the next command."""
-    if state.phase is not Phase.REPEAT:
-        raise ValueError("repeat_step requires the Repeat phase")
-    if not state.localized:
-        raise ValueError("repeat_step requires an initialized localization")
+    ctrl_cfg = state.ctrl_cfg
     state.scan_count += 1
     try:
         result = localize(state.map, scan, prior_tail, state.reg_cfg)

@@ -15,8 +15,8 @@ from .controller import Pose2D, Status, wrap_angle
 from .csvio import CsvFormatError, read_csv, read_float_csv, write_csv
 from .geom import RigidTransform, _quat_normalize
 from .mapping import VoxelMap
-from .mission import (InitResult, MissionState, RepeatStepResult, finalize_teach,
-                      initialize_localization, load_database, new_repeat_state,
+from .mission import (InitResult, RepeatState, RepeatStepResult, TeachState,
+                      finalize_teach, initialize_localization, load_database,
                       new_teach_state, repeat_step, teach_step)
 from .npcd import read_npcd, write_npcd
 from .prior import GRAVITY, PriorTrajectory, dead_reckon
@@ -121,8 +121,8 @@ def read_scan_log(scans_dir, beta: float, start_position=(0.0, 0.0, 0.0)):
 ROLLOUT_SUBSTEPS = 20   # true-motion integration steps per scan period
 
 
-def _rollout(world: World, state: RobotState, v: float, omega: float,
-             slip_rot: float, period: float):
+def _rollout(state: RobotState, v: float, omega: float, slip_rot: float,
+             period: float):
     """Integrate the true motion over one scan period in ``ROLLOUT_SUBSTEPS``
     substeps.
 
@@ -135,7 +135,7 @@ def _rollout(world: World, state: RobotState, v: float, omega: float,
     ths = [state.pose.theta_r]
     s = state
     for _ in range(ROLLOUT_SUBSTEPS):
-        s = step_robot(world, s, (v, omega), dt, slip_rot)
+        s = step_robot(s, (v, omega), dt, slip_rot)
         times.append(s.stamp)
         xs.append(s.pose.x)
         ys.append(s.pose.y)
@@ -198,8 +198,7 @@ def _sense(world: World, cfg: GlobalConfig, state: RobotState, v: float,
     lp = cfg.sim.lidar
     period = 1.0 / lp.rate
     t0 = state.stamp
-    pose_fn, next_state = _rollout(world, state, v, omega, cfg.sim.slip_rot,
-                                   period)
+    pose_fn, next_state = _rollout(state, v, omega, cfg.sim.slip_rot, period)
     scan = simulate_lidar(world, pose_fn, lp, seed=seed, t0=t0)
     if log is not None:
         log.add_scan(t0, scan)
@@ -226,10 +225,9 @@ def initialize_at_rest(world: World, vmap: VoxelMap, cfg: GlobalConfig,
 
 @dataclass
 class TeachRunResult:
-    state: MissionState
+    state: TeachState
     db_dir: Path | None
     truth: ReferenceTrajectory
-    scan_log: Path | None
 
 
 WAYPOINT_TOL = 1.0   # m, distance at which a teach waypoint counts as reached
@@ -262,8 +260,7 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
         raise ValueError("run_teach needs at least one waypoint")
     if start is None:
         start = Pose2D(0.0, 0.0, 0.0)
-    state = RobotState(pose=start,
-                       z=float(world.ground_height(start.x, start.y)))
+    state = RobotState(pose=start)
     mission = new_teach_state(cfg.registration, cfg.mapping)
     log = None if scan_log_dir is None else ScanLog(scan_log_dir)
     truth_stamps, truth_poses = [], []
@@ -293,8 +290,7 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
     if out_dir is not None:
         db_dir = finalize_teach(mission, cfg.mission.d_ref, out_dir)
     truth = ReferenceTrajectory.from_poses(truth_stamps, truth_poses)
-    return TeachRunResult(state=mission, db_dir=db_dir, truth=truth,
-                          scan_log=None if log is None else log.out_dir)
+    return TeachRunResult(state=mission, db_dir=db_dir, truth=truth)
 
 
 # -- repeat -------------------------------------------------------------------
@@ -304,7 +300,7 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
 class RepeatRunResult:
     status: Status | None
     init: InitResult
-    mission: MissionState | None
+    mission: RepeatState | None
     log_rows: list
     executed: ReferenceTrajectory | None
     truth: ReferenceTrajectory | None
@@ -328,12 +324,11 @@ def run_repeat(world: World, database, cfg: GlobalConfig,
         return RepeatRunResult(status=None, init=init, mission=None,
                                log_rows=[], executed=None, truth=None)
 
-    mission = new_repeat_state(vmap, trajectory, cfg.registration, cfg.mapping,
-                               init.pose)
+    mission = RepeatState(vmap, trajectory, cfg.registration, cfg.mapping,
+                          cfg.path_following, init.pose)
     anchor = init.pose
     # The first tick starts one scan period after the scan taken at rest.
-    state = RobotState(pose=start, stamp=1.0 / cfg.sim.lidar.rate,
-                       z=float(world.ground_height(start.x, start.y)))
+    state = RobotState(pose=start, stamp=1.0 / cfg.sim.lidar.rate)
     v_cmd, om_cmd = 0.0, 0.0
     rows = []
     exec_stamps, exec_poses = [], []
@@ -343,8 +338,7 @@ def run_repeat(world: World, database, cfg: GlobalConfig,
     for tick in range(max_ticks):
         scan, tail, state = _sense(world, cfg, state, v_cmd, om_cmd, anchor,
                                    (cfg.seed, scan_seed_base + 1 + tick))
-        step: RepeatStepResult = repeat_step(mission, scan, tail,
-                                             cfg.path_following)
+        step: RepeatStepResult = repeat_step(mission, scan, tail)
         status = step.status
         if step.pose is not None and not step.skipped:
             anchor = step.pose

@@ -76,6 +76,8 @@ class WorldParams:
             raise ValueError("trail width and length must be positive")
         if self.tree_density < 0:
             raise ValueError("tree density must be >= 0")
+        if not 0.0 <= self.canopy_porosity <= 1.0:
+            raise ValueError("canopy_porosity must lie in [0, 1]")
 
     def resolved_centerline(self) -> np.ndarray:
         if self.centerline is not None:
@@ -154,7 +156,6 @@ class World:
 @dataclass
 class RobotState:
     pose: Pose2D
-    z: float = 0.0
     stamp: float = 0.0
 
 
@@ -232,18 +233,16 @@ def generate_world(seed: int, params: WorldParams) -> World:
                  seed=seed, params=params)
 
 
-def step_robot(world: World, state: RobotState, u, dt: float,
+def step_robot(state: RobotState, u, dt: float,
                slip_rot: float = 0.0) -> RobotState:
-    """Unicycle step with a rotational slip efficiency factor; elevation tracks
-    the heightfield."""
+    """Unicycle step with a rotational slip efficiency factor."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     v, omega = u
     x = state.pose.x + v * np.cos(state.pose.theta_r) * dt
     y = state.pose.y + v * np.sin(state.pose.theta_r) * dt
     theta = wrap_angle(state.pose.theta_r + omega * (1.0 - slip_rot) * dt)
-    return RobotState(pose=Pose2D(x, y, theta), z=float(world.ground_height(x, y)),
-                      stamp=state.stamp + dt)
+    return RobotState(pose=Pose2D(x, y, theta), stamp=state.stamp + dt)
 
 
 # -- ray casting -------------------------------------------------------------

@@ -464,8 +464,7 @@ def test_criterion_07_snow_accumulation(snow_setup):
 def _snowfall_teach(world, cfg, with_snow, n_ticks=40):
     """A straight 1 m/s teach on the runner's simulated tick, with snowfall
     particles added to the first 20 scans when ``with_snow``."""
-    state = RobotState(pose=Pose2D(0.0, 0.0, 0.0),
-                       z=float(world.ground_height(0.0, 0.0)))
+    state = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
     mission = new_teach_state(cfg.registration, cfg.mapping)
     anchor = _sensor_anchor(world, state, cfg.sim.lidar.mount_height)
     counts, admitted, prev = [], 0, 0

@@ -11,7 +11,7 @@ from trailnav.mission import TeachAbort
 from trailnav.csvio import read_csv, read_float_csv
 from trailnav.npcd import read_npcd
 from trailnav.runner import IMU_HEADER, ODOM_HEADER, SCANS_HEADER
-from trailnav.simworld import LidarParams
+from trailnav.simworld import LidarParams, WorldParams, save_world_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,6 +90,40 @@ def test_cli_world_gen_exit_zero(tmp_path):
     assert (tmp_path / "w" / "config_used.yaml").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("sim:\n  lidar:\n    beams: 8.0\n", "sim.lidar.beams"),
+    ("registration:\n  n_m: 7.0\n", "registration.n_m"),
+    ("mapping:\n  n_n: true\n", "mapping.n_n"),
+    ("sim:\n  canopy_porosity: 0.3\n", "sim.canopy_porosity"),
+], ids=["float_beams", "float_n_m", "bool_n_n", "porosity_in_config"])
+def test_cli_bad_config_key_exit_two(tmp_path, capsys, text, key):
+    """An integer key given a float or a bool, or a key the config does not
+    have, exits 2 with the key path named."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    rc = main(["teach", "--out-dir", str(tmp_path / "t"),
+               "--config", str(path)])
+    assert rc == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_world_spec_porosity_reaches_the_world(tmp_path, monkeypatch):
+    import trailnav.cli as cli
+    worlds = []
+
+    def recording_run_teach(world, *args, **kwargs):
+        worlds.append(world)
+        raise TeachAbort("stop after world generation", scan_id=0,
+                         last_pose=None)
+
+    monkeypatch.setattr(cli, "run_teach", recording_run_teach)
+    save_world_spec(tmp_path / "world_spec.txt", 1,
+                    WorldParams(trail_length=10.0, canopy_porosity=0.7))
+    assert main(["teach", "--out-dir", str(tmp_path / "t"),
+                 "--world", str(tmp_path / "world_spec.txt")]) == 3
+    assert worlds[0].params.canopy_porosity == 0.7
+
+
 def test_cli_bad_config_exit_two(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("mapping:\n  bogus: 1\n")
@@ -105,7 +139,8 @@ def test_cli_bad_config_exit_two(tmp_path):
     ("trail_length = 10.0\n", "missing a seed"),
     ("seed = 1\nbogus = 2\n", "bogus"),
     ("seed = 1\ntrail_length = ten\n", "Expecting value"),
-], ids=["missing_seed", "unknown_key", "bad_json"])
+    ("seed = 1\ncanopy_porosity = 1.5\n", "canopy_porosity"),
+], ids=["missing_seed", "unknown_key", "bad_json", "porosity_above_one"])
 def test_cli_malformed_world_spec_exit_two(tmp_path, capsys, spec, why):
     path = tmp_path / "world_spec.txt"
     path.write_text(spec)

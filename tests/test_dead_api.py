@@ -1,16 +1,26 @@
 """Every top-level function and class in ``src/trailnav``, and every
 non-dunder method and property of those classes, has a caller in the
 program: in ``src/``, ``scripts/`` or the benchmark's non-test modules.
-Every module-level constant there is read by one of those files. Tests alone
-do not keep a name alive."""
+Every module-level constant there, and every attribute of a class there, is
+read by one of those files. Tests alone do not keep a name alive."""
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # Acceptance criterion 8 (tests/test_acceptance.py) is apply_snowfall's caller.
 ALLOWED_TEST_ONLY = {"apply_snowfall"}
+
+# Attributes kept although no program file reads them by name.
+ALLOWED_UNREAD_ATTRIBUTES = {
+    "LogRow",                           # astuple writes each row whole
+    # test_icp checks it bit for bit; ROADMAP.md's per-tick record logs it.
+    "RegistrationResult.final_error",
+    # ROADMAP.md's windowed path projection starts from it.
+    "Projection.seg_index",
+}
 
 
 def _program_files():
@@ -84,3 +94,49 @@ def test_every_module_constant_is_read_by_the_program():
                     defined[target.id] = f"{name}:{target.id}"
     unused = _unused(defined, reads_only=True)
     assert not unused, f"constants never read by the program: {unused}"
+
+
+def _exception_classes(classes):
+    """Names of the classes in ``classes`` (name -> ClassDef) that derive,
+    through one another, from a built-in exception."""
+    def derives(name, seen=()):
+        base = getattr(builtins, name, None)
+        if isinstance(base, type) and issubclass(base, BaseException):
+            return True
+        return name in classes and name not in seen and any(
+            isinstance(b, ast.Name) and derives(b.id, (*seen, name))
+            for b in classes[name].bases)
+    return {name for name in classes if derives(name)}
+
+
+def _attributes(cls):
+    """The dataclass fields and ``self.x =`` targets of a class."""
+    names = {node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign)
+             and isinstance(node.target, ast.Name)}
+    for node in ast.walk(cls):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names |= {t.attr for t in targets if isinstance(t, ast.Attribute)
+                  and isinstance(t.value, ast.Name) and t.value.id == "self"}
+    return names
+
+
+def test_every_class_attribute_is_read_by_the_program():
+    """Exception classes are exempt: their attributes are fault payloads for
+    whoever catches them."""
+    read = {node.attr for path in _program_files()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    classes = {node.name: (name, node) for name, tree in _src_trees()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    exceptions = _exception_classes({k: c for k, (_, c) in classes.items()})
+    unread = sorted(
+        f"{name}:{cls.name}.{attr}"
+        for name, cls in classes.values() if cls.name not in exceptions
+        and cls.name not in ALLOWED_UNREAD_ATTRIBUTES
+        for attr in _attributes(cls) if attr not in read
+        and f"{cls.name}.{attr}" not in ALLOWED_UNREAD_ATTRIBUTES)
+    assert not unread, f"attributes never read by the program: {unread}"

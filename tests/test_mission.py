@@ -7,14 +7,13 @@ from scipy.spatial import cKDTree
 
 from trailnav.cli import main
 from trailnav.config import GlobalConfig, save_config
-from trailnav.controller import ControllerConfig, Pose2D, Status
+from trailnav.controller import Pose2D, Status
 from trailnav.csvio import read_csv, read_float_csv, write_csv
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
 from trailnav.icp import DegenerateRegistration, RegistrationFailure
-from trailnav.mission import (MissionState, Phase, TeachAbort, finalize_teach,
+from trailnav.mission import (RepeatState, TeachAbort, finalize_teach,
                               initialize_localization, load_database,
-                              new_repeat_state, new_teach_state, repeat_step,
-                              teach_step)
+                              new_teach_state, repeat_step, teach_step)
 import trailnav.runner as runner
 from trailnav.prior import PriorTrajectory
 from trailnav.runner import (IMU_HEADER, ODOM_HEADER, SCANS_HEADER,
@@ -76,6 +75,11 @@ def taught(logged_teach):
     return logged_teach[:3]
 
 
+def _scan_log(result):
+    """Where the logged teach fixture streamed its scans."""
+    return result.db_dir.parent / "scans"
+
+
 def _stationary_tail(pose: RigidTransform, cfg) -> PriorTrajectory:
     return _prior_window(pose, 0.0, 1.0 / cfg.sim.lidar.rate,
                          cfg.prior.rate_hz, cfg.prior.beta, 0.0, 0.0)
@@ -132,11 +136,12 @@ def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
     teach_step(state, scan, tail)
     vmap, traj = load_database(result.db_dir)
     owner[0] = vmap
-    init = initialize_localization(vmap, scan, tail, cfg.registration)
+    init = initialize_localization(vmap, scan, tail, cfg.registration,
+                                   cfg.mission.init_overlap_floor)
     assert init.success
-    state = new_repeat_state(vmap, traj, cfg.registration, cfg.mapping,
-                             init.pose)
-    repeat_step(state, scan, tail, cfg.path_following)
+    state = RepeatState(vmap, traj, cfg.registration, cfg.mapping,
+                        cfg.path_following, init.pose)
+    repeat_step(state, scan, tail)
     assert on_cached_tree == [True, True, True]
     assert index_builds == []
 
@@ -162,11 +167,11 @@ def test_repeat_tick_on_an_unchanged_map_builds_no_tree(taught, monkeypatch):
     world, cfg, result = taught
     scan, tail = _origin_scan(world, cfg)
     vmap, traj = load_database(result.db_dir)
-    state = new_repeat_state(vmap, traj, cfg.registration, cfg.mapping,
-                             tail.pose_at_index(len(tail) - 1))
-    repeat_step(state, scan, tail, cfg.path_following)
+    state = RepeatState(vmap, traj, cfg.registration, cfg.mapping,
+                        cfg.path_following, tail.pose_at_index(len(tail) - 1))
+    repeat_step(state, scan, tail)
     builds = _count_tree_builds(monkeypatch, geom, mapping)
-    out = repeat_step(state, scan, tail, cfg.path_following)
+    out = repeat_step(state, scan, tail)
     assert out.pose is not None and not out.skipped
     assert state.intervention_count == 0
     assert builds == []
@@ -181,7 +186,8 @@ def test_init_on_a_warm_cache_builds_no_tree(taught, monkeypatch):
     vmap, _ = load_database(result.db_dir)
     assert vmap.registration_reference() is not None and not vmap.nonlocal_manifest
     builds = _count_tree_builds(monkeypatch, analysis, geom, mapping)
-    init = initialize_localization(vmap, scan, tail, cfg.registration)
+    init = initialize_localization(vmap, scan, tail, cfg.registration,
+                                   cfg.mission.init_overlap_floor)
     assert init.success
     assert builds == []
 
@@ -194,7 +200,8 @@ def test_a_missing_normal_leaves_no_registration_reference(taught):
     chunk.normals = chunk.normals.copy()
     chunk.normals[0] = np.nan
     vmap._invalidate()
-    init = initialize_localization(vmap, scan, tail, cfg.registration)
+    init = initialize_localization(vmap, scan, tail, cfg.registration,
+                                   cfg.mission.init_overlap_floor)
     assert not init.success
     assert init.reason == "map has no usable normals"
     state = new_teach_state(cfg.registration, cfg.mapping)
@@ -313,7 +320,6 @@ def test_teach_is_deterministic(taught, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "write_npcd", no_log)
     monkeypatch.setattr(runner, "write_csv", no_log)
     again = run_teach(world, cfg, waypoints=[(15.0, 0.0)], v_teach=1.0)
-    assert again.scan_log is None
     assert list(tmp_path.iterdir()) == []
     a = result.state.map.all_points_cloud().points
     b = again.state.map.all_points_cloud().points
@@ -397,23 +403,9 @@ def test_init_fails_far_from_map(taught):
     assert rr.init.reason != ""
 
 
-def test_repeat_step_requires_phase_and_localization(taught):
-    world, cfg, _ = taught
-    state = new_teach_state(cfg.registration, cfg.mapping)
-    with pytest.raises(ValueError):
-        repeat_step(state, PointCloud(np.zeros((1, 3)), "L"),
-                    None, ControllerConfig())
-    state.phase = Phase.REPEAT
-    state.localized = False
-    with pytest.raises(ValueError):
-        repeat_step(state, PointCloud(np.zeros((1, 3)), "L"),
-                    None, ControllerConfig())
-
-
 def test_streamed_scan_log_holds_what_teach_step_received(logged_teach):
     _, cfg, result, received, samples = logged_teach
-    log = result.scan_log
-    assert log == result.db_dir.parent / "scans"
+    log = _scan_log(result)
     rows = _scan_rows(result)
     imu = read_float_csv(log / "imu.csv", IMU_HEADER)
     odom = read_float_csv(log / "odom.csv", ODOM_HEADER)
@@ -437,12 +429,13 @@ def _logged_args(cfg, result, tmp_path):
     """CLI arguments naming the saved config and the teach run's scan log."""
     save_config(cfg, tmp_path / "cfg.yaml")
     return ["--config", str(tmp_path / "cfg.yaml"),
-            "--scans", str(result.scan_log)]
+            "--scans", str(_scan_log(result))]
 
 
 def _scan_rows(result):
     """The teach run's logged (stamp, scan file) rows."""
-    return read_csv(result.scan_log / "scans.csv", SCANS_HEADER, (float, str))
+    return read_csv(_scan_log(result) / "scans.csv", SCANS_HEADER,
+                    (float, str))
 
 
 def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
@@ -546,7 +539,7 @@ def test_scan_log_reader_reads_one_scan_per_item(taught, monkeypatch):
 
     read_npcd = runner.read_npcd
     monkeypatch.setattr(runner, "read_npcd", counting_read_npcd)
-    log = read_scan_log(result.scan_log, cfg.prior.beta)
+    log = read_scan_log(_scan_log(result), cfg.prior.beta)
     assert reads == []
     n = len(_scan_rows(result))
     for i, (scan, window) in enumerate(log, start=1):
@@ -560,7 +553,7 @@ def _short_log(result, tmp_path, n_scans):
     """A copy of the teach's scan log that keeps its first ``n_scans``
     scans and all of its IMU and odometry samples."""
     log = tmp_path / "short"
-    shutil.copytree(result.scan_log, log)
+    shutil.copytree(_scan_log(result), log)
     write_csv(log / "scans.csv", SCANS_HEADER, _scan_rows(result)[:n_scans])
     return log
 

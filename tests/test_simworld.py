@@ -52,10 +52,9 @@ def test_zero_density_gives_no_trees():
 
 
 def test_step_robot_straight_and_arc():
-    world = generate_world(0, _flat_params())
     state = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
     for _ in range(100):
-        state = step_robot(world, state, (1.0, 0.0), 0.01)
+        state = step_robot(state, (1.0, 0.0), 0.01)
     assert state.pose.x == pytest.approx(1.0)
     assert state.pose.y == pytest.approx(0.0)
     assert state.stamp == pytest.approx(1.0)
@@ -63,18 +62,17 @@ def test_step_robot_straight_and_arc():
     state = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
     dt = 1e-3
     for _ in range(int(2 * np.pi / 0.5 / dt)):
-        state = step_robot(world, state, (1.0, 0.5), dt)
+        state = step_robot(state, (1.0, 0.5), dt)
     radius = np.hypot(state.pose.x - 0.0, state.pose.y - 2.0)
     assert radius == pytest.approx(2.0, rel=0.005)
 
 
 def test_step_robot_slip_scales_rotation():
-    world = generate_world(0, _flat_params())
     state = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
-    state = step_robot(world, state, (0.0, 1.0), 0.5, slip_rot=0.2)
+    state = step_robot(state, (0.0, 1.0), 0.5, slip_rot=0.2)
     assert state.pose.theta_r == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        step_robot(world, state, (1.0, 0.0), 0.0)
+        step_robot(state, (1.0, 0.0), 0.0)
 
 
 def _wall_world():
