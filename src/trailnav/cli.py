@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import ConfigError, GlobalConfig, load_config, save_config
+from .config import (ConfigError, GlobalConfig, load_config, load_world_spec,
+                     save_config, save_world_spec)
 from .controller import Pose2D, Status
 from .csvio import CsvFormatError, write_csv
 from .geom import FRAME_MAP, transform_cloud
@@ -22,7 +23,7 @@ from .npcd import NpcdError
 from .prior import PriorCoverageError
 from .runner import (read_scan_log, run_repeat, run_replay, run_teach,
                      save_run_log)
-from .simworld import WorldParams, generate_world, load_world_spec, save_world_spec
+from .simworld import WorldParams, generate_world
 from .trajectory import ReferenceTrajectory
 
 EXIT_OK = 0
@@ -31,12 +32,19 @@ EXIT_ABORT = 3
 EXIT_IO = 4
 
 
-def _add_common(p):
-    p.add_argument("--config", type=Path, default=None,
-                   help="YAML config file (defaults used when omitted)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
-    p.add_argument("--out-dir", type=Path, required=True)
+_OPTIONS = {
+    "--config": dict(type=Path, default=None,
+                     help="YAML config file (defaults used when omitted)"),
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--out-dir": dict(type=Path, required=True),
+}
+
+
+def _add_options(p, *names):
+    """Add the shared options ``names``; a command declares only those it
+    reads, so argparse rejects the rest."""
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,13 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     world = sub.add_parser("world", help="world utilities")
     world_sub = world.add_subparsers(dest="world_command", required=True)
     wg = world_sub.add_parser("gen", help="write a world spec file")
-    _add_common(wg)
+    _add_options(wg, "--config", "--seed", "--out-dir")
     wg.add_argument("--trail-length", type=float, default=200.0)
     wg.add_argument("--trail-width", type=float, default=4.5)
     wg.add_argument("--tree-density", type=float, default=0.03)
 
     teach = sub.add_parser("teach", help="run a scripted teach pass")
-    _add_common(teach)
+    _add_options(teach, "--config", "--seed", "--out-dir")
     teach.add_argument("--world", type=Path, default=None,
                        help="world spec file (generated when omitted)")
     teach.add_argument("--log-scans", action="store_true",
@@ -60,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "simulated, plus imu/odom for replay")
 
     rep = sub.add_parser("repeat", help="autonomous repeat of a database")
-    _add_common(rep)
+    _add_options(rep, "--config", "--seed", "--out-dir")
     rep.add_argument("--db", type=Path, required=True)
     rep.add_argument("--world", type=Path, required=True)
     rep.add_argument("--reverse", action="store_true")
@@ -69,36 +77,34 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--start-theta", type=float, default=0.0)
 
     replay = sub.add_parser("replay", help="run logged scans through the pipeline")
-    _add_common(replay)
+    _add_options(replay, "--config", "--out-dir")
     replay.add_argument("--scans", type=Path, required=True)
 
     an = sub.add_parser("analyze", help="evaluation metrics")
     an_sub = an.add_subparsers(dest="analyze_command", required=True)
 
     ct = an_sub.add_parser("cross-track")
-    _add_common(ct)
+    _add_options(ct, "--out-dir")
     ct.add_argument("--executed", type=Path, required=True)
     ct.add_argument("--reference", type=Path, required=True)
 
     cb = an_sub.add_parser("curvature-bins")
-    _add_common(cb)
+    _add_options(cb, "--out-dir")
     cb.add_argument("--cross-track", type=Path, nargs="+", required=True)
 
     ov = an_sub.add_parser("overlap")
-    _add_common(ov)
+    _add_options(ov, "--config", "--out-dir")
     ov.add_argument("--db", type=Path, required=True)
     ov.add_argument("--scans", type=Path, required=True)
     ov.add_argument("--threshold", type=float, default=0.5)
 
     pe = an_sub.add_parser("perturbation")
-    _add_common(pe)
+    _add_options(pe, "--config", "--out-dir")
     pe.add_argument("--db", type=Path, required=True)
     pe.add_argument("--scans", type=Path, required=True)
     pe.add_argument("--scan-index", type=int, default=0)
 
-    st = sub.add_parser("selftest", help="run the built-in oracle checks")
-    st.add_argument("--config", type=Path, default=None)
-    st.add_argument("--seed", type=int, default=None)
+    sub.add_parser("selftest", help="run the built-in oracle checks")
 
     return ap
 
@@ -111,21 +117,20 @@ def _load_cfg(args) -> GlobalConfig:
 
 
 def _world_from_args(args, cfg: GlobalConfig):
-    if getattr(args, "world", None):
-        try:
-            seed, params = load_world_spec(args.world)
-        except (ValueError, TypeError) as exc:   # bad JSON is a ValueError
-            raise ConfigError(f"world spec {args.world}: {exc}") from exc
-        return generate_world(seed, params)
+    if args.world:
+        return generate_world(*load_world_spec(args.world))
     return generate_world(cfg.seed, WorldParams())
 
 
 def _cmd_world_gen(args) -> int:
     cfg = _load_cfg(args)
+    try:
+        params = WorldParams(trail_length=args.trail_length,
+                             trail_width=args.trail_width,
+                             tree_density=args.tree_density)
+    except ValueError as exc:
+        raise ConfigError(f"world gen: {exc}") from exc
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    params = WorldParams(trail_length=args.trail_length,
-                         trail_width=args.trail_width,
-                         tree_density=args.tree_density)
     save_world_spec(args.out_dir / "world_spec.txt", cfg.seed, params)
     save_config(cfg, args.out_dir / "config_used.yaml")
     print(f"wrote {args.out_dir / 'world_spec.txt'}")

@@ -1,8 +1,11 @@
-"""Global configuration: nested dataclasses, strict YAML loading, round-trip save."""
+"""Global configuration and world specs: nested dataclasses that one strict
+builder loads from YAML config files and ``key = JSON`` world-spec files, and
+round-trip saves."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import json
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -10,11 +13,12 @@ import yaml
 from .controller import ControllerConfig
 from .icp import RegistrationConfig
 from .mapping import MappingConfig
-from .simworld import LidarParams
+from .simworld import LidarParams, WorldParams
 
 
 class ConfigError(ValueError):
-    """Configuration file problem; the message names the offending key."""
+    """Config file, world spec or option problem; the message names the
+    offending key, file or option."""
 
 
 @dataclass
@@ -62,26 +66,21 @@ class GlobalConfig:
     seed: int = 0
 
 
-_SECTIONS = {
-    "registration": RegistrationConfig,
-    "mapping": MappingConfig,
-    "path_following": ControllerConfig,
-    "prior": PriorConfig,
-    "sim": SimConfig,
-    "mission": MissionConfig,
-}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _build(cls, data: dict, path: str):
-    """Instantiate a config dataclass from a dict, rejecting unknown keys and
+def _build(cls, data, path: str):
+    """Instantiate dataclass ``cls`` from a mapping, rejecting unknown keys and
     a non-integer value for an ``int`` field, and reporting validation errors
-    with their full key path."""
+    with their full key path. A field whose default is a dataclass is a
+    nested section. A list becomes a tuple for a ``tuple`` field, and each
+    item of a ``list`` field becomes a tuple."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{path}' must be a mapping" if path
+                          else "config root must be a mapping")
     known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(str(key) for key in set(data) - set(known))
     if unknown:
         raise ConfigError(f"unknown key '{path}.{unknown[0]}'"
                           if path else f"unknown key '{unknown[0]}'")
@@ -89,17 +88,18 @@ def _build(cls, data: dict, path: str):
     for name, value in data.items():
         key_path = f"{path}.{name}" if path else name
         # Field annotations are strings: the config modules postpone them.
-        if known[name].type == "int" and not _is_int(value):
+        kind, section = known[name].type, known[name].default_factory
+        if kind == "int" and not _is_int(value):
             raise ConfigError(f"'{key_path}' must be an integer")
-        if name == "lidar":
-            if not isinstance(value, dict):
-                raise ConfigError(f"'{key_path}' must be a mapping")
-            value = _build(LidarParams, value, key_path)
-        elif name == "bboxes":
+        if is_dataclass(section):
+            value = _build(section, value, key_path)
+        elif isinstance(value, list) and kind.startswith("tuple"):
+            value = tuple(value)
+        elif isinstance(value, list):
             try:
-                value = [tuple(float(v) for v in box) for box in value]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"'{key_path}' must be a list of 6-tuples: "
+                value = [tuple(item) for item in value]
+            except TypeError as exc:
+                raise ConfigError(f"'{key_path}' must be a list of lists: "
                                   f"{exc}") from exc
         kwargs[name] = value
     try:
@@ -110,23 +110,7 @@ def _build(cls, data: dict, path: str):
 
 
 def config_from_dict(data: dict) -> GlobalConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = sorted(set(data) - set(_SECTIONS) - {"seed"})
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}'")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        if name in data:
-            section = data[name]
-            if not isinstance(section, dict):
-                raise ConfigError(f"'{name}' must be a mapping")
-            kwargs[name] = _build(cls, section, name)
-    if "seed" in data:
-        if not _is_int(data["seed"]):
-            raise ConfigError("'seed' must be an integer")
-        kwargs["seed"] = data["seed"]
-    return GlobalConfig(**kwargs)
+    return _build(GlobalConfig, data, "")
 
 
 def config_to_dict(cfg: GlobalConfig) -> dict:
@@ -153,3 +137,34 @@ def save_config(cfg: GlobalConfig, path) -> None:
     Path(path).write_text(
         yaml.safe_dump(config_to_dict(cfg), sort_keys=True,
                        default_flow_style=False))
+
+
+def save_world_spec(path, seed: int, params: WorldParams) -> None:
+    """Key-value text file from which the world regenerates deterministically:
+    the seed, then one ``key = JSON`` line per ``WorldParams`` field."""
+    lines = [f"seed = {json.dumps(seed)}"]
+    for key, value in asdict(params).items():
+        lines.append(f"{key} = {json.dumps(value)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_world_spec(path) -> tuple[int, WorldParams]:
+    """(seed, WorldParams) from a ``save_world_spec`` file, through the
+    config's checks; blank lines and ``#`` comments are skipped. A malformed
+    file (bad JSON, a missing or non-integer seed, an unknown key, an invalid
+    value) raises ConfigError naming the file."""
+    text = Path(path).read_text()
+    try:
+        data = {}
+        for line in text.splitlines():
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key and not key.startswith("#"):
+                data[key] = json.loads(value)
+        seed = data.pop("seed", None)
+        if not _is_int(seed):
+            raise ConfigError("missing a seed" if seed is None
+                              else "'seed' must be an integer")
+        return seed, _build(WorldParams, data, "")
+    except ValueError as exc:   # a ConfigError, or bad JSON
+        raise ConfigError(f"world spec {path}: {exc}") from exc

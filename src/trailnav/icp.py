@@ -66,8 +66,11 @@ class RegistrationConfig:
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
         for b in self.bboxes:
-            if len(b) != 6 or b[0] >= b[1] or b[2] >= b[3] or b[4] >= b[5]:
-                raise ValueError(f"bounding box {b} must satisfy min < max per axis")
+            box = np.asarray(b)
+            if (box.shape != (6,) or box.dtype.kind not in "iuf"
+                    or not np.all(box[0::2] < box[1::2])):
+                raise ValueError(f"bounding box {b} must be 6 numbers with "
+                                 "min < max per axis")
 
 
 @dataclass

@@ -511,7 +511,7 @@ def retile(vmap: VoxelMap, robot_position, cfg: MappingConfig):
 # ---------------------------------------------------------------------------
 
 
-def save_map(vmap: VoxelMap, out_dir) -> Path:
+def save_map(vmap: VoxelMap, out_dir) -> None:
     """Persist the whole map (local and nonlocal) as manifest.json plus one
     NPCD v1 file per voxel. Round trips preserve points, normals and dyn_prob
     bit-exactly."""
@@ -538,7 +538,6 @@ def save_map(vmap: VoxelMap, out_dir) -> Path:
     manifest = {"format": MAP_FORMAT, "version": MAP_VERSION, "v_s": vmap.v_s,
                 "voxels": entries}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    return out_dir
 
 
 def load_map(path, spill_dir=None) -> VoxelMap:

@@ -4,9 +4,7 @@ snowfall noise, and heterogeneous snow accumulation."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,12 +70,31 @@ class WorldParams:
     foliage_jitter_sd: float = 0.08      # radial blob texture (m)
 
     def __post_init__(self):
-        if self.trail_width <= 0 or self.trail_length <= 0:
-            raise ValueError("trail width and length must be positive")
-        if self.tree_density < 0:
-            raise ValueError("tree density must be >= 0")
+        for name in ("trail_width", "trail_length", "cell", "terrain_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("tree_density", "foliage_jitter_sd"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.canopy_porosity <= 1.0:
             raise ValueError("canopy_porosity must lie in [0, 1]")
+        if self.extent is not None:
+            box = np.asarray(self.extent, dtype=np.float64)
+            if box.shape != (4,) or not (box[0] < box[1] and box[2] < box[3]):
+                raise ValueError("extent must be (xmin, xmax, ymin, ymax) with "
+                                 "xmin < xmax and ymin < ymax")
+        self.resolved_centerline()      # raises on fewer than 2 points
+        if (self.clearing_center is not None
+                and np.shape(self.clearing_center) != (2,)):
+            raise ValueError("clearing_center must be (x, y)")
+        if any(np.shape(b) != (5,) for b in self.buildings):
+            raise ValueError("each building must be (cx, cy, sx, sy, height)")
+        for name in ("trunk_height", "trunk_radius", "foliage_radius"):
+            lo_hi = np.asarray(getattr(self, name))
+            if (lo_hi.shape != (2,) or lo_hi.dtype.kind not in "iuf"
+                    or not lo_hi[0] <= lo_hi[1]):
+                raise ValueError(f"{name} must be two numbers (lo, hi) with "
+                                 "lo <= hi")
 
     def resolved_centerline(self) -> np.ndarray:
         if self.centerline is not None:
@@ -525,47 +542,3 @@ def accumulate_snow(world: World, depth: float, class_factors: dict) -> World:
                           b.z_top + depth * fb) for b in world.buildings]
     return World(ground=ground, trees=trees, buildings=buildings,
                  seed=world.seed, params=world.params)
-
-
-# -- world spec file ---------------------------------------------------------
-
-
-def save_world_spec(path, seed: int, params: WorldParams) -> None:
-    """Key-value text file from which the world regenerates deterministically."""
-    lines = [f"seed = {json.dumps(seed)}"]
-    for key, value in asdict(params).items():
-        lines.append(f"{key} = {json.dumps(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_world_spec(path):
-    """(seed, WorldParams) from a ``save_world_spec`` file. A malformed file
-    raises ValueError (bad JSON, missing seed, invalid value) or TypeError
-    (unknown key)."""
-    seed = None
-    fields = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = json.loads(value.strip())
-        if key == "seed":
-            seed = int(value)
-        else:
-            fields[key] = value
-    if seed is None:
-        raise ValueError("missing a seed")
-    if fields.get("extent") is not None:
-        fields["extent"] = tuple(fields["extent"])
-    if fields.get("clearing_center") is not None:
-        fields["clearing_center"] = tuple(fields["clearing_center"])
-    for tup in ("trunk_height", "trunk_radius", "foliage_radius"):
-        if tup in fields:
-            fields[tup] = tuple(fields[tup])
-    if fields.get("buildings"):
-        fields["buildings"] = [tuple(b) for b in fields["buildings"]]
-    if fields.get("centerline") is not None:
-        fields["centerline"] = [tuple(p) for p in fields["centerline"]]
-    return seed, WorldParams(**fields)

@@ -566,8 +566,8 @@ def test_criterion_09_voxel_manager(tmp_path):
         dither_fires += bool(actions)
     assert dither_fires <= 1
 
-    out = save_map(vmap, tmp_path / "saved")
-    loaded = load_map(out, spill_dir=tmp_path / "spill2")
+    save_map(vmap, tmp_path / "saved")
+    loaded = load_map(tmp_path / "saved", spill_dir=tmp_path / "spill2")
     round_trip_ok = _map_digest(vmap) == _map_digest(loaded)
     assert round_trip_ok
     _report(9, "voxel manager", True,

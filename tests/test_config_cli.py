@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -5,13 +6,14 @@ import yaml
 
 from trailnav.cli import main
 from trailnav.config import (ConfigError, GlobalConfig, config_from_dict,
-                             config_to_dict, load_config, save_config)
+                             config_to_dict, load_config, load_world_spec,
+                             save_config, save_world_spec)
 from trailnav.icp import RegistrationFailure
 from trailnav.mission import TeachAbort
 from trailnav.csvio import read_csv, read_float_csv
 from trailnav.npcd import read_npcd
 from trailnav.runner import IMU_HEADER, ODOM_HEADER, SCANS_HEADER
-from trailnav.simworld import LidarParams, WorldParams, save_world_spec
+from trailnav.simworld import LidarParams, WorldParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,6 +53,8 @@ def test_unknown_keys_rejected_with_path():
         config_from_dict({"mapping": {"bogus": 1}})
     with pytest.raises(ConfigError, match="unknown key 'sim.lidar.bogus'"):
         config_from_dict({"sim": {"lidar": {"bogus": 1}}})
+    with pytest.raises(ConfigError, match="unknown key '1'"):
+        config_from_dict({1: 2, "bogus": 3})
 
 
 def test_invalid_value_names_section():
@@ -58,6 +62,8 @@ def test_invalid_value_names_section():
         config_from_dict({"registration": {"eta_d": 1.3}})
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict({"seed": "zero"})
+    with pytest.raises(ConfigError, match="registration"):
+        config_from_dict({"registration": {"bboxes": [list("abcdef")]}})
 
 
 def test_partial_config_fills_defaults(tmp_path):
@@ -140,7 +146,22 @@ def test_cli_bad_config_exit_two(tmp_path):
     ("seed = 1\nbogus = 2\n", "bogus"),
     ("seed = 1\ntrail_length = ten\n", "Expecting value"),
     ("seed = 1\ncanopy_porosity = 1.5\n", "canopy_porosity"),
-], ids=["missing_seed", "unknown_key", "bad_json", "porosity_above_one"])
+    ("seed = 1.7\n", "'seed' must be an integer"),
+    ("seed = true\n", "'seed' must be an integer"),
+    ("seed = 1\ncell = 0.0\n", "cell must be positive"),
+    ("seed = 1\nextent = [10.0, -10.0, -5.0, 5.0]\n", "xmin < xmax"),
+    ("seed = 1\ntrunk_height = 3\n", "trunk_height"),
+    ("seed = 1\ntrunk_radius = [0.3, 0.1]\n", "trunk_radius"),
+    ("seed = 1\ncenterline = [[0.0, 0.0]]\n", "at least 2 points"),
+    ("seed = 1\nbuildings = [[1.0, 2.0]]\n", "each building"),
+    ("seed = 1\nterrain_scale = 0.0\n", "terrain_scale"),
+    ("seed = 1\nfoliage_jitter_sd = -0.1\n", "foliage_jitter_sd"),
+    ("seed = 1\nclearing_center = [1.0]\n", "clearing_center"),
+], ids=["missing_seed", "unknown_key", "bad_json", "porosity_above_one",
+        "float_seed", "bool_seed", "zero_cell", "inverted_extent",
+        "scalar_trunk_height", "inverted_trunk_radius", "one_point_centerline",
+        "short_building", "zero_terrain_scale", "negative_jitter",
+        "one_number_clearing_center"])
 def test_cli_malformed_world_spec_exit_two(tmp_path, capsys, spec, why):
     path = tmp_path / "world_spec.txt"
     path.write_text(spec)
@@ -148,6 +169,82 @@ def test_cli_malformed_world_spec_exit_two(tmp_path, capsys, spec, why):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(path) in err and why in err
+
+
+@pytest.mark.parametrize("seed", ["1.7", "true"])
+def test_world_spec_seed_must_be_an_integer(tmp_path, seed):
+    path = tmp_path / "world_spec.txt"
+    path.write_text(f"seed = {seed}\ntrail_length = 10.0\n")
+    with pytest.raises(ConfigError, match="'seed' must be an integer") as exc:
+        load_world_spec(path)
+    assert str(path) in str(exc.value)
+
+
+# One value per WorldParams field, each unlike its default, in the types the
+# world generator is given in code.
+_WORLD_FIELDS = dict(
+    trail_width=3.0, trail_length=80.0, tree_density=0.04,
+    extent=(-10.0, 90.0, -30.0, 30.0), cell=0.5, terrain_amplitude=0.3,
+    terrain_scale=20.0, centerline=[(0.0, 0.0), (40.0, 5.0), (80.0, 0.0)],
+    buildings=[(50.0, 12.0, 6.0, 4.0, 3.0)], clearing_center=(40.0, 5.0),
+    clearing_radius=8.0, canopy_porosity=0.5, trunk_height=(2.5, 6.0),
+    trunk_radius=(0.1, 0.25), foliage_radius=(1.2, 2.0),
+    foliage_jitter_sd=0.05)
+
+
+def test_world_spec_round_trips_every_field(tmp_path):
+    """Every WorldParams field loads back equal, in its own type, through the
+    world-spec builder; a field this test does not list fails it."""
+    assert set(_WORLD_FIELDS) == {f.name for f in fields(WorldParams)}
+    params = WorldParams(**_WORLD_FIELDS)
+    assert all(getattr(params, f.name) != getattr(WorldParams(), f.name)
+               for f in fields(WorldParams))
+    save_world_spec(tmp_path / "world_spec.txt", 3, params)
+    seed, back = load_world_spec(tmp_path / "world_spec.txt")
+    assert seed == 3 and back == params
+    for f in fields(WorldParams):
+        assert type(getattr(back, f.name)) is type(getattr(params, f.name))
+
+
+@pytest.mark.parametrize("option, value, why", [
+    ("--trail-length", "0", "trail_length must be positive"),
+    ("--trail-width", "0", "trail_width must be positive"),
+    ("--tree-density", "-0.1", "tree_density must be >= 0"),
+])
+def test_cli_world_gen_bad_option_exit_two(tmp_path, capsys, option, value,
+                                           why):
+    rc = main(["world", "gen", "--out-dir", str(tmp_path / "w"),
+               option, value])
+    assert rc == 2
+    assert why in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["replay", "--scans", "s"], "--seed"),
+    (["analyze", "cross-track", "--executed", "e", "--reference", "r"],
+     "--seed"),
+    (["analyze", "curvature-bins", "--cross-track", "c"], "--seed"),
+    (["analyze", "overlap", "--db", "d", "--scans", "s"], "--seed"),
+    (["analyze", "perturbation", "--db", "d", "--scans", "s"], "--seed"),
+    (["selftest"], "--seed"),
+    (["analyze", "cross-track", "--executed", "e", "--reference", "r"],
+     "--config"),
+    (["analyze", "curvature-bins", "--cross-track", "c"], "--config"),
+    (["selftest"], "--config"),
+], ids=["replay_seed", "cross_track_seed", "curvature_bins_seed",
+        "overlap_seed", "perturbation_seed", "selftest_seed",
+        "cross_track_config", "curvature_bins_config", "selftest_config"])
+def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, capsys,
+                                                         argv, option):
+    """A command declares only the shared options it reads; argparse exits 2
+    on any other, before a missing file could be ignored."""
+    out = [] if argv == ["selftest"] else ["--out-dir", str(tmp_path / "o")]
+    value = "9" if option == "--seed" else str(tmp_path / "nothere.yaml")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *out, option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_cli_missing_database_exit_four(tmp_path):

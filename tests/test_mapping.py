@@ -264,8 +264,8 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     pts = rng.uniform(-30, 30, (3000, 3))
     insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 1.5], cfg.rho)
     refresh_normals(vmap, cfg, [0, 0, 1.5])
-    out = save_map(vmap, tmp_path / "db")
-    assert (out / "manifest.json").exists()
+    save_map(vmap, tmp_path / "db")
+    assert (tmp_path / "db" / "manifest.json").exists()
     back = load_map(tmp_path / "db", spill_dir=tmp_path / "spill2")
     assert back.all_keys() == vmap.all_keys()
     for key in vmap.voxels:

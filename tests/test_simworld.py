@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trailnav.controller import Pose2D
+from trailnav.config import load_world_spec, save_world_spec
 from trailnav import simworld
 from trailnav.prior import dead_reckon, deskew
 from trailnav.simworld import (CLASS_BUILDING, CLASS_GROUND, CLASS_SNOWFALL,
                                CLASS_VEGETATION, Heightfield, LidarParams,
                                RobotState, WorldParams, accumulate_snow,
-                               apply_snowfall, generate_world, load_world_spec,
-                               save_world_spec, simulate_lidar, step_robot)
+                               apply_snowfall, generate_world, simulate_lidar,
+                               step_robot)
 from trailnav.simworld import (Trees, _dist_to_polyline, _in_reach,
                                _ray_cylinders, _ray_ground)
 
