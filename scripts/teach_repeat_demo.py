@@ -18,7 +18,6 @@ import numpy as np
 from trailnav.analysis import bin_by_curvature, cross_track_series
 from trailnav.config import GlobalConfig, save_config
 from trailnav.controller import Pose2D
-from trailnav.mission import load_database
 from trailnav.runner import run_repeat, run_teach, save_run_log
 from trailnav.simworld import LidarParams, WorldParams, generate_world
 
@@ -67,14 +66,15 @@ def main():
     t0 = time.perf_counter()
     res = run_teach(world, cfg, waypoints=[tuple(p) for p in path[1:]],
                     out_dir=args.out_dir / "db", v_teach=1.0, max_ticks=2000)
-    vmap, traj = load_database(res.db_dir)
+    traj = res.state.trajectory
     print(f"  taught {traj.total_length():.1f} m "
-          f"({len(traj)} reference poses, {vmap.point_count()} map points) "
+          f"({len(traj)} reference poses, "
+          f"{res.state.map.point_count()} map points) "
           f"in {time.perf_counter() - t0:.1f}s")
 
     print("repeating ...")
     t0 = time.perf_counter()
-    rr = run_repeat(world, (vmap, traj), cfg, start=Pose2D(0.1, 0.1, 0.02),
+    rr = run_repeat(world, res.db_dir, cfg, start=Pose2D(0.1, 0.1, 0.02),
                     max_ticks=2000)
     elapsed = time.perf_counter() - t0
     print(f"  status={rr.status.name if rr.status else 'init failed'} "
@@ -84,7 +84,7 @@ def main():
         raise SystemExit(f"initialization failed: {rr.init.reason}")
 
     save_run_log(args.out_dir / "repeat_log.csv", rr.log_rows)
-    series = cross_track_series(rr.executed, traj)
+    series = cross_track_series(rr.executed, rr.mission.trajectory)
     series.save_csv(args.out_dir / "cross_track.csv")
     bin_by_curvature(series).save_csv(args.out_dir / "bins.csv")
     print(f"  cross-track: median {np.median(series.eps_ct):.3f} m, "

@@ -12,16 +12,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import FRAME_MAP, PointCloud
-from .npcd import read_npcd, write_npcd
+from .npcd import NpcdError, read_npcd, write_npcd
 
 MAP_FORMAT = "trailnav-map"
 MAP_VERSION = 1
 
 
 class PersistenceError(RuntimeError):
-    def __init__(self, msg, voxel=None):
-        super().__init__(msg)
-        self.voxel = voxel
+    """A voxel file could not be written or read."""
 
 
 class MapLoadError(RuntimeError):
@@ -86,8 +84,9 @@ class VoxelChunk:
 
 
 class VoxelMap:
-    """Voxel-indexed map split into a RAM-resident local set and a disk-backed
-    nonlocal set; the keys of ``voxels`` and ``nonlocal_manifest`` partition
+    """Voxel-indexed map split into a RAM-resident local set and a nonlocal
+    set spilled to ``spill_dir`` as ``write_voxel`` files, so a voxel reloads
+    with labels 0; the keys of ``voxels`` and ``nonlocal_manifest`` partition
     the map."""
 
     def __init__(self, v_s: float, spill_dir=None):
@@ -170,30 +169,40 @@ class VoxelMap:
             parts.append(self._read_chunk(key).points)
         return PointCloud(np.vstack(parts), FRAME_MAP)
 
-    # -- persistence of individual chunks (internal spill format) --------
-
-    def _spill_path(self, key) -> Path:
-        return self.spill_dir / "spill_{}_{}_{}.npz".format(*key)
+    # -- spilled chunks --------------------------------------------------
 
     def _write_chunk(self, key, chunk: VoxelChunk) -> Path:
-        path = self._spill_path(key)
-        try:
-            np.savez(path, points=chunk.points, normals=chunk.normals,
-                     dyn_prob=chunk.dyn_prob, labels=chunk.labels)
-        except OSError as exc:
-            raise PersistenceError(f"failed to write voxel {key}: {exc}",
-                                   voxel=key) from exc
+        # The prefix keeps a spill from overwriting a database's voxel file.
+        path = self.spill_dir / "spill_{}_{}_{}.npcd".format(*key)
+        write_voxel(path, chunk)
         return path
 
     def _read_chunk(self, key) -> VoxelChunk:
-        path = self.nonlocal_manifest[key]
         try:
-            with np.load(path) as data:
-                return VoxelChunk(data["points"], data["normals"], data["dyn_prob"],
-                                  data["labels"])
-        except (OSError, KeyError) as exc:
-            raise PersistenceError(f"failed to read voxel {key}: {exc}",
-                                   voxel=key) from exc
+            return read_voxel(self.nonlocal_manifest[key])
+        except (OSError, NpcdError) as exc:
+            raise PersistenceError(f"failed to read voxel {key}: {exc}") from exc
+
+
+def write_voxel(path, chunk: VoxelChunk) -> None:
+    """The one on-disk form of a voxel, spilled or saved: an NPCD v1 file of
+    its points and dyn_prob, and of its normals when every one is set.
+    Labels stay in RAM."""
+    has_normals = bool(np.isfinite(chunk.normals).all())
+    cloud = PointCloud(chunk.points, FRAME_MAP,
+                       normals=chunk.normals if has_normals else None,
+                       dyn_prob=chunk.dyn_prob)
+    try:
+        write_npcd(path, cloud)
+    except OSError as exc:
+        raise PersistenceError(f"failed to write {path}: {exc}") from exc
+
+
+def read_voxel(path) -> VoxelChunk:
+    """A voxel ``write_voxel`` wrote: bit-exact points, normals (NaN when
+    none were written) and dyn_prob, with labels 0."""
+    cloud = read_npcd(path)
+    return VoxelChunk(cloud.points, cloud.normals, cloud.dyn_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +501,12 @@ def retile(vmap: VoxelMap, robot_position, cfg: MappingConfig):
     actions = []
     for key in sorted(vmap.nonlocal_manifest):
         if _in_box(key, lo, hi):
-            chunk = vmap._read_chunk(key)
-            vmap.voxels[key] = chunk
+            vmap.voxels[key] = vmap._read_chunk(key)
             del vmap.nonlocal_manifest[key]
             actions.append(("load", key))
     for key in sorted(vmap.voxels):
         if not _in_box(key, lo, hi):
-            path = vmap._write_chunk(key, vmap.voxels[key])
-            vmap.nonlocal_manifest[key] = path
+            vmap.nonlocal_manifest[key] = vmap._write_chunk(key, vmap.voxels[key])
             del vmap.voxels[key]
             actions.append(("unload", key))
     vmap.last_retile_voxel = cur
@@ -513,27 +520,18 @@ def retile(vmap: VoxelMap, robot_position, cfg: MappingConfig):
 
 def save_map(vmap: VoxelMap, out_dir) -> None:
     """Persist the whole map (local and nonlocal) as manifest.json plus one
-    NPCD v1 file per voxel. Round trips preserve points, normals and dyn_prob
+    ``write_voxel`` file per non-empty voxel; a spilled voxel is saved as it
+    was read back. Round trips preserve points, normals and dyn_prob
     bit-exactly."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for key in sorted(vmap.all_keys()):
-        chunk = vmap.voxels.get(key)
-        if chunk is None:
-            chunk = vmap._read_chunk(key)
+        chunk = vmap.voxels[key] if key in vmap.voxels else vmap._read_chunk(key)
         if len(chunk) == 0:
             continue
         name = "vx_{}_{}_{}.npcd".format(*key)
-        has_normals = bool(np.isfinite(chunk.normals).all())
-        cloud = PointCloud(chunk.points, FRAME_MAP,
-                           normals=chunk.normals if has_normals else None,
-                           dyn_prob=chunk.dyn_prob)
-        try:
-            write_npcd(out_dir / name, cloud)
-        except OSError as exc:
-            raise PersistenceError(f"failed to write {name}: {exc}",
-                                   voxel=key) from exc
+        write_voxel(out_dir / name, chunk)
         entries.append({"index": list(key), "count": len(chunk), "file": name})
     manifest = {"format": MAP_FORMAT, "version": MAP_VERSION, "v_s": vmap.v_s,
                 "voxels": entries}
@@ -541,8 +539,9 @@ def save_map(vmap: VoxelMap, out_dir) -> None:
 
 
 def load_map(path, spill_dir=None) -> VoxelMap:
-    """Load a map database; every voxel starts RAM-resident (local). Fails on a
-    missing or size-inconsistent voxel file and on a version mismatch."""
+    """Load a map database; every voxel starts RAM-resident (local), with
+    labels 0 as ``read_voxel`` gives them. Fails on a missing or
+    size-inconsistent voxel file and on a version mismatch."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
@@ -563,10 +562,9 @@ def load_map(path, spill_dir=None) -> VoxelMap:
     for key, fpath, count in entries:
         if not fpath.exists():
             raise MapLoadError(f"missing voxel file {fpath}")
-        cloud = read_npcd(fpath, frame=FRAME_MAP)
-        if len(cloud) != count:
+        chunk = vmap.voxels[key] = read_voxel(fpath)
+        if len(chunk) != count:
             raise MapLoadError(
-                f"{fpath}: has {len(cloud)} points, manifest says {count}")
-        vmap.voxels[key] = VoxelChunk(cloud.points, cloud.normals, cloud.dyn_prob)
+                f"{fpath}: has {len(chunk)} points, manifest says {count}")
     vmap._invalidate()
     return vmap

@@ -160,11 +160,9 @@ def finalize_teach(state: TeachState, d_ref: float, out_dir) -> Path:
     return out_dir
 
 
-def load_database(db_dir, spill_dir=None):
+def load_database(db_dir):
     db_dir = Path(db_dir)
-    vmap = load_map(db_dir, spill_dir=spill_dir)
-    trajectory = ReferenceTrajectory.load_csv(db_dir / "trajectory.csv")
-    return vmap, trajectory
+    return load_map(db_dir), ReferenceTrajectory.load_csv(db_dir / "trajectory.csv")
 
 
 def initialize_localization(vmap: VoxelMap, scan: PointCloud,

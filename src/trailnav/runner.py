@@ -306,16 +306,16 @@ class RepeatRunResult:
     truth: ReferenceTrajectory | None
 
 
-def run_repeat(world: World, database, cfg: GlobalConfig,
+def run_repeat(world: World, db_dir, cfg: GlobalConfig,
                start: Pose2D, reverse: bool = False,
                max_ticks: int = 5000,
                scan_seed_base: int = 10_000) -> RepeatRunResult:
-    """Autonomous repeat of a taught database in the given (possibly changed)
-    world. ``database`` is a directory path or a (VoxelMap, trajectory) pair."""
-    if isinstance(database, (str, Path)):
-        vmap, trajectory = load_database(database)
-    else:
-        vmap, trajectory = database
+    """Autonomous repeat, in the given (possibly changed) world, of the
+    database taught into ``db_dir``. Each call loads the database afresh, so
+    a repeat never starts from the residency another one left behind; the
+    map and trajectory it ran on are ``mission.map`` and
+    ``mission.trajectory`` of the result."""
+    vmap, trajectory = load_database(db_dir)
     if reverse:
         trajectory = trajectory.reversed()
     init = initialize_at_rest(world, vmap, cfg, start,

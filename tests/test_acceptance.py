@@ -215,16 +215,16 @@ def taught_long(tmp_path_factory):
     out = tmp_path_factory.mktemp("db_long")
     res = run_teach(world, cfg, waypoints=[tuple(p) for p in path[1:]],
                     out_dir=out, v_teach=1.5, max_ticks=2000)
-    vmap, traj = load_database(res.db_dir)
-    return world, cfg, vmap, traj
+    return world, cfg, res.db_dir
 
 
 def test_criterion_04_closed_loop_repeat(taught_long):
-    world, cfg, vmap, traj = taught_long
+    world, cfg, db = taught_long
     t0 = time.perf_counter()
-    rr = run_repeat(world, (vmap, traj), cfg, start=Pose2D(0.0, 0.0, 0.0),
+    rr = run_repeat(world, db, cfg, start=Pose2D(0.0, 0.0, 0.0),
                     max_ticks=2000)
     elapsed = time.perf_counter() - t0
+    traj = rr.mission.trajectory
     series = cross_track_series(rr.executed, traj)
     med = float(np.median(series.eps_ct))
     worst = float(series.eps_ct.max())
@@ -281,22 +281,21 @@ def taught_ramp(tmp_path_factory):
     res = run_teach(world, cfg, waypoints=[tuple(p) for p in path[4::4]] +
                     [tuple(path[-1])], out_dir=out, v_teach=1.0,
                     max_ticks=2000)
-    vmap, traj = load_database(res.db_dir)
-    return world, cfg, vmap, traj
+    return world, cfg, res.db_dir
 
 
 def test_criterion_05_curvature_error_correlation(taught_ramp):
-    world, cfg, vmap, traj = taught_ramp
+    world, cfg, db = taught_ramp
     rng = np.random.default_rng(5)
     pool = [[], [], []]
     statuses = []
     for i in range(12):
         dx, dy = rng.uniform(-0.01, 0.01, 2)
         dth = rng.uniform(-0.01, 0.01)
-        rr = run_repeat(world, (vmap, traj), cfg, start=Pose2D(dx, dy, dth),
+        rr = run_repeat(world, db, cfg, start=Pose2D(dx, dy, dth),
                         max_ticks=2000, scan_seed_base=10_000 + 777 * i)
         statuses.append(rr.status)
-        series = cross_track_series(rr.executed, traj)
+        series = cross_track_series(rr.executed, rr.mission.trajectory)
         pool[0].append(series.arc_position)
         pool[1].append(series.eps_ct)
         pool[2].append(series.kappa)

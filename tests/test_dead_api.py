@@ -13,6 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # Acceptance criterion 8 (tests/test_acceptance.py) is apply_snowfall's caller.
 ALLOWED_TEST_ONLY = {"apply_snowfall"}
 
+# Imported names a module keeps without reading them, by module. The
+# package's __init__.py is exempt: its imports are its re-exports.
+ALLOWED_UNREAD_IMPORTS = {
+    # perfbench/harness.py patches it in mission; ROADMAP.md item 1 frees it.
+    "mission.py": {"build_index"},
+}
+
 # Attributes kept although no program file reads them by name.
 ALLOWED_UNREAD_ATTRIBUTES = {
     "LogRow",                           # astuple writes each row whole
@@ -94,6 +101,23 @@ def test_every_module_constant_is_read_by_the_program():
                     defined[target.id] = f"{name}:{target.id}"
     unused = _unused(defined, reads_only=True)
     assert not unused, f"constants never read by the program: {unused}"
+
+
+def test_every_imported_name_is_read_by_its_module():
+    unread = []
+    for name, tree in _src_trees():
+        if name == "__init__.py":
+            continue
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        allowed = ALLOWED_UNREAD_IMPORTS.get(name, set())
+        unread += [f"{name}:{n}" for n in sorted(imported - read - allowed)]
+    assert not unread, f"imported but never read: {unread}"
 
 
 def _exception_classes(classes):

@@ -6,6 +6,7 @@ from trailnav.geom import FRAME_MAP, PointCloud
 from trailnav.mapping import (MapLoadError, MappingConfig, VoxelMap,
                               compute_normals, filter_dynamic, insert_scan,
                               load_map, refresh_normals, retile, save_map)
+from trailnav.npcd import read_npcd
 
 
 def _map_cfg(**kw):
@@ -290,6 +291,69 @@ def test_load_map_missing_voxel_file(tmp_path):
     (tmp_path / "db" / "vx_0_0_0.npcd").unlink()
     with pytest.raises(MapLoadError):
         load_map(tmp_path / "db")
+
+
+def _labelled_map(spill_dir):
+    """Points over a 60 m square on 5 m voxels, with labels 1-3, normals and
+    non-zero dyn_prob: the same map on every call."""
+    rng = np.random.default_rng(3)
+    vmap = VoxelMap(5.0, spill_dir=spill_dir)
+    pts = rng.uniform(-30, 30, (3000, 3)) * [1.0, 1.0, 0.05]
+    insert_scan(vmap, PointCloud(pts, FRAME_MAP,
+                                 labels=rng.integers(1, 4, len(pts))),
+                [0, 0, 1.5], 0.1)
+    refresh_normals(vmap, _map_cfg(), [0, 0, 1.5])
+    for key in sorted(vmap.voxels):
+        chunk = vmap.voxels[key]
+        chunk.dyn_prob[:] = rng.uniform(0.0, 0.7, len(chunk))
+    return vmap
+
+
+# r = 5 m on 5 m voxels: the local cube spans voxels c - 3 .. c + 2.
+_SPILL_CFG = MappingConfig(r=5.0, v_s=5.0)
+
+
+def test_a_spilled_voxel_is_an_npcd_file_and_reloads_bit_exact(tmp_path):
+    vmap = _labelled_map(tmp_path / "spill")
+    before = {key: (c.points.copy(), c.normals.copy(), c.dyn_prob.copy())
+              for key, c in vmap.voxels.items()}
+    assert all(np.isfinite(n).all() for _, n, _ in before.values())
+    retile(vmap, [0.0, 0.0, 0.0], _SPILL_CFG)
+    spilled = sorted(vmap.nonlocal_manifest)
+    assert len(spilled) > 10
+    for key in spilled:
+        path = vmap.nonlocal_manifest[key]
+        assert path.parent == tmp_path / "spill"
+        assert path.name == "spill_{}_{}_{}.npcd".format(*key)
+        cloud = read_npcd(path)
+        assert np.array_equal(cloud.points, before[key][0])
+        assert np.array_equal(cloud.normals, before[key][1])
+        assert np.array_equal(cloud.dyn_prob, before[key][2])
+    # Retiling at the far corner reloads the spilled voxels near it.
+    retile(vmap, [29.0, 29.0, 0.0], _SPILL_CFG)
+    reloaded = [key for key in spilled if key in vmap.voxels]
+    assert len(reloaded) > 3
+    for key in reloaded:
+        chunk = vmap.voxels[key]
+        for got, want in zip((chunk.points, chunk.normals, chunk.dyn_prob),
+                             before[key]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(chunk.labels, np.zeros(len(chunk), np.int64))
+
+
+def test_a_map_with_spilled_voxels_saves_what_a_resident_map_saves(tmp_path):
+    resident = _labelled_map(tmp_path / "spill_a")
+    spilled = _labelled_map(tmp_path / "spill_b")
+    retile(spilled, [0.0, 0.0, 0.0], _SPILL_CFG)
+    assert spilled.nonlocal_manifest and not resident.nonlocal_manifest
+    save_map(resident, tmp_path / "a")
+    save_map(spilled, tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "manifest.json" in names and len(names) > 10
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
 
 
 _BUMPY_SENSORS = ([-3.0, 1.0, 2.0], [4.0, -2.0, 2.5])

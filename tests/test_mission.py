@@ -356,29 +356,74 @@ def _chunk_digest(vmap):
     return h.hexdigest()
 
 
-def test_repeat_reaches_goal_and_map_stays_frozen(taught, tmp_path):
+def test_repeat_reaches_goal_and_map_stays_frozen(taught):
     world, cfg, result = taught
-    vmap, traj = load_database(result.db_dir, spill_dir=tmp_path)
-    before = _chunk_digest(vmap)
-    rr = run_repeat(world, (vmap, traj), cfg,
+    before = _chunk_digest(load_database(result.db_dir)[0])
+    rr = run_repeat(world, result.db_dir, cfg,
                     start=Pose2D(0.2, 0.15, 0.05), max_ticks=400)
     assert rr.init.success
     assert rr.status is Status.GOAL_REACHED
     assert rr.mission.intervention_count == 0
-    assert _chunk_digest(vmap) == before
+    assert _chunk_digest(rr.mission.map) == before
     # The executed path hugs the taught reference.
     from trailnav.analysis import cross_track_series
-    series = cross_track_series(rr.executed, traj)
+    series = cross_track_series(rr.executed, rr.mission.trajectory)
     assert np.median(series.eps_ct) < 0.1
     # The run log carries one row per controlled tick.
     assert len(rr.log_rows) > 10
     assert rr.log_rows[-1].status == "goal_reached"
 
 
+@pytest.fixture(scope="module")
+def taught_fine(tmp_path_factory):
+    """The small teach on 5 m voxels, where a repeat's retile spills voxels
+    and loads them back."""
+    cfg = _small_cfg()
+    cfg.mapping.v_s = 5.0
+    world = _small_world()
+    result = run_teach(world, cfg, waypoints=[(15.0, 0.0)],
+                       out_dir=tmp_path_factory.mktemp("fine") / "db",
+                       v_teach=1.0)
+    return world, cfg, result.db_dir
+
+
+def test_repeats_from_one_database_do_not_depend_on_their_order(
+        taught_fine, monkeypatch):
+    """Two repeats run one after the other from one database each give what
+    they give when run first: each loads the map afresh and starts from
+    full residency, not from what the other left spilled."""
+    import trailnav.mission as mission
+    world, cfg, db = taught_fine
+    starts = {"a": (Pose2D(0.2, 0.15, 0.05), 10_000),
+              "b": (Pose2D(0.1, -0.1, 0.0), 20_000)}
+    actions = []
+
+    def recording_retile(vmap, position, map_cfg):
+        out = retile(vmap, position, map_cfg)
+        actions.extend(name for name, _ in out[1])
+        return out
+
+    retile = mission.retile
+    monkeypatch.setattr(mission, "retile", recording_retile)
+
+    def outcome(name):
+        start, seed_base = starts[name]
+        rr = run_repeat(world, db, cfg, start=start, max_ticks=400,
+                        scan_seed_base=seed_base)
+        assert rr.status is Status.GOAL_REACHED
+        return (rr.init.success, rr.init.overlap, rr.init.reason,
+                rr.init.pose.rotation.tobytes(),
+                rr.init.pose.translation.tobytes(),
+                rr.executed.positions.tobytes())
+
+    first = [outcome("a"), outcome("b")]
+    assert {"load", "unload"} <= set(actions)
+    assert [outcome("b"), outcome("a")] == first[::-1]
+
+
 def test_init_corrects_small_start_offset(taught):
     world, cfg, result = taught
-    vmap, traj = load_database(result.db_dir)
-    rr = run_repeat(world, (vmap, traj), cfg,
+    rr = run_repeat(world, result.db_dir, cfg,
                     start=Pose2D(0.3, 0.2, 0.05), max_ticks=1)
     assert rr.init.success
     assert rr.init.overlap > 60.0
@@ -394,8 +439,7 @@ def test_init_corrects_small_start_offset(taught):
 
 def test_init_fails_far_from_map(taught):
     world, cfg, result = taught
-    vmap, traj = load_database(result.db_dir)
-    rr = run_repeat(world, (vmap, traj), cfg,
+    rr = run_repeat(world, result.db_dir, cfg,
                     start=Pose2D(40.0, 0.0, 0.0), max_ticks=1)
     assert not rr.init.success
     assert rr.init.overlap < cfg.mission.init_overlap_floor
@@ -522,7 +566,7 @@ def test_each_closed_loop_tick_rolls_the_truth_out_once(taught, monkeypatch):
     run_teach(world, cfg, waypoints=[(15.0, 0.0)], v_teach=1.0, max_ticks=4)
     assert events == ["_rollout", "teach_step"] * 4
     events.clear()
-    rr = run_repeat(world, load_database(result.db_dir), cfg,
+    rr = run_repeat(world, result.db_dir, cfg,
                     start=Pose2D(0.2, 0.15, 0.05), max_ticks=4)
     assert rr.init.success
     assert events == ["initialize_localization"] + ["_rollout",
