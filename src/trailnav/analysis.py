@@ -13,7 +13,7 @@ from .geom import PointCloud, build_index
 from .icp import (RegistrationConfig, gather_reference, match,
                   point_to_plane_error, trim_outliers)
 from .mapping import VoxelMap
-from .trajectory import ReferenceTrajectory, subsample_by_distance
+from .trajectory import Trajectory, subsample_by_distance
 
 # Default curvature bin edges: everything below 0.01 in the first bin,
 # everything at or above 0.13 in the last, logarithmic in between.
@@ -68,7 +68,7 @@ class BinnedStats:
                          "p10", "p90"], rows)
 
 
-def curvature_at(reference: ReferenceTrajectory, index: int) -> float:
+def curvature_at(reference: Trajectory, index: int) -> float:
     """Curvature from an algebraic circle fit through the 10 nearest poses
     (by arc length) around the given index; collinear points give 0."""
     n = len(reference)
@@ -99,8 +99,8 @@ def fit_circle_curvature(xy: np.ndarray) -> float:
     return 1.0 / r
 
 
-def cross_track_series(executed: ReferenceTrajectory,
-                       reference: ReferenceTrajectory) -> CrossTrackSeries:
+def cross_track_series(executed: Trajectory,
+                       reference: Trajectory) -> CrossTrackSeries:
     """Orthogonal distance of the executed trajectory (subsampled to 0.1 m
     spacing) to the reference polyline, with the curvature at each projection."""
     if len(executed) < 2 or len(reference) < 2:

@@ -24,7 +24,7 @@ from .prior import PriorCoverageError
 from .runner import (read_scan_log, run_repeat, run_replay, run_teach,
                      save_run_log)
 from .simworld import WorldParams, generate_world
-from .trajectory import ReferenceTrajectory
+from .trajectory import Trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,9 +186,18 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _require_rows(where, rows: int, needed: int, use: str) -> None:
+    if rows < needed:
+        raise CsvFormatError(f"{where}: {rows} rows; {use} needs at least "
+                             f"{needed}")
+
+
 def _cmd_cross_track(args) -> int:
-    executed = ReferenceTrajectory.load_csv(args.executed)
-    reference = ReferenceTrajectory.load_csv(args.reference)
+    executed = Trajectory.load_csv(args.executed)
+    reference = Trajectory.load_csv(args.reference)
+    _require_rows(args.executed, len(executed), 2, "an executed trajectory")
+    _require_rows(args.reference, len(reference), analysis.CURVATURE_WINDOW,
+                  "a reference's curvature fit")
     series = analysis.cross_track_series(executed, reference)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     series.save_csv(args.out_dir / "cross_track.csv")
@@ -199,6 +208,8 @@ def _cmd_cross_track(args) -> int:
 
 def _cmd_curvature_bins(args) -> int:
     series = analysis.CrossTrackSeries.load_csv(*args.cross_track)
+    _require_rows(", ".join(map(str, args.cross_track)), len(series), 1,
+                  "curvature binning")
     stats = analysis.bin_by_curvature(series)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     stats.save_csv(args.out_dir / "bins.csv")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import ReferenceTrajectory
+from .trajectory import Trajectory
 
 
 def wrap_angle(a: float) -> float:
@@ -80,7 +80,7 @@ class Status(enum.Enum):
     SAFETY_ABORT = "safety_abort"
 
 
-def project_onto_path(pose: Pose2D, x_ref: ReferenceTrajectory) -> FrenetState:
+def project_onto_path(pose: Pose2D, x_ref: Trajectory) -> FrenetState:
     """Orthogonal projection onto the reference polyline (nearest segment wins)."""
     proj = x_ref.project(pose.xy)
     return FrenetState(

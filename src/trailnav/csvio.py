@@ -12,6 +12,7 @@ import numpy as np
 
 class CsvFormatError(ValueError):
     """A table file whose header, row width or cell is not the expected one,
+    whose rows break its table's rules (a trajectory's stamps must increase),
     or that holds too few rows; the message names the file."""
 
 

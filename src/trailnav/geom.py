@@ -194,9 +194,6 @@ class RigidTransform:
     def yaw(self) -> float:
         return float(np.arctan2(self.rotation[1, 0], self.rotation[0, 0]))
 
-    def retagged(self, from_frame, to_frame) -> "RigidTransform":
-        return RigidTransform(self.rotation, self.translation, from_frame, to_frame)
-
 
 def _orthonormalize(rot: np.ndarray) -> np.ndarray:
     """Project a near-rotation back onto SO(3) (guards drift from repeated composition)."""

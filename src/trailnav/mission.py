@@ -17,8 +17,8 @@ from .icp import (RegistrationConfig, RegistrationFailure, RegistrationResult,
                   DegenerateRegistration, apply_input_filters, register)
 from .mapping import (MappingConfig, VoxelMap, filter_dynamic, insert_scan,
                       load_map, refresh_normals, retile, save_map)
-from .prior import PriorTrajectory, deskew
-from .trajectory import ReferenceTrajectory, subsample_by_distance
+from .prior import deskew
+from .trajectory import Trajectory, subsample_by_distance
 
 INIT_OVERLAP_THRESHOLD = 0.5   # m, overlap distance used at localization init
 
@@ -44,7 +44,7 @@ class TeachState:
     scan_count: int = 0
     raw_stamps: list = field(default_factory=list)
     raw_poses: list = field(default_factory=list)
-    trajectory: ReferenceTrajectory | None = None
+    trajectory: Trajectory | None = None
 
 
 @dataclass
@@ -52,7 +52,7 @@ class RepeatState:
     """A repeat localized in the frozen map from its initialization pose."""
 
     map: VoxelMap
-    trajectory: ReferenceTrajectory
+    trajectory: Trajectory
     reg_cfg: RegistrationConfig
     map_cfg: MappingConfig
     ctrl_cfg: ControllerConfig
@@ -83,7 +83,7 @@ def new_teach_state(reg_cfg: RegistrationConfig,
     return TeachState(VoxelMap(map_cfg.v_s), reg_cfg, map_cfg)
 
 
-def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: PriorTrajectory,
+def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
              reg_cfg: RegistrationConfig) -> RegistrationResult | None:
     """Deskew and filter the scan, then register it against the map's local
     reference from the prior's last pose.
@@ -95,7 +95,7 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: PriorTrajectory,
     filtered = apply_input_filters(deskew(scan, prior_tail), reg_cfg)
     if len(filtered) == 0:
         return None
-    prior_pose = prior_tail.pose_at_index(len(prior_tail) - 1)
+    prior_pose = prior_tail.pose(-1)
     if vmap.local_point_count() == 0:
         return RegistrationResult(prior_pose,
                                   transform_cloud(filtered, prior_pose),
@@ -109,7 +109,7 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: PriorTrajectory,
 
 
 def teach_step(state: TeachState, scan: PointCloud,
-               prior_tail: PriorTrajectory) -> None:
+               prior_tail: Trajectory) -> None:
     """One teach tick: localize (an empty map starts at the prior),
     dynamic-filter the map, insert the scan, compute the new points' normals,
     retile; the registered pose joins the raw trajectory.
@@ -150,7 +150,7 @@ def finalize_teach(state: TeachState, d_ref: float, out_dir) -> Path:
         raise ValueError("finalize_teach needs at least 2 raw poses")
     positions = np.array([p.translation for p in state.raw_poses])
     idx = subsample_by_distance(positions, d_ref)
-    trajectory = ReferenceTrajectory.from_poses(
+    trajectory = Trajectory.from_poses(
         np.asarray(state.raw_stamps, dtype=np.float64)[idx],
         [state.raw_poses[i] for i in idx])
     out_dir = Path(out_dir)
@@ -162,11 +162,11 @@ def finalize_teach(state: TeachState, d_ref: float, out_dir) -> Path:
 
 def load_database(db_dir):
     db_dir = Path(db_dir)
-    return load_map(db_dir), ReferenceTrajectory.load_csv(db_dir / "trajectory.csv")
+    return load_map(db_dir), Trajectory.load_csv(db_dir / "trajectory.csv")
 
 
 def initialize_localization(vmap: VoxelMap, scan: PointCloud,
-                            prior_tail: PriorTrajectory,
+                            prior_tail: Trajectory,
                             reg_cfg: RegistrationConfig,
                             overlap_floor: float) -> InitResult:
     """Localize the first scan at the start prior; success requires
@@ -191,7 +191,7 @@ def initialize_localization(vmap: VoxelMap, scan: PointCloud,
 
 
 def repeat_step(state: RepeatState, scan: PointCloud,
-                prior_tail: PriorTrajectory) -> RepeatStepResult:
+                prior_tail: Trajectory) -> RepeatStepResult:
     """One repeat tick: localize in the frozen map (no insertion, no dynamic
     filtering; retile for locality only) and compute the next command."""
     ctrl_cfg = state.ctrl_cfg

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
-from .geom import (FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform,
-                   _quat_from_rotvec, _quat_mul, _quat_normalize, _quat_to_matrix)
+from .geom import (PointCloud, _quat_from_rotvec, _quat_mul, _quat_normalize,
+                   _quat_to_matrix)
+from .trajectory import Trajectory
 
 GRAVITY = 9.81
 
@@ -44,43 +43,10 @@ def update_orientation(quat: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
     return _quat_normalize(_quat_normalize(q))
 
 
-@dataclass
-class PriorTrajectory:
-    """Ordered (stamp, pose L->G) samples at the IMU rate."""
-
-    stamps: np.ndarray
-    translations: np.ndarray   # (n, 3)
-    quats: np.ndarray          # (n, 4) wxyz
-
-    def __post_init__(self):
-        self.stamps = np.asarray(self.stamps, dtype=np.float64).reshape(-1)
-        self.translations = np.asarray(self.translations, dtype=np.float64).reshape(-1, 3)
-        self.quats = np.asarray(self.quats, dtype=np.float64).reshape(-1, 4)
-        if not (len(self.stamps) == len(self.translations) == len(self.quats)):
-            raise ValueError("stamps, translations and quats must have equal length")
-        if len(self.stamps) > 1 and np.any(np.diff(self.stamps) <= 0):
-            raise ValueError("stamps must be strictly increasing")
-
-    def __len__(self):
-        return len(self.stamps)
-
-    def pose_at_index(self, i: int) -> RigidTransform:
-        return RigidTransform(_quat_to_matrix(self.quats[i]), self.translations[i],
-                              FRAME_LIDAR, FRAME_MAP)
-
-    def window(self, t_from: float, t_to: float) -> "PriorTrajectory":
-        """Samples covering [t_from, t_to]: from the sample at or just before
-        t_from through the first sample at or after t_to."""
-        i = max(int(np.searchsorted(self.stamps, t_from, side="right")) - 1, 0)
-        j = int(np.searchsorted(self.stamps, t_to, side="left")) + 1
-        return PriorTrajectory(self.stamps[i:j], self.translations[i:j],
-                               self.quats[i:j])
-
-
 def dead_reckon(start_stamp: float, position, quat: np.ndarray,
                stamps: np.ndarray, dts: np.ndarray, gyro: np.ndarray,
                accel: np.ndarray, speeds: np.ndarray,
-               beta: float) -> PriorTrajectory:
+               beta: float) -> Trajectory:
     """The IMU/odometry prior from the pose (``position``, ``quat``) at
     ``start_stamp``: sample i turns the orientation by ``update_orientation``
     over ``dts[i]`` with ``gyro[i]`` and ``accel[i]``, then advances the
@@ -88,22 +54,21 @@ def dead_reckon(start_stamp: float, position, quat: np.ndarray,
     giving the pose at ``stamps[i]``."""
     n = len(stamps)
     quats = np.empty((n + 1, 4))
-    translations = np.empty((n + 1, 3))
+    positions = np.empty((n + 1, 3))
     quats[0] = quat
-    translations[0] = position
+    positions[0] = position
     for i in range(n):
         quats[i + 1] = update_orientation(quats[i], gyro[i], accel[i], dts[i],
                                           beta)
-        translations[i + 1] = (translations[i] + speeds[i] * dts[i]
-                               * _quat_to_matrix(quats[i + 1])[:, 0])
-    return PriorTrajectory(np.concatenate(([start_stamp], stamps)),
-                           translations, quats)
+        positions[i + 1] = (positions[i] + speeds[i] * dts[i]
+                            * _quat_to_matrix(quats[i + 1])[:, 0])
+    return Trajectory(np.concatenate(([start_stamp], stamps)), positions, quats)
 
 
-def _interp_poses(prior: PriorTrajectory, times: np.ndarray):
+def _interp_poses(prior: Trajectory, times: np.ndarray):
     """Linear translation / slerp rotation interpolation at the given times."""
     trans = np.column_stack([
-        np.interp(times, prior.stamps, prior.translations[:, i]) for i in range(3)
+        np.interp(times, prior.stamps, prior.positions[:, i]) for i in range(3)
     ])
     if len(prior) == 1:
         rots = Rotation.from_quat(np.tile(prior.quats[0][[1, 2, 3, 0]], (len(times), 1)))
@@ -113,7 +78,7 @@ def _interp_poses(prior: PriorTrajectory, times: np.ndarray):
     return trans, rots
 
 
-def deskew(scan: PointCloud, prior: PriorTrajectory) -> PointCloud:
+def deskew(scan: PointCloud, prior: Trajectory) -> PointCloud:
     """Re-express every point in the lidar pose at the scan-end stamp.
 
     p' = T(t_end)^-1 . T(t_point) . p with translation interpolated linearly and

@@ -19,9 +19,9 @@ from .mission import (InitResult, RepeatState, RepeatStepResult, TeachState,
                       finalize_teach, initialize_localization, load_database,
                       new_teach_state, repeat_step, teach_step)
 from .npcd import read_npcd, write_npcd
-from .prior import GRAVITY, PriorTrajectory, dead_reckon
+from .prior import GRAVITY, dead_reckon
 from .simworld import RobotState, World, simulate_lidar, step_robot
-from .trajectory import ReferenceTrajectory
+from .trajectory import Trajectory
 
 RUN_LOG_HEADER = ["stamp", "x", "y", "theta", "x_n", "d_g", "v_x", "omega",
                   "status"]
@@ -154,7 +154,7 @@ def _rollout(state: RobotState, v: float, omega: float, slip_rot: float,
 
 def _prior_window(anchor: RigidTransform, t0: float, period: float,
                   rate_hz: float, beta: float, gyro_z: float, speed: float,
-                  log: ScanLog | None = None) -> PriorTrajectory:
+                  log: ScanLog | None = None) -> Trajectory:
     """Integrate the IMU/odometry prior over one scan window, anchored at the
     last registered pose. Simulated IMU: planar motion, gravity along +z."""
     n = max(int(round(rate_hz * period)), 1)
@@ -178,13 +178,6 @@ def _sensor_anchor(world: World, state: RobotState,
     return RigidTransform.from_yaw(state.pose.theta_r,
                                    [state.pose.x, state.pose.y, z],
                                    from_frame="L", to_frame="G")
-
-
-def _truth_pose(world: World, cfg: GlobalConfig,
-                state: RobotState) -> RigidTransform:
-    """The true sensor pose of ``state`` as a robot-to-map pose."""
-    return (_sensor_anchor(world, state, cfg.sim.lidar.mount_height)
-            .retagged("R", "G"))
 
 
 def _sense(world: World, cfg: GlobalConfig, state: RobotState, v: float,
@@ -227,7 +220,7 @@ def initialize_at_rest(world: World, vmap: VoxelMap, cfg: GlobalConfig,
 class TeachRunResult:
     state: TeachState
     db_dir: Path | None
-    truth: ReferenceTrajectory
+    truth: Trajectory
 
 
 WAYPOINT_TOL = 1.0   # m, distance at which a teach waypoint counts as reached
@@ -265,20 +258,20 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
     log = None if scan_log_dir is None else ScanLog(scan_log_dir)
     truth_stamps, truth_poses = [], []
     wp_i = 0
-    anchor = _sensor_anchor(world, state, cfg.sim.lidar.mount_height)
+    mount = cfg.sim.lidar.mount_height
+    start_anchor = _sensor_anchor(world, state, mount)
 
     try:
         for tick in range(max_ticks):
             if wp_i >= len(waypoints):
                 break
             v, omega = _waypoint_command(state.pose, waypoints[wp_i], v_teach)
-            scan, tail, state = _sense(world, cfg, state, v, omega, anchor,
+            scan, tail, state = _sense(world, cfg, state, v, omega,
+                                       mission.current_pose or start_anchor,
                                        (cfg.seed, tick), log)
             teach_step(mission, scan, tail)
-            if mission.current_pose is not None:
-                anchor = mission.current_pose
             truth_stamps.append(state.stamp)
-            truth_poses.append(_truth_pose(world, cfg, state))
+            truth_poses.append(_sensor_anchor(world, state, mount))
             if np.hypot(state.pose.x - waypoints[wp_i][0],
                         state.pose.y - waypoints[wp_i][1]) < WAYPOINT_TOL:
                 wp_i += 1
@@ -289,7 +282,7 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
     db_dir = None
     if out_dir is not None:
         db_dir = finalize_teach(mission, cfg.mission.d_ref, out_dir)
-    truth = ReferenceTrajectory.from_poses(truth_stamps, truth_poses)
+    truth = Trajectory.from_poses(truth_stamps, truth_poses)
     return TeachRunResult(state=mission, db_dir=db_dir, truth=truth)
 
 
@@ -302,8 +295,8 @@ class RepeatRunResult:
     init: InitResult
     mission: RepeatState | None
     log_rows: list
-    executed: ReferenceTrajectory | None
-    truth: ReferenceTrajectory | None
+    executed: Trajectory | None
+    truth: Trajectory | None
 
 
 def run_repeat(world: World, db_dir, cfg: GlobalConfig,
@@ -326,26 +319,24 @@ def run_repeat(world: World, db_dir, cfg: GlobalConfig,
 
     mission = RepeatState(vmap, trajectory, cfg.registration, cfg.mapping,
                           cfg.path_following, init.pose)
-    anchor = init.pose
     # The first tick starts one scan period after the scan taken at rest.
     state = RobotState(pose=start, stamp=1.0 / cfg.sim.lidar.rate)
     v_cmd, om_cmd = 0.0, 0.0
     rows = []
-    exec_stamps, exec_poses = [], []
-    truth_stamps, truth_poses = [], []
+    stamps, exec_poses, truth_poses = [], [], []
     status = Status.CONTINUE
 
     for tick in range(max_ticks):
-        scan, tail, state = _sense(world, cfg, state, v_cmd, om_cmd, anchor,
+        scan, tail, state = _sense(world, cfg, state, v_cmd, om_cmd,
+                                   mission.current_pose,
                                    (cfg.seed, scan_seed_base + 1 + tick))
         step: RepeatStepResult = repeat_step(mission, scan, tail)
         status = step.status
-        if step.pose is not None and not step.skipped:
-            anchor = step.pose
-            exec_stamps.append(state.stamp)
-            exec_poses.append(step.pose.retagged("R", "G"))
-            truth_stamps.append(state.stamp)
-            truth_poses.append(_truth_pose(world, cfg, state))
+        if not step.skipped:
+            stamps.append(state.stamp)
+            exec_poses.append(step.pose)
+            truth_poses.append(_sensor_anchor(world, state,
+                                              cfg.sim.lidar.mount_height))
         if step.frenet is not None:
             cmd = step.command
             rows.append(LogRow(
@@ -364,10 +355,10 @@ def run_repeat(world: World, db_dir, cfg: GlobalConfig,
     else:
         status = Status.SAFETY_ABORT
 
-    executed = (ReferenceTrajectory.from_poses(exec_stamps, exec_poses)
-                if len(exec_poses) >= 2 else None)
-    truth = (ReferenceTrajectory.from_poses(truth_stamps, truth_poses)
-             if len(truth_poses) >= 2 else None)
+    executed = truth = None
+    if len(stamps) >= 2:
+        executed = Trajectory.from_poses(stamps, exec_poses)
+        truth = Trajectory.from_poses(stamps, truth_poses)
     return RepeatRunResult(status=status, init=init, mission=mission,
                            log_rows=rows, executed=executed, truth=truth)
 

@@ -1,4 +1,5 @@
-"""Reference trajectories: ordered timestamped poses with cumulative arc length."""
+"""Time-stamped lidar poses in the map frame, with cumulative arc length:
+the motion prior, the taught path and executed runs."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_float_csv, write_csv
-from .geom import (FRAME_MAP, FRAME_ROBOT, RigidTransform, _matrix_to_quat,
+from .csvio import CsvFormatError, read_float_csv, write_csv
+from .geom import (FRAME_LIDAR, FRAME_MAP, RigidTransform, _matrix_to_quat,
                    _quat_to_matrix)
 
 TRAJECTORY_HEADER = ["stamp", "x", "y", "z", "qw", "qx", "qy", "qz",
@@ -27,8 +28,9 @@ class Projection:
     nearest_pose_index: int
 
 
-class ReferenceTrajectory:
-    """Ordered (stamp, pose) samples in the map frame with cumulative arc length."""
+class Trajectory:
+    """Ordered (stamp, lidar pose L->G) samples with cumulative arc length;
+    stamps strictly increase."""
 
     def __init__(self, stamps, positions, quats, arc_length=None):
         self.stamps = np.asarray(stamps, dtype=np.float64).reshape(-1)
@@ -37,26 +39,36 @@ class ReferenceTrajectory:
         n = len(self.stamps)
         if len(self.positions) != n or len(self.quats) != n:
             raise ValueError("stamps, positions and quats must have equal length")
+        if np.any(np.diff(self.stamps) <= 0):
+            raise ValueError("stamps must be strictly increasing")
         if arc_length is None:
             arc_length = cumulative_arc_length(self.positions)
         self.arc_length = np.asarray(arc_length, dtype=np.float64).reshape(-1)
         if len(self.arc_length) != n:
             raise ValueError("arc_length must match pose count")
-        if n > 1 and np.any(np.diff(self.arc_length) < -1e-12):
+        if np.any(np.diff(self.arc_length) < -1e-12):
             raise ValueError("arc_length must be non-decreasing")
 
     def __len__(self):
         return len(self.stamps)
 
     @classmethod
-    def from_poses(cls, stamps, poses) -> "ReferenceTrajectory":
+    def from_poses(cls, stamps, poses) -> "Trajectory":
         positions = np.array([p.translation for p in poses]).reshape(-1, 3)
         quats = np.array([_matrix_to_quat(p.rotation) for p in poses]).reshape(-1, 4)
         return cls(np.asarray(stamps, dtype=np.float64), positions, quats)
 
     def pose(self, i: int) -> RigidTransform:
         return RigidTransform(_quat_to_matrix(self.quats[i]), self.positions[i],
-                              FRAME_ROBOT, FRAME_MAP)
+                              FRAME_LIDAR, FRAME_MAP)
+
+    def window(self, t_from: float, t_to: float) -> "Trajectory":
+        """Samples covering [t_from, t_to]: from the sample at or just before
+        t_from through the first sample at or after t_to."""
+        i = max(int(np.searchsorted(self.stamps, t_from, side="right")) - 1, 0)
+        j = int(np.searchsorted(self.stamps, t_to, side="left")) + 1
+        return Trajectory(self.stamps[i:j], self.positions[i:j],
+                          self.quats[i:j])
 
     @property
     def xy(self) -> np.ndarray:
@@ -65,14 +77,14 @@ class ReferenceTrajectory:
     def total_length(self) -> float:
         return float(self.arc_length[-1]) if len(self) else 0.0
 
-    def reversed(self) -> "ReferenceTrajectory":
+    def reversed(self) -> "Trajectory":
         """Path traversed the other way: pose order reversed, headings flipped by pi."""
         flip = np.diag([-1.0, -1.0, 1.0])  # rotation by pi about z
         quats = np.array([
             _matrix_to_quat(_quat_to_matrix(q) @ flip) for q in self.quats[::-1]
         ])
-        return ReferenceTrajectory(self.stamps[::-1].copy() * -1.0 + self.stamps[-1],
-                                   self.positions[::-1].copy(), quats)
+        return Trajectory(self.stamps[::-1].copy() * -1.0 + self.stamps[-1],
+                          self.positions[::-1].copy(), quats)
 
     def project(self, xy) -> Projection:
         """Closest-segment orthogonal projection; ties go to the lower segment index."""
@@ -107,9 +119,12 @@ class ReferenceTrajectory:
                                    self.arc_length]))
 
     @classmethod
-    def load_csv(cls, path) -> "ReferenceTrajectory":
+    def load_csv(cls, path) -> "Trajectory":
         data = read_float_csv(path, TRAJECTORY_HEADER)
-        return cls(data[:, 0], data[:, 1:4], data[:, 4:8], data[:, 8])
+        try:
+            return cls(data[:, 0], data[:, 1:4], data[:, 4:8], data[:, 8])
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}: {exc}") from exc
 
 
 def cumulative_arc_length(positions) -> np.ndarray:

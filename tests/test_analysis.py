@@ -11,7 +11,7 @@ from trailnav.analysis import (DEFAULT_BIN_EDGES, bin_by_curvature,
 from trailnav.geom import FRAME_MAP, PointCloud
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, retile)
-from trailnav.trajectory import ReferenceTrajectory
+from trailnav.trajectory import Trajectory
 
 
 def _traj_from_xy(xy):
@@ -19,7 +19,7 @@ def _traj_from_xy(xy):
     n = len(xy)
     positions = np.column_stack([xy, np.zeros(n)])
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-    return ReferenceTrajectory(np.arange(n, dtype=float), positions, quats)
+    return Trajectory(np.arange(n, dtype=float), positions, quats)
 
 
 def _circle_xy(radius, n=100, arc=np.pi):

@@ -7,7 +7,7 @@ from trailnav.controller import (Command, ControllerConfig, FrenetState,
                                  Pose2D, Status, check_termination,
                                  compute_command, project_onto_path,
                                  wrap_angle)
-from trailnav.trajectory import ReferenceTrajectory
+from trailnav.trajectory import Trajectory
 
 
 def _frenet(x_t=0.0, x_n=0.0, theta_e=0.0, d_g=100.0, offset=None):
@@ -121,7 +121,7 @@ def _circle_traj(radius=10.0, n=200):
     yaw = th + np.pi / 2
     quats = np.column_stack([np.cos(yaw / 2), np.zeros(n), np.zeros(n),
                              np.sin(yaw / 2)])
-    return ReferenceTrajectory(np.arange(n, dtype=float), positions, quats)
+    return Trajectory(np.arange(n, dtype=float), positions, quats)
 
 
 def test_project_onto_path_fields():

@@ -7,7 +7,7 @@ from trailnav.csvio import CsvFormatError, read_csv, read_float_csv, write_csv
 from trailnav.geom import PointCloud
 from trailnav.mapping import MAP_FORMAT, MAP_VERSION
 from trailnav.npcd import write_npcd
-from trailnav.trajectory import ReferenceTrajectory
+from trailnav.trajectory import TRAJECTORY_HEADER, Trajectory
 
 
 def test_cells_are_written_by_one_rule(tmp_path):
@@ -71,8 +71,8 @@ def test_cross_track_series_reads_what_it_writes(tmp_path):
 
 def _trajectory(n=12):
     s = np.linspace(0.0, 5.0, n)
-    return ReferenceTrajectory(s, np.column_stack([s, np.zeros((n, 2))]),
-                               np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))
+    return Trajectory(s, np.column_stack([s, np.zeros((n, 2))]),
+                      np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))
 
 
 def _exits_four(capsys, argv, path):
@@ -162,3 +162,51 @@ def test_repeat_truncated_trajectory_exits_four(tmp_path, capsys):
                                "--out-dir", str(tmp_path / "r")],
                       db / "trajectory.csv")
     assert "line 13" in err
+
+
+def _trajectory_csv(path, n=12, cell=None):
+    """``_trajectory(n)`` written to ``path``, with the table cell (row,
+    column) set to a value when ``cell`` is (row, column, value)."""
+    t = _trajectory(n)
+    table = np.column_stack([t.stamps, t.positions, t.quats, t.arc_length])
+    if cell is not None:
+        table[cell[:2]] = cell[2]
+    write_csv(path, TRAJECTORY_HEADER, table)
+
+
+_CROSS_TRACK = ["analyze", "cross-track", "--executed", "executed.csv",
+                "--reference", "reference.csv"]
+
+
+@pytest.mark.parametrize("argv, bad, rows, cell, why", [
+    (_CROSS_TRACK, "reference.csv", 12, (5, 8, 0.0),
+     "arc_length must be non-decreasing"),
+    (_CROSS_TRACK, "executed.csv", 12, (3, 0, 0.0),
+     "stamps must be strictly increasing"),
+    (_CROSS_TRACK, "executed.csv", 1, None,
+     "1 rows; an executed trajectory needs at least 2"),
+    (_CROSS_TRACK, "reference.csv", 9, None,
+     "9 rows; a reference's curvature fit needs at least 10"),
+    (["analyze", "curvature-bins", "--cross-track", "series.csv"],
+     "series.csv", None, None, "0 rows; curvature binning needs at least 1"),
+    (["repeat", "--db", ".", "--world", "world_spec.txt"], "trajectory.csv",
+     12, (3, 0, 0.0), "stamps must be strictly increasing"),
+], ids=["decreasing_arc_length", "repeated_stamp", "one_executed_pose",
+        "nine_reference_poses", "header_only_series", "repeat_database"])
+def test_unusable_input_file_exits_four_naming_it(tmp_path, capsys,
+                                                  monkeypatch, argv, bad,
+                                                  rows, cell, why):
+    monkeypatch.chdir(tmp_path)
+    for name in ("executed.csv", "reference.csv", "trajectory.csv"):
+        _trajectory_csv(name, *((rows, cell) if name == bad else ()))
+    write_csv("series.csv", CrossTrackSeries.HEADER, [])
+    if argv[0] == "repeat":
+        (tmp_path / "manifest.json").write_text(
+            f'{{"format": "{MAP_FORMAT}", "version": {MAP_VERSION}, '
+            f'"v_s": 10.0, "voxels": []}}')
+        assert main(["world", "gen", "--out-dir", ".",
+                     "--trail-length", "10"]) == 0
+        capsys.readouterr()
+    assert main(argv + ["--out-dir", "out"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {bad}: ") and why in err

@@ -1,8 +1,11 @@
 """Every top-level function and class in ``src/trailnav``, and every
 non-dunder method and property of those classes, has a caller in the
-program: in ``src/``, ``scripts/`` or the benchmark's non-test modules.
-Every module-level constant there, and every attribute of a class there, is
-read by one of those files. Tests alone do not keep a name alive."""
+program: in ``src/``, ``scripts/`` or the benchmark's non-test modules. A
+method counts only where one of those files calls it by name
+(``x.name(...)``), so a field or local of the same name does not keep it
+alive. Every module-level constant there, and every attribute of a class
+there, is read by one of those files. Tests alone do not keep a name
+alive."""
 
 import ast
 import builtins
@@ -74,18 +77,29 @@ def test_every_top_level_definition_has_a_program_caller():
     assert not unused, f"defined but never used outside tests: {unused}"
 
 
+def _called_methods():
+    """Names the program files call as attributes: ``x.name(...)``."""
+    return {node.func.attr for path in _program_files()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)}
+
+
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in node.decorator_list)
+
+
 def test_every_method_and_property_has_a_program_caller():
-    defined = {}
-    for name, tree in _src_trees():
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if (isinstance(node, ast.FunctionDef)
-                        and not node.name.startswith("__")):
-                    defined.setdefault(node.name,
-                                       f"{name}:{cls.name}.{node.name}")
-    unused = _unused(defined)
+    used = _used_names() | ALLOWED_TEST_ONLY
+    called = _called_methods() | ALLOWED_TEST_ONLY
+    unused = sorted(
+        f"{name}:{cls.name}.{node.name}"
+        for name, tree in _src_trees() for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("__")
+        and node.name not in (used if _is_property(node) else called))
     assert not unused, f"defined but never used outside tests: {unused}"
 
 

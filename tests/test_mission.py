@@ -15,7 +15,7 @@ from trailnav.mission import (RepeatState, TeachAbort, finalize_teach,
                               initialize_localization, load_database,
                               new_teach_state, repeat_step, teach_step)
 import trailnav.runner as runner
-from trailnav.prior import PriorTrajectory
+from trailnav.trajectory import Trajectory
 from trailnav.runner import (IMU_HEADER, ODOM_HEADER, SCANS_HEADER,
                              _prior_window, read_scan_log, run_repeat,
                              run_teach)
@@ -80,7 +80,7 @@ def _scan_log(result):
     return result.db_dir.parent / "scans"
 
 
-def _stationary_tail(pose: RigidTransform, cfg) -> PriorTrajectory:
+def _stationary_tail(pose: RigidTransform, cfg) -> Trajectory:
     return _prior_window(pose, 0.0, 1.0 / cfg.sim.lidar.rate,
                          cfg.prior.rate_hz, cfg.prior.beta, 0.0, 0.0)
 
@@ -104,7 +104,7 @@ def test_teach_bootstraps_empty_map(taught):
     assert len(state.raw_poses) == 1
     # The bootstrap pose equals the prior anchor.
     assert np.allclose(state.raw_poses[0].translation,
-                       tail.pose_at_index(len(tail) - 1).translation,
+                       tail.pose(-1).translation,
                        atol=1e-9)
 
 
@@ -168,7 +168,7 @@ def test_repeat_tick_on_an_unchanged_map_builds_no_tree(taught, monkeypatch):
     scan, tail = _origin_scan(world, cfg)
     vmap, traj = load_database(result.db_dir)
     state = RepeatState(vmap, traj, cfg.registration, cfg.mapping,
-                        cfg.path_following, tail.pose_at_index(len(tail) - 1))
+                        cfg.path_following, tail.pose(-1))
     repeat_step(state, scan, tail)
     builds = _count_tree_builds(monkeypatch, geom, mapping)
     out = repeat_step(state, scan, tail)

@@ -5,10 +5,11 @@ from scipy.spatial.transform import Rotation, Slerp
 from trailnav.csvio import read_float_csv, write_csv
 from trailnav.geom import FRAME_LIDAR, PointCloud, _quat_to_matrix
 from trailnav.npcd import write_npcd
-from trailnav.prior import (GRAVITY, PriorCoverageError, PriorTrajectory,
-                            dead_reckon, deskew, update_orientation)
+from trailnav.prior import (GRAVITY, PriorCoverageError, dead_reckon, deskew,
+                            update_orientation)
 from trailnav.runner import (IMU_HEADER, ODOM_HEADER, SCANS_HEADER,
                              read_scan_log)
+from trailnav.trajectory import Trajectory
 
 LEVEL = np.array([1.0, 0.0, 0.0, 0.0])
 UP = np.array([0.0, 0.0, GRAVITY])
@@ -87,7 +88,7 @@ def test_update_orientation_rejects_bad_dt():
 def test_dead_reckon_advances_along_heading():
     traj = _level_run(1, 0.5, 0.0, 2.0, position=[1.0, 0.0, 0.0],
                       quat=_yaw_quat(np.pi / 2))
-    pose = traj.pose_at_index(1)
+    pose = traj.pose(1)
     assert np.allclose(pose.translation, [1.0, 1.0, 0.0], atol=1e-12)
     assert pose.from_frame == "L" and pose.to_frame == "G"
 
@@ -95,7 +96,7 @@ def test_dead_reckon_advances_along_heading():
 def test_integrator_straight_line():
     traj = _level_run(100, 0.01, 0.0, 1.0)
     assert len(traj) == 101
-    assert traj.translations[-1][0] == pytest.approx(1.0, abs=1e-9)
+    assert traj.positions[-1][0] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(traj.stamps) > 0)
 
 
@@ -104,7 +105,7 @@ def test_integrator_arc_radius():
     dt = 0.001
     traj = _level_run(int(2 * np.pi / 0.5 / dt), dt, 0.5, 1.0)
     center = np.array([0.0, 2.0, 0.0])
-    radii = np.linalg.norm(traj.translations - center, axis=1)
+    radii = np.linalg.norm(traj.positions - center, axis=1)
     assert np.max(np.abs(radii - 2.0)) < 0.01
 
 
@@ -126,19 +127,19 @@ def test_logged_prior_skips_samples_not_after_the_last_one(tmp_path):
                        np.diff(np.concatenate(([0.0], stamps[kept]))),
                        imu[kept, 1:4], imu[kept, 4:7],
                        np.interp(stamps[kept], odom[:, 0], odom[:, 1]), 0.1)
-    assert np.array_equal(got.translations, want.translations)
+    assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.quats, want.quats)
 
 
 def test_trajectory_requires_increasing_stamps():
     with pytest.raises(ValueError):
-        PriorTrajectory(np.array([0.0, 0.0]), np.zeros((2, 3)),
-                        np.tile([1.0, 0, 0, 0], (2, 1)))
+        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)),
+                   np.tile([1.0, 0, 0, 0], (2, 1)))
 
 
 def test_window_includes_samples_around_its_span():
-    traj = PriorTrajectory(np.arange(5.0), np.zeros((5, 3)),
-                           np.tile([1.0, 0, 0, 0], (5, 1)))
+    traj = Trajectory(np.arange(5.0), np.zeros((5, 3)),
+                      np.tile([1.0, 0, 0, 0], (5, 1)))
     assert np.array_equal(traj.window(2.5, 3.5).stamps, [2.0, 3.0, 4.0])
     assert np.array_equal(traj.window(2.0, 3.0).stamps, [2.0, 3.0])
     assert np.array_equal(traj.window(3.5, 9.0).stamps, [3.0, 4.0])
@@ -147,7 +148,7 @@ def test_window_includes_samples_around_its_span():
 def _straight_prior(v, t_hi, n=101):
     ts = np.linspace(0.0, t_hi, n)
     trans = np.column_stack([v * ts, np.zeros(n), np.zeros(n)])
-    return PriorTrajectory(ts, trans, np.tile([1.0, 0, 0, 0], (n, 1)))
+    return Trajectory(ts, trans, np.tile([1.0, 0, 0, 0], (n, 1)))
 
 
 def test_deskew_stationary_is_identity():
@@ -180,7 +181,7 @@ def test_deskew_rotating_motion():
     ts = np.linspace(0.0, 1.0, 51)
     quats = np.column_stack([np.cos(ts / 2), np.zeros_like(ts),
                              np.zeros_like(ts), np.sin(ts / 2)])
-    prior = PriorTrajectory(ts, np.zeros((51, 3)), quats)
+    prior = Trajectory(ts, np.zeros((51, 3)), quats)
     scan = PointCloud(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                       frame=FRAME_LIDAR, timestamps=np.array([0.0, 1.0]))
     out = deskew(scan, prior)
@@ -196,12 +197,12 @@ def _deskew_per_point(scan, prior):
         rot0 = Rotation.from_quat(prior.quats[0][[1, 2, 3, 0]])
 
         def pose(t):
-            return prior.translations[0], rot0
+            return prior.positions[0], rot0
     else:
         slerp = Slerp(prior.stamps, Rotation.from_quat(prior.quats[:, [1, 2, 3, 0]]))
 
         def pose(t):
-            return (np.array([np.interp(t, prior.stamps, prior.translations[:, j])
+            return (np.array([np.interp(t, prior.stamps, prior.positions[:, j])
                               for j in range(3)]), slerp(t))
     poses = [pose(t) for t in scan.timestamps]
     trans_end, rot_end = pose(scan.timestamps.max())
@@ -220,7 +221,7 @@ def _wobbly_prior(n, seed):
                               rng.normal(0.0, 0.02, (n, 2))])
     quats = Rotation.from_euler("zyx", angles).as_quat()[:, [3, 0, 1, 2]]
     trans = np.cumsum(rng.normal(0.0, 0.05, (n, 3)), axis=0)
-    return PriorTrajectory(stamps, trans, quats)
+    return Trajectory(stamps, trans, quats)
 
 
 @pytest.mark.parametrize("case", ["repeated_stamps", "with_normals",
@@ -236,7 +237,7 @@ def test_deskew_matches_per_point_slerp(case):
         normals = rng.normal(size=(len(ts), 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     if case == "one_sample_prior":
-        prior = PriorTrajectory([0.05], [[1.0, 2.0, 3.0]], prior.quats[5:6])
+        prior = Trajectory([0.05], [[1.0, 2.0, 3.0]], prior.quats[5:6])
         ts = np.full(len(ts), 0.05)
     scan = PointCloud(rng.uniform(-20, 20, (len(ts), 3)), frame=FRAME_LIDAR,
                       normals=normals, timestamps=ts)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trailnav.geom import RigidTransform
-from trailnav.trajectory import (ReferenceTrajectory, cumulative_arc_length,
+from trailnav.trajectory import (Trajectory, cumulative_arc_length,
                                  subsample_by_distance)
 
 
@@ -11,7 +11,7 @@ def _straight(n=11, spacing=1.0):
     positions = np.column_stack([spacing * np.arange(n), np.zeros(n),
                                  np.zeros(n)])
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-    return ReferenceTrajectory(stamps, positions, quats)
+    return Trajectory(stamps, positions, quats)
 
 
 def test_cumulative_arc_length():
@@ -21,9 +21,9 @@ def test_cumulative_arc_length():
 
 def test_arc_length_must_be_non_decreasing():
     with pytest.raises(ValueError):
-        ReferenceTrajectory(np.arange(2.0), np.zeros((2, 3)),
-                            np.tile([1.0, 0, 0, 0], (2, 1)),
-                            arc_length=[1.0, 0.0])
+        Trajectory(np.arange(2.0), np.zeros((2, 3)),
+                   np.tile([1.0, 0, 0, 0], (2, 1)),
+                   arc_length=[1.0, 0.0])
 
 
 def test_projection_interior_point():
@@ -57,8 +57,8 @@ def test_projection_clamps_at_ends():
 def test_projection_tie_goes_to_lower_segment():
     # A right-angle corner: the corner point is shared by segments 0 and 1.
     positions = np.array([[0, 0, 0], [1.0, 0, 0], [1.0, 1.0, 0]])
-    traj = ReferenceTrajectory(np.arange(3.0), positions,
-                               np.tile([1.0, 0, 0, 0], (3, 1)))
+    traj = Trajectory(np.arange(3.0), positions,
+                      np.tile([1.0, 0, 0, 0], (3, 1)))
     proj = traj.project([1.0, 0.0])
     assert proj.seg_index == 0
 
@@ -67,7 +67,7 @@ def test_pose_accessor_frames():
     traj = _straight()
     pose = traj.pose(3)
     assert isinstance(pose, RigidTransform)
-    assert pose.from_frame == "R" and pose.to_frame == "G"
+    assert pose.from_frame == "L" and pose.to_frame == "G"
     assert np.allclose(pose.translation, [3.0, 0.0, 0.0])
 
 
@@ -86,13 +86,13 @@ def test_save_load_round_trip_exact(tmp_path):
     n = 20
     quats = rng.normal(size=(n, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    traj = ReferenceTrajectory(np.sort(rng.random(n)) * 10,
-                               np.cumsum(rng.random((n, 3)), axis=0), quats)
+    traj = Trajectory(np.sort(rng.random(n)) * 10,
+                      np.cumsum(rng.random((n, 3)), axis=0), quats)
     path = tmp_path / "trajectory.csv"
     traj.save_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "stamp,x,y,z,qw,qx,qy,qz,arc_length"
-    back = ReferenceTrajectory.load_csv(path)
+    back = Trajectory.load_csv(path)
     assert np.array_equal(back.stamps, traj.stamps)
     assert np.array_equal(back.positions, traj.positions)
     assert np.array_equal(back.quats, traj.quats)
