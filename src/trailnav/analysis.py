@@ -134,18 +134,6 @@ def bin_by_curvature(series: CrossTrackSeries, edges=None) -> BinnedStats:
     return BinnedStats(bins)
 
 
-def quantile_brute_force(values, q) -> float:
-    """Sort-based type-7 quantile oracle."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    if len(v) == 1:
-        return float(v[0])
-    pos = q * (len(v) - 1)
-    lo = int(np.floor(pos))
-    hi = min(lo + 1, len(v) - 1)
-    frac = pos - lo
-    return float(v[lo] * (1 - frac) + v[hi] * frac)
-
-
 def scan_overlap(scan_in_g: PointCloud, vmap: VoxelMap, threshold: float) -> float:
     """Percentage of scan points whose nearest map point lies closer than the
     threshold; the whole map (local and nonlocal) is considered. A fully

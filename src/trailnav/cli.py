@@ -1,5 +1,5 @@
-"""Command-line surface: world generation, teach/repeat/replay runs, metric
-analysis, and a built-in selftest. Exit codes: 0 success, 2 config error,
+"""Command-line surface: world generation, teach/repeat/replay runs and
+metric analysis. Exit codes: 0 success, 2 config error,
 3 mission abort (safety/localization), 4 I/O error or malformed input file."""
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from .config import (ConfigError, GlobalConfig, load_config, load_world_spec,
                      save_config, save_world_spec)
 from .controller import Pose2D, Status
 from .csvio import CsvFormatError, write_csv
-from .geom import FRAME_MAP, transform_cloud
+from .geom import transform_cloud
 from .icp import DegenerateRegistration, RegistrationFailure
-from .mapping import MapLoadError, PersistenceError, compute_normals
+from .mapping import MapLoadError, PersistenceError
 from .mission import TeachAbort, load_database, localize
 from .npcd import NpcdError
-from .prior import PriorCoverageError
-from .runner import (read_scan_log, run_repeat, run_replay, run_teach,
-                     save_run_log)
+from .prior import PriorCoverageError, dead_reckon
+from .runner import (level_anchor, read_scan_log, run_repeat, run_replay,
+                     run_teach, save_run_log)
 from .simworld import WorldParams, generate_world
 from .trajectory import Trajectory
 
@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--db", type=Path, required=True)
     pe.add_argument("--scans", type=Path, required=True)
     pe.add_argument("--scan-index", type=int, default=0)
-
-    sub.add_parser("selftest", help="run the built-in oracle checks")
 
     return ap
 
@@ -217,30 +215,38 @@ def _cmd_curvature_bins(args) -> int:
     return EXIT_OK
 
 
-def _registered_scans(args, cfg: GlobalConfig, vmap, trajectory, only=None):
-    """Register each logged scan in the database map ``vmap`` from the run's
-    logged prior as the log is read, or only the one at index ``only``,
-    reading the log no further. Scans left empty by the input filters are
-    skipped. Yields (index, T_hat, scan_in_map)."""
-    log = read_scan_log(args.scans, cfg.prior.beta, trajectory.positions[0])
+def _registered_scans(args, cfg: GlobalConfig, vmap, only=None):
+    """Register each logged scan in the database map ``vmap`` as the log is
+    read, each prior window anchored as the logged run anchored it: scan 0 at
+    the logged start, every later one at the last registered pose. With
+    ``only``, stop after that index, reading the log no further. Scans left
+    empty by the input filters are skipped. Yields (index, T_hat,
+    scan_in_map)."""
+    start, scans = read_scan_log(args.scans)
     if vmap.registration_reference() is None:
         raise RegistrationFailure("map has no usable normals")
-    for i, (scan, window) in enumerate(log):
-        if only in (None, i):
-            result = localize(vmap, scan, window, cfg.registration)
-            if result is not None:
+    anchor = start
+    for i, (scan, stamp, samples) in enumerate(scans):
+        window = dead_reckon(anchor, stamp, *samples, cfg.prior.beta)
+        result = localize(vmap, scan, window, cfg.registration)
+        if result is not None:
+            anchor = level_anchor(result.T_hat)
+            if only in (None, i):
                 yield i, result.T_hat, result.reading_in_map
-        if only is not None and i >= only:
+        if i == only:
             return
 
 
 def _cmd_overlap(args) -> int:
     cfg = _load_cfg(args)
-    vmap, trajectory = load_database(args.db)
+    vmap, _ = load_database(args.db)
     ids, pcts = [], []
-    for i, _, scan_g in _registered_scans(args, cfg, vmap, trajectory):
+    for i, _, scan_g in _registered_scans(args, cfg, vmap):
         ids.append(i)
         pcts.append(analysis.scan_overlap(scan_g, vmap, args.threshold))
+    if not ids:
+        raise CsvFormatError(f"{args.scans / 'scans.csv'}: no logged scan "
+                             f"registered")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(args.out_dir / "overlap.csv", ["scan_id", "pct"], zip(ids, pcts))
     print(f"mean overlap {np.mean(pcts):.1f}% over {len(ids)} scans")
@@ -249,9 +255,9 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_perturbation(args) -> int:
     cfg = _load_cfg(args)
-    vmap, trajectory = load_database(args.db)
-    found = next(_registered_scans(args, cfg, vmap, trajectory,
-                                   only=args.scan_index), None)
+    vmap, _ = load_database(args.db)
+    found = (next(_registered_scans(args, cfg, vmap, only=args.scan_index),
+                  None) if args.scan_index >= 0 else None)
     if found is None:
         print(f"scan index {args.scan_index} not found", file=sys.stderr)
         return EXIT_IO
@@ -264,71 +270,6 @@ def _cmd_perturbation(args) -> int:
     write_csv(args.out_dir / "perturbation.csv", ["offset", "error"],
               zip(offsets, errors))
     print(f"perturbation std {std:.4f} over {np.isfinite(errors).sum()} offsets")
-    return EXIT_OK
-
-
-def _cmd_selftest(args) -> int:
-    """Fast built-in oracle checks covering the core numeric paths."""
-    from .controller import (ControllerConfig, FrenetState, compute_command)
-    from .geom import FRAME_LIDAR, PointCloud, RigidTransform
-    from .icp import RegistrationConfig, register
-    from .npcd import read_npcd, write_npcd
-    import tempfile
-
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    ctrl = ControllerConfig()
-    f0 = FrenetState(x_t=0.0, x_n=0.0, theta_e=0.0, d_g=100.0)
-    c0 = compute_command(f0, ctrl)
-    check("controller on-path zero steering", abs(c0.omega) < 1e-12)
-    f1 = FrenetState(x_t=0.0, x_n=10.0, theta_e=0.0, d_g=100.0)
-    check("controller omega clamp", compute_command(f1, ctrl).omega == -1.0)
-    check("controller v_x clamp low",
-          compute_command(FrenetState(0, 0, 0, d_g=0.2), ctrl).v_x == 0.5)
-
-    rng = np.random.default_rng(0)
-    ground = rng.uniform(-10, 10, (2000, 2))
-    pts = np.column_stack([ground, np.zeros(len(ground))])
-    wall_x = np.column_stack([np.full(500, 5.0), rng.uniform(-10, 10, 500),
-                              rng.uniform(0, 3, 500)])
-    wall_y = np.column_stack([rng.uniform(-10, 10, 500), np.full(500, 5.0),
-                              rng.uniform(0, 3, 500)])
-    ref = PointCloud(np.vstack([pts, wall_x, wall_y]), FRAME_MAP)
-    ref = compute_normals(ref, 15,
-                          viewpoints=np.tile([0.0, 0.0, 1.0], (len(ref), 1)))
-    reading = PointCloud(ref.points.copy(), FRAME_LIDAR)
-    prior = RigidTransform.from_yaw(0.03, [0.2, -0.1, 0.05], "L", "G")
-    res = register(reading, ref, prior,
-                   RegistrationConfig(eta_s=1.0, rng_seed=0))
-    err = np.linalg.norm(res.T_hat.translation) + abs(res.T_hat.yaw)
-    check("icp recovers identity from offset prior", err < 0.02)
-    rp = res.T_hat.rotation
-    check("icp yaw-only correction",
-          abs(rp[2, 0]) < 1e-12 and abs(rp[2, 1]) < 1e-12)
-
-    with tempfile.TemporaryDirectory() as td:
-        cloud = PointCloud(rng.normal(size=(100, 3)), FRAME_LIDAR,
-                           timestamps=np.sort(rng.random(100)))
-        write_npcd(Path(td) / "t.npcd", cloud)
-        back = read_npcd(Path(td) / "t.npcd")
-        check("npcd round trip bit-exact",
-              np.array_equal(cloud.points, back.points) and
-              np.array_equal(cloud.timestamps, back.timestamps))
-
-    vals = rng.random(1001)
-    check("quantile oracle agreement",
-          abs(analysis.quantile_brute_force(vals, 0.25) -
-              float(np.percentile(vals, 25))) < 1e-12)
-
-    if failures:
-        print(f"{len(failures)} selftest check(s) failed", file=sys.stderr)
-        return 1
-    print("all selftest checks passed")
     return EXIT_OK
 
 
@@ -348,8 +289,6 @@ def main(argv=None) -> int:
                     "curvature-bins": _cmd_curvature_bins,
                     "overlap": _cmd_overlap,
                     "perturbation": _cmd_perturbation}[args.analyze_command](args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import PointCloud, RigidTransform, build_index, transform_cloud
+from .geom import PointCloud, RigidTransform, transform_cloud
 
 # Default bounding boxes mask the robot body and its sensor trailer.
 DEFAULT_BBOX_1 = (-1.5, 0.5, -1.0, 1.0, -1.0, 0.5)
@@ -227,8 +227,7 @@ def minimize_step(p: np.ndarray, n: np.ndarray, res: np.ndarray,
 
 
 def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,
-             cfg: RegistrationConfig,
-             ref_index: cKDTree | None = None) -> RegistrationResult:
+             cfg: RegistrationConfig, ref_index: cKDTree) -> RegistrationResult:
     """Iterate match -> trim -> minimize from the prior until the differential
     update drops below (eps_t_min, eps_theta_min) or i_max is reached.
 
@@ -241,8 +240,6 @@ def register(reading: PointCloud, reference: PointCloud, prior: RigidTransform,
         raise ValueError("prior frames must map reading frame to reference frame")
     if len(reading) == 0:
         raise RegistrationFailure("reading is empty after input filters")
-    if ref_index is None:
-        ref_index = build_index(reference)
 
     t = prior
     converged = False

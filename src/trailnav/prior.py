@@ -43,20 +43,22 @@ def update_orientation(quat: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
     return _quat_normalize(_quat_normalize(q))
 
 
-def dead_reckon(start_stamp: float, position, quat: np.ndarray,
-               stamps: np.ndarray, dts: np.ndarray, gyro: np.ndarray,
-               accel: np.ndarray, speeds: np.ndarray,
-               beta: float) -> Trajectory:
-    """The IMU/odometry prior from the pose (``position``, ``quat``) at
-    ``start_stamp``: sample i turns the orientation by ``update_orientation``
-    over ``dts[i]`` with ``gyro[i]`` and ``accel[i]``, then advances the
-    position along the new forward (body x) axis by ``speeds[i] * dts[i]``,
-    giving the pose at ``stamps[i]``."""
+def dead_reckon(anchor, start_stamp: float, stamps: np.ndarray,
+                dts: np.ndarray, gyro: np.ndarray, accel: np.ndarray,
+                speeds: np.ndarray, beta: float) -> Trajectory:
+    """The one builder of a prior window, for the closed loop and for logged
+    runs alike: the IMU/odometry prior from the level pose ``anchor`` =
+    (x, y, z, yaw) at ``start_stamp``. Sample i turns the orientation by
+    ``update_orientation`` over ``dts[i]`` with ``gyro[i]`` and ``accel[i]``,
+    then advances the position along the new forward (body x) axis by
+    ``speeds[i] * dts[i]``, giving the pose at ``stamps[i]``."""
+    x, y, z, yaw = anchor
+    half = 0.5 * yaw
     n = len(stamps)
     quats = np.empty((n + 1, 4))
     positions = np.empty((n + 1, 3))
-    quats[0] = quat
-    positions[0] = position
+    quats[0] = _quat_normalize(np.array([np.cos(half), 0.0, 0.0, np.sin(half)]))
+    positions[0] = (x, y, z)
     for i in range(n):
         quats[i + 1] = update_orientation(quats[i], gyro[i], accel[i], dts[i],
                                           beta)

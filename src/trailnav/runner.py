@@ -5,7 +5,6 @@ the teach/repeat mission, and run logging together."""
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from .config import GlobalConfig
 from .controller import Pose2D, Status, wrap_angle
 from .csvio import CsvFormatError, read_csv, read_float_csv, write_csv
-from .geom import RigidTransform, _quat_normalize
+from .geom import RigidTransform
 from .mapping import VoxelMap
 from .mission import (InitResult, RepeatState, RepeatStepResult, TeachState,
                       finalize_teach, initialize_localization, load_database,
@@ -45,20 +44,29 @@ def save_run_log(path, rows) -> None:
 
 
 SCANS_HEADER = ["stamp", "file"]
-IMU_HEADER = ["stamp", "gx", "gy", "gz", "ax", "ay", "az"]
-ODOM_HEADER = ["stamp", "v"]
+START_HEADER = ["x", "y", "z", "yaw"]
+IMU_HEADER = ["scan", "stamp", "dt", "gx", "gy", "gz", "ax", "ay", "az"]
+ODOM_HEADER = ["scan", "stamp", "v"]
+
+
+def level_anchor(pose: RigidTransform) -> tuple:
+    """The (x, y, z, yaw) anchor ``dead_reckon`` starts a window from."""
+    return (*pose.translation, pose.yaw)
 
 
 @dataclass
 class ScanLog:
     """Streams a run's raw scans to ``out_dir`` as they come, one NPCD file
     per scan, and keeps the IMU/odometry sample rows until ``close`` writes
-    ``scans.csv``, ``imu.csv`` and ``odom.csv``."""
+    ``scans.csv``, ``start.csv`` (the anchor of the first prior window),
+    ``imu.csv`` and ``odom.csv``. A sample row starts with the row index of
+    its scan in ``scans.csv``."""
 
     out_dir: Path
+    start: tuple                               # (x, y, z, yaw)
     rows: list = field(default_factory=list)   # (stamp, NPCD file name)
-    imu: list = field(default_factory=list)    # (n, 7) blocks of IMU_HEADER rows
-    odom: list = field(default_factory=list)   # (n, 2) blocks of ODOM_HEADER rows
+    imu: list = field(default_factory=list)    # (scan, IMU_HEADER[1:] block)
+    odom: list = field(default_factory=list)   # (scan, ODOM_HEADER[1:] block)
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -69,51 +77,83 @@ class ScanLog:
         write_npcd(self.out_dir / name, scan)
         self.rows.append((stamp, name))
 
+    def add_samples(self, stamps, dts, gyro, accel, speeds) -> None:
+        """The prior samples of the last added scan."""
+        i = len(self.rows) - 1
+        self.imu.append((i, np.column_stack([stamps, dts, gyro, accel])))
+        self.odom.append((i, np.column_stack([stamps, speeds])))
+
     def close(self) -> None:
         write_csv(self.out_dir / "scans.csv", SCANS_HEADER, self.rows)
-        write_csv(self.out_dir / "imu.csv", IMU_HEADER,
-                  chain.from_iterable(self.imu))
-        write_csv(self.out_dir / "odom.csv", ODOM_HEADER,
-                  chain.from_iterable(self.odom))
+        write_csv(self.out_dir / "start.csv", START_HEADER, [self.start])
+        for name, header, blocks in (("imu.csv", IMU_HEADER, self.imu),
+                                     ("odom.csv", ODOM_HEADER, self.odom)):
+            write_csv(self.out_dir / name, header,
+                      ((i, *row) for i, block in blocks for row in block))
 
 
-def read_scan_log(scans_dir, beta: float, start_position=(0.0, 0.0, 0.0)):
-    """Yield a logged run's (scan, prior window) pairs, reading one scan file
-    per item.
+def _read_samples(path, header, scan_stamps) -> list:
+    """The per-scan sample table at ``path`` as one float block per logged
+    scan, its columns after ``scan``. Rows go in scan order, every scan has
+    at least one, and a scan's stamps increase from the scan's own stamp."""
+    rows = read_csv(path, header, [int] + [float] * (len(header) - 1))
+    data = np.array(rows, dtype=np.float64).reshape(-1, len(header))
+    scan = data[:, 0].astype(np.int64)
+    n = len(scan_stamps)
+    outside = (scan < 0) | (scan >= n)
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise CsvFormatError(f"{path}: line {j + 2}: scan {scan[j]} is not a "
+                             f"row of the {n} in scans.csv")
+    same = np.concatenate(([False], scan[1:] == scan[:-1]))
+    before = np.where(same, np.roll(data[:, 1], 1), scan_stamps[scan])
+    bad = (np.diff(scan, prepend=0) < 0) | (data[:, 1] <= before)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise CsvFormatError(f"{path}: line {j + 2}: out of order; rows go in "
+                             f"scan order and a scan's stamps increase from "
+                             f"its stamp in scans.csv")
+    counts = np.bincount(scan, minlength=n)
+    if not counts.all():
+        raise CsvFormatError(f"{path}: no samples for scan "
+                             f"{int(np.argmin(counts))} of the {n} logged scans")
+    return np.split(data[:, 1:], np.cumsum(counts)[:-1])
 
-    The three tables are checked, and the logged IMU/odometry prior is dead
-    reckoned, before the first item. The prior starts level, heading along x,
-    at ``start_position`` and the first scan's stamp, where the run's first
-    prior window began, so it covers every logged point stamp. Odometry speed
-    is interpolated at each IMU stamp. An IMU sample whose stamp is not after
-    every earlier one and the start is skipped. A scan's window runs from its
-    stamp to its last point, so the window's last pose is the scan-end prior
-    that registration starts from."""
+
+def read_scan_log(scans_dir):
+    """A logged run's start anchor (x, y, z, yaw) and a generator of its
+    (scan, stamp, prior samples), reading one scan file per item.
+
+    The four tables are checked when this is called. The samples of a scan
+    are (stamps, dts, gyro, accel, speeds), its IMU rows with the odometry
+    speed interpolated at their stamps, for ``dead_reckon`` from the scan's
+    stamp; a replay anchors scan 0 at the start and each later scan at the
+    last registered pose, as the run did."""
     scans_dir = Path(scans_dir)
     rows = read_csv(scans_dir / "scans.csv", SCANS_HEADER, (float, str))
-    imu, odom = (read_float_csv(scans_dir / name, header) for name, header in
-                 (("imu.csv", IMU_HEADER), ("odom.csv", ODOM_HEADER)))
     if not rows:
         raise CsvFormatError(f"{scans_dir / 'scans.csv'}: line 2: no scans "
                              f"logged")
-    for name, samples in (("imu.csv", imu), ("odom.csv", odom)):
-        if not len(samples):
-            raise CsvFormatError(f"{scans_dir / name}: line 2: no samples for "
-                                 f"the {len(rows)} logged scans")
-    start_stamp = rows[0][0]
-    # A sample's dt runs from the latest stamp before it, or from the start.
-    prev = np.maximum.accumulate(np.concatenate(([start_stamp], imu[:, 0])))[:-1]
-    keep = imu[:, 0] > prev
-    imu = imu[keep]
-    prior = dead_reckon(start_stamp, start_position,
-                        np.array([1.0, 0.0, 0.0, 0.0]), imu[:, 0],
-                        imu[:, 0] - prev[keep], imu[:, 1:4], imu[:, 4:7],
-                        np.interp(imu[:, 0], odom[:, 0], odom[:, 1]), beta)
-    for stamp, name in rows:
-        scan = read_npcd(scans_dir / name, frame="L")
-        ts = scan.timestamps
-        end = float(ts.max()) if ts is not None and len(ts) else stamp
-        yield scan, prior.window(stamp, end)
+    start = read_float_csv(scans_dir / "start.csv", START_HEADER)
+    if len(start) != 1:
+        raise CsvFormatError(f"{scans_dir / 'start.csv'}: {len(start)} rows; "
+                             f"a scan log has one start anchor")
+    stamps = np.array([stamp for stamp, _ in rows])
+    imu, odom = (_read_samples(scans_dir / name, header, stamps)
+                 for name, header in (("imu.csv", IMU_HEADER),
+                                      ("odom.csv", ODOM_HEADER)))
+    bad_dt = [i for i, block in enumerate(imu) if np.any(block[:, 1] <= 0)]
+    if bad_dt:
+        raise CsvFormatError(f"{scans_dir / 'imu.csv'}: scan {bad_dt[0]} has "
+                             f"a dt that is not positive")
+
+    def scans():
+        for (stamp, name), block, speed in zip(rows, imu, odom):
+            yield (read_npcd(scans_dir / name, frame="L"), stamp,
+                   (block[:, 0], block[:, 1], block[:, 2:5], block[:, 5:8],
+                    np.interp(block[:, 0], speed[:, 0], speed[:, 1])))
+
+    return tuple(start[0]), scans()
 
 
 # -- true-motion rollout and simulated sensing --------------------------------
@@ -159,17 +199,13 @@ def _prior_window(anchor: RigidTransform, t0: float, period: float,
     last registered pose. Simulated IMU: planar motion, gravity along +z."""
     n = max(int(round(rate_hz * period)), 1)
     dt = period / n
-    stamps = t0 + np.arange(1, n + 1) * dt
-    gyro = np.tile(np.array([0.0, 0.0, gyro_z]), (n, 1))
-    accel = np.tile(np.array([0.0, 0.0, GRAVITY]), (n, 1))
-    speeds = np.full(n, float(speed))
+    samples = (t0 + np.arange(1, n + 1) * dt, np.full(n, dt),
+               np.tile(np.array([0.0, 0.0, gyro_z]), (n, 1)),
+               np.tile(np.array([0.0, 0.0, GRAVITY]), (n, 1)),
+               np.full(n, float(speed)))
     if log is not None:
-        log.imu.append(np.column_stack([stamps, gyro, accel]))
-        log.odom.append(np.column_stack([stamps, speeds]))
-    half = 0.5 * anchor.yaw
-    quat = _quat_normalize(np.array([np.cos(half), 0.0, 0.0, np.sin(half)]))
-    return dead_reckon(t0, anchor.translation, quat, stamps, np.full(n, dt),
-                       gyro, accel, speeds, beta)
+        log.add_samples(*samples)
+    return dead_reckon(level_anchor(anchor), t0, *samples, beta)
 
 
 def _sensor_anchor(world: World, state: RobotState,
@@ -255,11 +291,12 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
         start = Pose2D(0.0, 0.0, 0.0)
     state = RobotState(pose=start)
     mission = new_teach_state(cfg.registration, cfg.mapping)
-    log = None if scan_log_dir is None else ScanLog(scan_log_dir)
     truth_stamps, truth_poses = [], []
     wp_i = 0
     mount = cfg.sim.lidar.mount_height
     start_anchor = _sensor_anchor(world, state, mount)
+    log = (None if scan_log_dir is None
+           else ScanLog(scan_log_dir, level_anchor(start_anchor)))
 
     try:
         for tick in range(max_ticks):
@@ -368,12 +405,17 @@ def run_repeat(world: World, db_dir, cfg: GlobalConfig,
 
 def run_replay(scans_dir, cfg: GlobalConfig, out_dir) -> Path:
     """Run a logged scan sequence back through the teach pipeline, one scan
-    at a time, rebuilding the prior from the logged IMU/odometry streams, and
-    persist a database. A log that registers fewer than two scans raises
-    ``CsvFormatError``."""
+    at a time, each prior window anchored where the teach anchored it, and
+    persist a database: a log of a teach on this config replays to that
+    teach's database, or to its ``TeachAbort``. A log that registers fewer
+    than two scans raises ``CsvFormatError``."""
     mission = new_teach_state(cfg.registration, cfg.mapping)
-    for scan, window in read_scan_log(scans_dir, cfg.prior.beta):
-        teach_step(mission, scan, window)
+    start, scans = read_scan_log(scans_dir)
+    for scan, stamp, samples in scans:
+        pose = mission.current_pose
+        anchor = start if pose is None else level_anchor(pose)
+        teach_step(mission, scan,
+                   dead_reckon(anchor, stamp, *samples, cfg.prior.beta))
     if len(mission.raw_poses) < 2:
         raise CsvFormatError(
             f"{Path(scans_dir) / 'scans.csv'}: {mission.scan_count} logged "

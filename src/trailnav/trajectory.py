@@ -62,14 +62,6 @@ class Trajectory:
         return RigidTransform(_quat_to_matrix(self.quats[i]), self.positions[i],
                               FRAME_LIDAR, FRAME_MAP)
 
-    def window(self, t_from: float, t_to: float) -> "Trajectory":
-        """Samples covering [t_from, t_to]: from the sample at or just before
-        t_from through the first sample at or after t_to."""
-        i = max(int(np.searchsorted(self.stamps, t_from, side="right")) - 1, 0)
-        j = int(np.searchsorted(self.stamps, t_to, side="left")) + 1
-        return Trajectory(self.stamps[i:j], self.positions[i:j],
-                          self.quats[i:j])
-
     @property
     def xy(self) -> np.ndarray:
         return self.positions[:, :2]

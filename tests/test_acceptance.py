@@ -20,7 +20,8 @@ from trailnav.analysis import (CrossTrackSeries, bin_by_curvature,
 from trailnav.config import GlobalConfig
 from trailnav.controller import (Command, ControllerConfig, FrenetState,
                                  Pose2D, Status, compute_command)
-from trailnav.geom import FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform
+from trailnav.geom import (FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform,
+                           build_index)
 from trailnav.icp import (MatchSet, RegistrationConfig, apply_input_filters,
                           gather_reference, point_to_plane_error, register)
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
@@ -118,7 +119,7 @@ def recovery_runs():
         cfg = RegistrationConfig(rng_seed=i)
         filt = apply_input_filters(reading, cfg)
         t0 = time.perf_counter()
-        res = register(filt, ref, prior, cfg)
+        res = register(filt, ref, prior, cfg, build_index(ref))
         elapsed = time.perf_counter() - t0
         runs.append({
             "kind": kind,
@@ -597,12 +598,11 @@ def test_criterion_10_deskewing():
                       omega * t)
 
     scan = simulate_lidar(world, true_pose, lp, seed=0, t0=0.0)
-    start = np.array([0.0, 0.0, lp.mount_height])
-    level = np.array([1.0, 0.0, 0.0, 0.0])
+    start = (0.0, 0.0, lp.mount_height, 0.0)   # level, heading +x
     stamps = 0.01 * np.arange(1, 12)
     dts = np.full(11, 0.01)
     up = np.tile([0.0, 0.0, 9.81], (11, 1))
-    prior = dead_reckon(0.0, start, level, stamps, dts,
+    prior = dead_reckon(start, 0.0, stamps, dts,
                         np.tile([0.0, 0.0, omega], (11, 1)), up,
                         np.full(11, v), 0.1)
     out = deskew(scan, prior)
@@ -616,7 +616,7 @@ def test_criterion_10_deskewing():
     residual = float(np.abs(wx - 10.0).max())
 
     still = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=0, t0=0.0)
-    still_prior = dead_reckon(0.0, start, level, stamps, dts,
+    still_prior = dead_reckon(start, 0.0, stamps, dts,
                               np.zeros((11, 3)), up, np.zeros(11), 0.1)
     out2 = deskew(still, still_prior)
     identity = np.array_equal(out2.points, still.points)

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from trailnav.analysis import (DEFAULT_BIN_EDGES, bin_by_curvature,
                                cross_track_series, curvature_at,
                                fit_circle_curvature, perturbation_uncertainty,
-                               quantile_brute_force, scan_overlap)
+                               scan_overlap)
 from trailnav.geom import FRAME_MAP, PointCloud
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, retile)
@@ -108,6 +108,18 @@ def test_default_bin_edges_geometric():
     assert DEFAULT_BIN_EDGES[-1] == pytest.approx(0.13)
     ratios = DEFAULT_BIN_EDGES[1:] / DEFAULT_BIN_EDGES[:-1]
     assert np.allclose(ratios, ratios[0])
+
+
+def quantile_brute_force(values, q) -> float:
+    """Sort-based type-7 quantile oracle."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    if len(v) == 1:
+        return float(v[0])
+    pos = q * (len(v) - 1)
+    lo = int(np.floor(pos))
+    hi = min(lo + 1, len(v) - 1)
+    frac = pos - lo
+    return float(v[lo] * (1 - frac) + v[hi] * frac)
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,6 +1,7 @@
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -227,22 +228,19 @@ def test_cli_world_gen_bad_option_exit_two(tmp_path, capsys, option, value,
     (["analyze", "curvature-bins", "--cross-track", "c"], "--seed"),
     (["analyze", "overlap", "--db", "d", "--scans", "s"], "--seed"),
     (["analyze", "perturbation", "--db", "d", "--scans", "s"], "--seed"),
-    (["selftest"], "--seed"),
     (["analyze", "cross-track", "--executed", "e", "--reference", "r"],
      "--config"),
     (["analyze", "curvature-bins", "--cross-track", "c"], "--config"),
-    (["selftest"], "--config"),
 ], ids=["replay_seed", "cross_track_seed", "curvature_bins_seed",
-        "overlap_seed", "perturbation_seed", "selftest_seed",
-        "cross_track_config", "curvature_bins_config", "selftest_config"])
+        "overlap_seed", "perturbation_seed", "cross_track_config",
+        "curvature_bins_config"])
 def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, capsys,
                                                          argv, option):
     """A command declares only the shared options it reads; argparse exits 2
     on any other, before a missing file could be ignored."""
-    out = [] if argv == ["selftest"] else ["--out-dir", str(tmp_path / "o")]
     value = "9" if option == "--seed" else str(tmp_path / "nothere.yaml")
     with pytest.raises(SystemExit) as exc:
-        main([*argv, *out, option, value])
+        main([*argv, "--out-dir", str(tmp_path / "o"), option, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
@@ -300,10 +298,12 @@ def test_cli_teach_abort_exit_three(tmp_path, monkeypatch):
 
 def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
     """A logged teach whose registration fails on scan k still exits 3 and
-    leaves scans 0..k, each with its prior samples, for diagnosis."""
+    leaves scans 0..k, each with its prior samples, for diagnosis; the log
+    replays to the same abort, on scan k from a bit-equal last pose."""
     import trailnav.mission as mission
+    import trailnav.runner as runner
     k = 3
-    calls = []
+    calls, aborts = [], []
 
     def failing_localize(*args, **kwargs):
         calls.append(1)
@@ -311,8 +311,16 @@ def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
             raise RegistrationFailure("forced failure")
         return localize(*args, **kwargs)
 
-    localize = mission.localize
+    def recording_teach_step(*args):
+        try:
+            teach_step(*args)
+        except TeachAbort as exc:
+            aborts.append(exc)
+            raise
+
+    localize, teach_step = mission.localize, runner.teach_step
     monkeypatch.setattr(mission, "localize", failing_localize)
+    monkeypatch.setattr(runner, "teach_step", recording_teach_step)
     cfg = GlobalConfig(seed=3)
     cfg.sim.lidar = LidarParams(beams=8, azimuth_steps=200, rate=2.5,
                                 max_range=20.0)
@@ -334,13 +342,16 @@ def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
     per_scan = round(cfg.prior.rate_hz / cfg.sim.lidar.rate)
     assert len(imu) == len(odom) == (k + 1) * per_scan
     # The failing scan's prior window is logged too.
-    assert scans[-1][0] < imu[-per_scan, 0] < imu[-1, 0]
+    assert np.array_equal(imu[-per_scan:, 0], np.full(per_scan, k))
+    assert scans[-1][0] < imu[-per_scan, 1] < imu[-1, 1]
     assert len(read_npcd(log / scans[-1][1])) > 100
 
-
-def test_cli_selftest_passes(capsys):
-    rc = main(["selftest"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 5
+    calls.clear()
+    assert main(["replay", "--scans", str(log),
+                 "--out-dir", str(tmp_path / "r"), *common]) == 3
+    taught, replayed = aborts
+    assert replayed.scan_id == taught.scan_id == k
+    assert np.array_equal(replayed.last_pose.rotation,
+                          taught.last_pose.rotation)
+    assert np.array_equal(replayed.last_pose.translation,
+                          taught.last_pose.translation)

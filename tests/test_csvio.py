@@ -113,36 +113,40 @@ def test_curvature_bins_malformed_series_exits_four(tmp_path, capsys, text,
     assert why in err and "arc,eps,kappa" in err
 
 
+def _one_scan_log(scans):
+    """A one-scan log in ``scans``: the scan, its start record, one IMU and
+    one odometry sample."""
+    scans.mkdir()
+    write_npcd(scans / "scan_00000.npcd",
+               PointCloud(np.zeros((2, 3)), timestamps=np.array([0.0, 0.01])))
+    (scans / "scans.csv").write_text("stamp,file\n0.0,scan_00000.npcd\n")
+    (scans / "start.csv").write_text("x,y,z,yaw\n0.0,0.0,1.3,0.0\n")
+    (scans / "imu.csv").write_text("scan,stamp,dt,gx,gy,gz,ax,ay,az\n"
+                                   "0,0.01,0.01,0.0,0.0,0.0,0.0,0.0,9.81\n")
+    (scans / "odom.csv").write_text("scan,stamp,v\n0,0.01,1.0\n")
+
+
 def test_replay_short_imu_row_exits_four(tmp_path, capsys):
     scans = tmp_path / "scans"
-    scans.mkdir()
-    (scans / "scans.csv").write_text("stamp,file\n")
-    (scans / "imu.csv").write_text("stamp,gx,gy,gz,ax,ay,az\n"
-                                   "0.0,0.0,0.0,0.0,0.0,0.0,9.81\n"
-                                   "0.01,0.0,0.0,0.0,0.0\n")
-    (scans / "odom.csv").write_text("stamp,v\n0.0,1.0\n")
+    _one_scan_log(scans)
+    with open(scans / "imu.csv", "a") as fh:
+        fh.write("0,0.02,0.01,0.0,0.0,0.0,0.0\n")
     err = _exits_four(capsys, ["replay", "--scans", str(scans),
                                "--out-dir", str(tmp_path / "r")],
                       scans / "imu.csv")
-    assert "line 3: 5 cells" in err
+    assert "line 3: 7 cells" in err
 
 
 @pytest.mark.parametrize("empty", ["imu.csv", "odom.csv"])
 def test_replay_log_without_samples_exits_four(tmp_path, capsys, empty):
     scans = tmp_path / "scans"
-    scans.mkdir()
-    write_npcd(scans / "scan_00000.npcd",
-               PointCloud(np.zeros((2, 3)), timestamps=np.array([0.0, 0.01])))
-    (scans / "scans.csv").write_text("stamp,file\n0.0,scan_00000.npcd\n")
-    (scans / "imu.csv").write_text("stamp,gx,gy,gz,ax,ay,az\n"
-                                   "0.01,0.0,0.0,0.0,0.0,0.0,9.81\n")
-    (scans / "odom.csv").write_text("stamp,v\n0.01,1.0\n")
+    _one_scan_log(scans)
     header = (scans / empty).read_text().splitlines()[0]
     (scans / empty).write_text(header + "\n")
-    err = _exits_four(capsys, ["replay", "--scans", str(scans),
-                               "--out-dir", str(tmp_path / "r")],
-                      scans / empty)
-    assert "line 2: no samples for the 1 logged scans" in err
+    assert main(["replay", "--scans", str(scans),
+                 "--out-dir", str(tmp_path / "r")]) == 4
+    assert (f"{scans / empty}: no samples for scan 0 of the 1 logged scans"
+            in capsys.readouterr().err)
 
 
 def test_repeat_truncated_trajectory_exits_four(tmp_path, capsys):

@@ -273,7 +273,7 @@ def test_register_recovers_perturbation_yaw_only():
     prior = RigidTransform.from_yaw(np.deg2rad(5.0), [0.3, -0.2, 0.1],
                                     "L", "G")
     cfg = RegistrationConfig(eta_s=1.0, bboxes=[], eps=0.0)
-    res = register(reading, ref, prior, cfg)
+    res = register(reading, ref, prior, cfg, build_index(ref))
     assert res.converged
     assert res.iterations <= cfg.i_max
     assert np.linalg.norm(res.T_hat.translation) < 0.02
@@ -290,7 +290,8 @@ def test_register_prior_frame_check():
     reading = PointCloud(ref.points[:50].copy(), FRAME_LIDAR)
     bad_prior = RigidTransform(np.eye(3), np.zeros(3), "G", "G")
     with pytest.raises(ValueError):
-        register(reading, ref, bad_prior, RegistrationConfig())
+        register(reading, ref, bad_prior, RegistrationConfig(),
+                 build_index(ref))
 
 
 def test_register_fails_on_disjoint_clouds():
@@ -300,7 +301,7 @@ def test_register_fails_on_disjoint_clouds():
     cfg = RegistrationConfig(eta_s=1.0, bboxes=[], eps=0.0)
     with pytest.raises(RegistrationFailure):
         register(reading, ref, RigidTransform(np.eye(3), np.zeros(3), "L", "G"),
-                 cfg)
+                 cfg, build_index(ref))
 
 
 def test_register_iteration_cap():
@@ -309,7 +310,8 @@ def test_register_iteration_cap():
     cfg = RegistrationConfig(eta_s=1.0, bboxes=[], eps=0.0, i_max=1,
                              eps_t_min=1e-15, eps_theta_min=1e-15)
     res = register(reading, ref, RigidTransform.from_yaw(0.2, [0.5, 0, 0],
-                                                         "L", "G"), cfg)
+                                                         "L", "G"), cfg,
+                   build_index(ref))
     assert res.iterations == 1
     assert not res.converged
 
@@ -324,7 +326,7 @@ def test_register_error_decreases_from_prior():
     m0 = trim_outliers(match(reading_at_prior, build_index(ref), cfg),
                        cfg.eta_d)
     err0, _ = point_to_plane_error(*_pairs(m0, reading_at_prior, ref), m0.weights)
-    res = register(reading, ref, prior, cfg)
+    res = register(reading, ref, prior, cfg, build_index(ref))
     assert res.final_error < err0
 
 
@@ -446,7 +448,7 @@ def test_register_is_bit_identical_to_the_reference_loop():
     halvings = 0
     for seed, offset, cfg in _REGISTER_CASES:
         reading, ref, prior = _forest_scene(seed, offset)
-        res = register(reading, ref, prior, cfg)
+        res = register(reading, ref, prior, cfg, build_index(ref))
         t, iterations, converged, final_error, h = _register_reference(
             reading, ref, prior, cfg)
         assert np.array_equal(res.T_hat.rotation, t.rotation), seed
@@ -475,7 +477,8 @@ def test_register_calls_each_stage_through_the_module(monkeypatch):
     for name in ("match", "trim_outliers", "point_to_plane_error", "minimize_step"):
         spy(name)
     seed, offset, cfg = _FAR
-    res = register(*_forest_scene(seed, offset), cfg)
+    reading, ref, prior = _forest_scene(seed, offset)
+    res = register(reading, ref, prior, cfg, build_index(ref))
     starts = [i for i, (name, _) in enumerate(calls) if name == "match"]
     assert len(starts) == res.iterations
     trials_seen = 0

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import shutil
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from trailnav.cli import main
-from trailnav.config import GlobalConfig, save_config
+from trailnav.config import GlobalConfig, save_config, save_world_spec
 from trailnav.controller import Pose2D, Status
 from trailnav.csvio import read_csv, read_float_csv, write_csv
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
@@ -42,8 +43,8 @@ def _small_world(seed=0, length=15.0):
 @pytest.fixture(scope="module")
 def logged_teach(tmp_path_factory):
     """A small teach that streams its scan log, and what it fed the pipeline:
-    each ``teach_step``'s (scan, prior tail) and the (stamps, gyro, accel,
-    speeds) of each window the prior integrator ran over, in order."""
+    each ``teach_step``'s (scan, prior tail) and the (stamps, dts, gyro,
+    accel, speeds) of each window the prior integrator ran over, in order."""
     cfg = _small_cfg()
     world = _small_world()
     out = tmp_path_factory.mktemp("teach")
@@ -53,12 +54,12 @@ def logged_teach(tmp_path_factory):
         received.append((scan.copy(), prior_tail))
         teach_step(state, scan, prior_tail)
 
-    def recording_dead_reckon(start_stamp, position, quat, stamps, dts, gyro,
-                              accel, speeds, beta):
-        samples.append((stamps.copy(), gyro.copy(), accel.copy(),
+    def recording_dead_reckon(anchor, start_stamp, stamps, dts, gyro, accel,
+                              speeds, beta):
+        samples.append((stamps.copy(), dts.copy(), gyro.copy(), accel.copy(),
                         speeds.copy()))
-        return dead_reckon(start_stamp, position, quat, stamps, dts, gyro,
-                           accel, speeds, beta)
+        return dead_reckon(anchor, start_stamp, stamps, dts, gyro, accel,
+                           speeds, beta)
 
     dead_reckon = runner.dead_reckon
     with pytest.MonkeyPatch.context() as mp:
@@ -110,7 +111,6 @@ def test_teach_bootstraps_empty_map(taught):
 
 def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
     import trailnav.geom as geom
-    import trailnav.icp as icp
     import trailnav.mission as mission
     world, cfg, result = taught
     scan, tail = _origin_scan(world, cfg)
@@ -127,7 +127,7 @@ def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
 
     register, build_index = mission.register, geom.build_index
     monkeypatch.setattr(mission, "register", spy_register)
-    for module in (geom, icp, mission):
+    for module in (geom, mission):
         monkeypatch.setattr(module, "build_index", spy_build_index)
 
     state = new_teach_state(cfg.registration, cfg.mapping)
@@ -454,19 +454,23 @@ def test_streamed_scan_log_holds_what_teach_step_received(logged_teach):
     imu = read_float_csv(log / "imu.csv", IMU_HEADER)
     odom = read_float_csv(log / "odom.csv", ODOM_HEADER)
     assert len(rows) == len(received) > 10
-    scans = (scan for scan, _ in read_scan_log(log, cfg.prior.beta))
-    for (stamp, _), scan, (want, tail) in zip(rows, scans, received):
-        assert stamp == tail.stamps[0]
+    start, scans = read_scan_log(log)
+    assert start == tuple(received[0][1].positions[0]) + (0.0,)
+    for (stamp, _), (scan, t0, _), (want, tail) in zip(rows, scans, received):
+        assert stamp == t0 == tail.stamps[0]
         assert np.array_equal(scan.points, want.points)
         assert np.array_equal(scan.timestamps, want.timestamps)
         # Class labels are simulator truth, not sensor data: never logged.
         assert scan.labels is None and want.labels is not None
-    # Each scan's prior samples follow it, in the order they were integrated.
-    assert np.array_equal(imu[:, 0], np.concatenate(
-        [tail.stamps[1:] for _, tail in received]))
-    stamps, gyro, accel, speeds = (np.concatenate(a) for a in zip(*samples))
-    assert np.array_equal(imu, np.column_stack([stamps, gyro, accel]))
-    assert np.array_equal(odom, np.column_stack([stamps, speeds]))
+    # Each scan's prior samples follow it, in the order they were integrated,
+    # each row tagged with its scan's row in scans.csv.
+    scan_ids = np.concatenate([np.full(len(tail) - 1, i)
+                               for i, (_, tail) in enumerate(received)])
+    stamps, dts, gyro, accel, speeds = (np.concatenate(a)
+                                        for a in zip(*samples))
+    assert np.array_equal(imu, np.column_stack([scan_ids, stamps, dts, gyro,
+                                                accel]))
+    assert np.array_equal(odom, np.column_stack([scan_ids, stamps, speeds]))
 
 
 def _logged_args(cfg, result, tmp_path):
@@ -482,15 +486,21 @@ def _scan_rows(result):
                     (float, str))
 
 
+def _same_files(a, b):
+    """Whether directories ``a`` and ``b`` hold the same files, byte for
+    byte."""
+    names = sorted(p.name for p in a.iterdir())
+    return (names == sorted(p.name for p in b.iterdir())
+            and all((a / n).read_bytes() == (b / n).read_bytes()
+                    for n in names))
+
+
 def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
     _, cfg, result = taught
     common = _logged_args(cfg, result, tmp_path)
     assert main(["replay", "--out-dir", str(tmp_path / "replay"),
                  *common]) == 0
-    assert (tmp_path / "replay" / "db" / "manifest.json").exists()
-    _, replayed = load_database(tmp_path / "replay" / "db")
-    assert replayed.total_length() == pytest.approx(
-        result.state.trajectory.total_length(), abs=0.3)
+    assert _same_files(tmp_path / "replay" / "db", result.db_dir)
     assert main(["analyze", "overlap", "--db", str(result.db_dir),
                  "--out-dir", str(tmp_path / "overlap"), *common]) == 0
     pct = np.loadtxt(tmp_path / "overlap" / "overlap.csv", delimiter=",",
@@ -499,8 +509,80 @@ def test_replay_and_overlap_read_a_logged_teach(taught, tmp_path):
     assert np.median(pct) > 90.0
 
 
+@pytest.fixture(scope="module", params=[0.0, 0.3],
+                ids=["heading_0", "heading_0.3"])
+def cli_logged_teach(request, tmp_path_factory):
+    """A ``trailnav teach --log-scans`` on a 10 m trail that starts at
+    (3, -2) and heads ``request.param`` rad from +x, at the small config;
+    the CLI arguments naming its config and log, its directory, and the
+    poses the teach registered, scan by scan."""
+    heading = request.param
+    out = tmp_path_factory.mktemp("cli_teach")
+    cfg = GlobalConfig(seed=3)
+    cfg.sim.lidar = LidarParams(beams=8, azimuth_steps=200, rate=2.5,
+                                max_range=20.0)
+    cfg.registration.r = cfg.mapping.r = 20.0
+    save_config(cfg, out / "cfg.yaml")
+    start = np.array([3.0, -2.0])
+    end = start + 10.0 * np.array([np.cos(heading), np.sin(heading)])
+    save_world_spec(out / "world.txt", 3, WorldParams(
+        trail_length=10.0, centerline=[start.tolist(), end.tolist()]))
+    states = []
+
+    def recording_teach_step(state, scan, prior_tail):
+        states.append(state)
+        teach_step(state, scan, prior_tail)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "teach_step", recording_teach_step)
+        assert main(["teach", "--config", str(out / "cfg.yaml"),
+                     "--world", str(out / "world.txt"), "--log-scans",
+                     "--out-dir", str(out / "teach")]) == 0
+    common = ["--config", str(out / "cfg.yaml"),
+              "--scans", str(out / "teach" / "scans")]
+    return common, out, states[0].raw_poses
+
+
+def test_cli_replay_rebuilds_the_taught_database(cli_logged_teach):
+    common, out, _ = cli_logged_teach
+    assert main(["replay", "--out-dir", str(out / "replay"), *common]) == 0
+    assert _same_files(out / "replay" / "db", out / "teach" / "db")
+
+
+def test_analysis_of_a_log_off_the_origin(cli_logged_teach, monkeypatch):
+    """A teach that starts off the origin, heading 0 or 0.3 rad, is analysed
+    in its own frame: its scans overlap the map as well as at heading 0,
+    and scan k registers where the teach registered it (8 mm off at 0.3
+    rad). Before the log recorded its start, the 0.3 rad log's median
+    overlap read 58.5 % and scan 10 landed 2.34 m off, its yaw 0.30 rad
+    off."""
+    import trailnav.cli as cli
+    common, out, taught_poses = cli_logged_teach
+    db = ["--db", str(out / "teach" / "db")]
+    assert main(["analyze", "overlap", *db, *common,
+                 "--out-dir", str(out / "overlap")]) == 0
+    pct = read_float_csv(out / "overlap" / "overlap.csv",
+                         ["scan_id", "pct"])[:, 1]
+    assert np.median(pct) > 90.0
+    found = []
+
+    def recording_localize(*args, **kwargs):
+        found.append(localize(*args, **kwargs))
+        return found[-1]
+
+    localize = cli.localize
+    monkeypatch.setattr(cli, "localize", recording_localize)
+    k = 10
+    assert main(["analyze", "perturbation", *db, *common, "--scan-index",
+                 str(k), "--out-dir", str(out / "perturbation")]) == 0
+    assert np.linalg.norm(found[-1].T_hat.translation -
+                          taught_poses[k].translation) < 0.05
+
+
 def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
-    """It registers the one scan asked for and reads the log no further."""
+    """Scan k's prior window is anchored at scan k - 1's registration, as in
+    the logged run, so ``--scan-index k`` registers scans 0..k, and reads
+    the log no further; a negative index reads no scan."""
     import trailnav.mission as mission
     _, cfg, result = taught
     common = _logged_args(cfg, result, tmp_path)
@@ -525,11 +607,28 @@ def test_perturbation_registers_only_its_scan(taught, tmp_path, monkeypatch):
 
     assert perturbation(3, "pe") == 0
     assert (tmp_path / "pe" / "perturbation.csv").exists()
-    assert len(calls) == 1 and len(reads) == 4
+    assert len(calls) == len(reads) == 4
     assert perturbation(-1, "before") == 4
-    assert len(reads) == 5
-    assert perturbation(len(_scan_rows(result)), "after") == 4
-    assert len(calls) == 1
+    assert len(calls) == len(reads) == 4
+    n = len(_scan_rows(result))
+    assert perturbation(n, "after") == 4
+    assert len(calls) == len(reads) == 4 + n
+
+
+def test_overlap_with_no_registered_scan_exits_four(taught, tmp_path,
+                                                   capsys):
+    """An input filter radius that leaves every logged scan empty registers
+    none: no overlap is written and the log's scans.csv is named."""
+    _, cfg, result = taught
+    cfg = copy.deepcopy(cfg)
+    cfg.registration.r = 0.1
+    common = _logged_args(cfg, result, tmp_path)
+    assert main(["analyze", "overlap", "--db", str(result.db_dir),
+                 "--out-dir", str(tmp_path / "overlap"), *common]) == 4
+    err = capsys.readouterr().err
+    assert f"{_scan_log(result) / 'scans.csv'}: no logged scan registered" \
+        in err
+    assert not (tmp_path / "overlap").exists()
 
 
 def test_degenerate_logged_scan_exits_three(taught, tmp_path, monkeypatch,
@@ -583,22 +682,26 @@ def test_scan_log_reader_reads_one_scan_per_item(taught, monkeypatch):
 
     read_npcd = runner.read_npcd
     monkeypatch.setattr(runner, "read_npcd", counting_read_npcd)
-    log = read_scan_log(_scan_log(result), cfg.prior.beta)
+    _, log = read_scan_log(_scan_log(result))
     assert reads == []
     n = len(_scan_rows(result))
-    for i, (scan, window) in enumerate(log, start=1):
+    for i, (scan, stamp, samples) in enumerate(log, start=1):
         assert len(reads) == i
-        assert window.stamps[0] <= scan.timestamps.min()
-        assert window.stamps[-1] >= scan.timestamps.max()
+        assert stamp <= scan.timestamps.min()
+        assert samples[0][-1] >= scan.timestamps.max()
     assert i == n
 
 
 def _short_log(result, tmp_path, n_scans):
-    """A copy of the teach's scan log that keeps its first ``n_scans``
-    scans and all of its IMU and odometry samples."""
+    """A copy of the teach's scan log that keeps its first ``n_scans`` scans
+    and their IMU and odometry samples."""
     log = tmp_path / "short"
     shutil.copytree(_scan_log(result), log)
     write_csv(log / "scans.csv", SCANS_HEADER, _scan_rows(result)[:n_scans])
+    for name, header in (("imu.csv", IMU_HEADER), ("odom.csv", ODOM_HEADER)):
+        rows = read_float_csv(log / name, header)
+        write_csv(log / name, header, ((int(r[0]), *r[1:]) for r in rows
+                                       if r[0] < n_scans))
     return log
 
 
@@ -615,6 +718,28 @@ def test_log_without_scans_exits_four(taught, tmp_path, capsys, command):
                  "--scans", str(log), "--out-dir", str(tmp_path / "out")]) == 4
     assert f"{log / 'scans.csv'}: line 2: no scans logged" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["no_start", "stray_imu_row"])
+def test_malformed_scan_log_exits_four(taught, tmp_path, capsys, defect):
+    """A log without its start record, or with an IMU row whose scan index
+    is not a row of scans.csv, exits 4 and names the file."""
+    _, cfg, result = taught
+    log = _short_log(result, tmp_path, 5)
+    if defect == "no_start":
+        (log / "start.csv").unlink()
+        named = log / "start.csv"
+    else:
+        named = log / "imu.csv"
+        with open(named, "a") as fh:
+            fh.write("5,1000.0,0.01,0.0,0.0,0.0,0.0,0.0,9.81\n")
+    save_config(cfg, tmp_path / "cfg.yaml")
+    assert main(["replay", "--config", str(tmp_path / "cfg.yaml"),
+                 "--scans", str(log), "--out-dir", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert str(named) in err
+    if defect == "stray_imu_row":
+        assert "scan 5 is not a row of the 5 in scans.csv" in err
 
 
 def test_replay_of_one_scan_exits_four(taught, tmp_path, capsys):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation, Slerp
 
-from trailnav.csvio import read_float_csv, write_csv
+from trailnav.csvio import CsvFormatError, read_float_csv, write_csv
 from trailnav.geom import FRAME_LIDAR, PointCloud, _quat_to_matrix
 from trailnav.npcd import write_npcd
 from trailnav.prior import (GRAVITY, PriorCoverageError, dead_reckon, deskew,
                             update_orientation)
 from trailnav.runner import (IMU_HEADER, ODOM_HEADER, SCANS_HEADER,
-                             read_scan_log)
+                             START_HEADER, read_scan_log)
 from trailnav.trajectory import Trajectory
 
 LEVEL = np.array([1.0, 0.0, 0.0, 0.0])
@@ -34,10 +34,10 @@ def _gyro(gyro_z=0.0):
     return np.array([0.0, 0.0, gyro_z])
 
 
-def _level_run(n, dt, gyro_z, speed, position=(0.0, 0.0, 0.0), quat=LEVEL):
+def _level_run(n, dt, gyro_z, speed, anchor=(0.0, 0.0, 0.0, 0.0)):
     """``dead_reckon`` over ``n`` samples of a level IMU turning at
-    ``gyro_z`` and odometry at ``speed``, from stamp 0."""
-    return dead_reckon(0.0, position, quat, dt * np.arange(1, n + 1),
+    ``gyro_z`` and odometry at ``speed``, from ``anchor`` at stamp 0."""
+    return dead_reckon(anchor, 0.0, dt * np.arange(1, n + 1),
                        np.full(n, dt), np.tile(_gyro(gyro_z), (n, 1)),
                        np.tile(UP, (n, 1)), np.full(n, speed), 0.1)
 
@@ -86,8 +86,7 @@ def test_update_orientation_rejects_bad_dt():
 
 
 def test_dead_reckon_advances_along_heading():
-    traj = _level_run(1, 0.5, 0.0, 2.0, position=[1.0, 0.0, 0.0],
-                      quat=_yaw_quat(np.pi / 2))
+    traj = _level_run(1, 0.5, 0.0, 2.0, anchor=(1.0, 0.0, 0.0, np.pi / 2))
     pose = traj.pose(1)
     assert np.allclose(pose.translation, [1.0, 1.0, 0.0], atol=1e-12)
     assert pose.from_frame == "L" and pose.to_frame == "G"
@@ -109,40 +108,49 @@ def test_integrator_arc_radius():
     assert np.max(np.abs(radii - 2.0)) < 0.01
 
 
-def test_logged_prior_skips_samples_not_after_the_last_one(tmp_path):
-    rng = np.random.default_rng(2)
-    stamps = np.array([0.01, 0.02, 0.02, 0.015, 0.03, 0.04, 0.005, 0.05])
-    imu = np.column_stack([stamps, rng.normal(0.0, 0.3, (8, 3)),
-                           UP + rng.normal(0.0, 0.2, (8, 3))])
-    odom = np.array([[0.0, 1.0], [0.025, 1.5], [0.06, 0.5]])
-    write_npcd(tmp_path / "s.npcd", PointCloud(
+def _log_one_scan(path, imu, odom, start=(1.0, 2.0, 0.5, 0.3)):
+    write_npcd(path / "s.npcd", PointCloud(
         np.zeros((2, 3)), timestamps=np.array([0.0, 0.05])))
-    write_csv(tmp_path / "scans.csv", SCANS_HEADER, [(0.0, "s.npcd")])
-    write_csv(tmp_path / "imu.csv", IMU_HEADER, imu)
-    write_csv(tmp_path / "odom.csv", ODOM_HEADER, odom)
-    [(_, got)] = read_scan_log(tmp_path, 0.1)
-    kept = [0, 1, 4, 5, 7]
-    assert np.array_equal(got.stamps, np.concatenate(([0.0], stamps[kept])))
-    want = dead_reckon(0.0, np.zeros(3), LEVEL, stamps[kept],
-                       np.diff(np.concatenate(([0.0], stamps[kept]))),
-                       imu[kept, 1:4], imu[kept, 4:7],
-                       np.interp(stamps[kept], odom[:, 0], odom[:, 1]), 0.1)
+    write_csv(path / "scans.csv", SCANS_HEADER, [(0.0, "s.npcd")])
+    write_csv(path / "start.csv", START_HEADER, [start])
+    write_csv(path / "imu.csv", IMU_HEADER, [(0, *row) for row in imu])
+    write_csv(path / "odom.csv", ODOM_HEADER, [(0, *row) for row in odom])
+
+
+def test_logged_prior_rejects_samples_not_after_the_last_one(tmp_path):
+    """A logged scan's prior is ``dead_reckon`` over its own IMU rows, with
+    their logged dt and the odometry speed interpolated at their stamps; a
+    row whose stamp is not after the one before it, or after the scan's
+    stamp, makes the log malformed."""
+    rng = np.random.default_rng(2)
+    stamps = np.array([0.01, 0.02, 0.03, 0.04, 0.05])
+    dts = np.array([0.01, 0.01, 0.012, 0.008, 0.01])
+    gyro = rng.normal(0.0, 0.3, (5, 3))
+    accel = UP + rng.normal(0.0, 0.2, (5, 3))
+    imu = np.column_stack([stamps, dts, gyro, accel])
+    odom = np.array([[0.005, 1.0], [0.025, 1.5], [0.06, 0.5]])
+    _log_one_scan(tmp_path, imu, odom)
+    start, scans = read_scan_log(tmp_path)
+    assert start == (1.0, 2.0, 0.5, 0.3)
+    [(_, stamp, samples)] = scans
+    got = dead_reckon(start, stamp, *samples, 0.1)
+    want = dead_reckon((1.0, 2.0, 0.5, 0.3), 0.0, stamps, dts, gyro, accel,
+                       np.interp(stamps, odom[:, 0], odom[:, 1]), 0.1)
+    assert np.array_equal(got.stamps, want.stamps)
     assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.quats, want.quats)
+    for row, stamp in ((2, 0.02), (2, 0.015), (0, 0.0)):
+        bad = imu.copy()
+        bad[row, 0] = stamp
+        _log_one_scan(tmp_path, bad, odom)
+        with pytest.raises(CsvFormatError, match=f"imu.csv: line {row + 2}: "):
+            read_scan_log(tmp_path)
 
 
 def test_trajectory_requires_increasing_stamps():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)),
                    np.tile([1.0, 0, 0, 0], (2, 1)))
-
-
-def test_window_includes_samples_around_its_span():
-    traj = Trajectory(np.arange(5.0), np.zeros((5, 3)),
-                      np.tile([1.0, 0, 0, 0], (5, 1)))
-    assert np.array_equal(traj.window(2.5, 3.5).stamps, [2.0, 3.0, 4.0])
-    assert np.array_equal(traj.window(2.0, 3.0).stamps, [2.0, 3.0])
-    assert np.array_equal(traj.window(3.5, 9.0).stamps, [3.0, 4.0])
 
 
 def _straight_prior(v, t_hi, n=101):
@@ -268,13 +276,13 @@ def test_deskew_requires_timestamps():
 
 def test_imu_odom_csv_round_trip(tmp_path):
     """The logged-run layout's IMU and odometry files, as the scan log
-    reader reads them."""
-    (tmp_path / "imu.csv").write_text("stamp,gx,gy,gz,ax,ay,az\n"
-                                      "0.0,0.1,0.2,0.3,0.0,0.0,9.81\n"
-                                      "0.01,0.0,0.0,0.5,0.1,0.0,9.8\n")
-    (tmp_path / "odom.csv").write_text("stamp,v\n0.0,1.5\n0.01,1.4\n")
+    reader reads them: each row starts with its scan's row index."""
+    (tmp_path / "imu.csv").write_text("scan,stamp,dt,gx,gy,gz,ax,ay,az\n"
+                                      "0,0.0,0.01,0.1,0.2,0.3,0.0,0.0,9.81\n"
+                                      "1,0.01,0.01,0.0,0.0,0.5,0.1,0.0,9.8\n")
+    (tmp_path / "odom.csv").write_text("scan,stamp,v\n0,0.0,1.5\n1,0.01,1.4\n")
     imu = read_float_csv(tmp_path / "imu.csv", IMU_HEADER)
     odom = read_float_csv(tmp_path / "odom.csv", ODOM_HEADER)
-    assert np.array_equal(imu, [[0.0, 0.1, 0.2, 0.3, 0.0, 0.0, 9.81],
-                                [0.01, 0.0, 0.0, 0.5, 0.1, 0.0, 9.8]])
-    assert np.array_equal(odom, [[0.0, 1.5], [0.01, 1.4]])
+    assert np.array_equal(imu, [[0, 0.0, 0.01, 0.1, 0.2, 0.3, 0.0, 0.0, 9.81],
+                                [1, 0.01, 0.01, 0.0, 0.0, 0.5, 0.1, 0.0, 9.8]])
+    assert np.array_equal(odom, [[0, 0.0, 1.5], [1, 0.01, 1.4]])

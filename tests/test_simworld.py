@@ -142,7 +142,7 @@ def test_deskew_moving_scan_straightens_wall():
     pose_fn = lambda t: Pose2D(v * t, 0.0, 0.0)  # noqa: E731
     scan = simulate_lidar(world, pose_fn, lp, seed=0, t0=0.0)
 
-    prior = dead_reckon(-0.01, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]),
+    prior = dead_reckon((0.0, 0.0, 0.0, 0.0), -0.01,
                         -0.01 + 0.01 * np.arange(1, 14), np.full(13, 0.01),
                         np.zeros((13, 3)), np.tile([0.0, 0.0, 9.81], (13, 1)),
                         np.full(13, v), 0.1)
