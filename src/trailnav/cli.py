@@ -1,6 +1,6 @@
-"""Command-line surface: world generation, teach/repeat/replay runs and
-metric analysis. Exit codes: 0 success, 2 config error,
-3 mission abort (safety/localization), 4 I/O error or malformed input file."""
+"""Command-line surface: teach/repeat/replay runs and metric analysis.
+Exit codes: 0 success, 2 config error, 3 mission abort
+(safety/localization), 4 I/O error or malformed input file."""
 
 from __future__ import annotations
 
@@ -11,19 +11,18 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import (ConfigError, GlobalConfig, load_config, load_world_spec,
-                     save_config, save_world_spec)
+from .config import ConfigError, GlobalConfig, load_config, save_config
 from .controller import Pose2D, Status
 from .csvio import CsvFormatError, write_csv
 from .geom import transform_cloud
-from .icp import DegenerateRegistration, RegistrationFailure
+from .icp import RegistrationFailure
 from .mapping import MapLoadError, PersistenceError
 from .mission import TeachAbort, load_database, localize
 from .npcd import NpcdError
 from .prior import PriorCoverageError, dead_reckon
 from .runner import (level_anchor, read_scan_log, run_repeat, run_replay,
                      run_teach, save_run_log)
-from .simworld import WorldParams, generate_world
+from .simworld import generate_world
 from .trajectory import Trajectory
 
 EXIT_OK = 0
@@ -51,18 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="trailnav")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    world = sub.add_parser("world", help="world utilities")
-    world_sub = world.add_subparsers(dest="world_command", required=True)
-    wg = world_sub.add_parser("gen", help="write a world spec file")
-    _add_options(wg, "--config", "--seed", "--out-dir")
-    wg.add_argument("--trail-length", type=float, default=200.0)
-    wg.add_argument("--trail-width", type=float, default=4.5)
-    wg.add_argument("--tree-density", type=float, default=0.03)
-
     teach = sub.add_parser("teach", help="run a scripted teach pass")
     _add_options(teach, "--config", "--seed", "--out-dir")
-    teach.add_argument("--world", type=Path, default=None,
-                       help="world spec file (generated when omitted)")
     teach.add_argument("--log-scans", action="store_true",
                        help="write each raw scan to OUT_DIR/scans as it is "
                        "simulated, plus imu/odom for replay")
@@ -70,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("repeat", help="autonomous repeat of a database")
     _add_options(rep, "--config", "--seed", "--out-dir")
     rep.add_argument("--db", type=Path, required=True)
-    rep.add_argument("--world", type=Path, required=True)
     rep.add_argument("--reverse", action="store_true")
     rep.add_argument("--start-x", type=float, default=0.0)
     rep.add_argument("--start-y", type=float, default=0.0)
@@ -114,30 +102,9 @@ def _load_cfg(args) -> GlobalConfig:
     return cfg
 
 
-def _world_from_args(args, cfg: GlobalConfig):
-    if args.world:
-        return generate_world(*load_world_spec(args.world))
-    return generate_world(cfg.seed, WorldParams())
-
-
-def _cmd_world_gen(args) -> int:
-    cfg = _load_cfg(args)
-    try:
-        params = WorldParams(trail_length=args.trail_length,
-                             trail_width=args.trail_width,
-                             tree_density=args.tree_density)
-    except ValueError as exc:
-        raise ConfigError(f"world gen: {exc}") from exc
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    save_world_spec(args.out_dir / "world_spec.txt", cfg.seed, params)
-    save_config(cfg, args.out_dir / "config_used.yaml")
-    print(f"wrote {args.out_dir / 'world_spec.txt'}")
-    return EXIT_OK
-
-
 def _cmd_teach(args) -> int:
     cfg = _load_cfg(args)
-    world = _world_from_args(args, cfg)
+    world = generate_world(cfg.seed, cfg.world)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     line = world.params.resolved_centerline()
     scans = args.out_dir / "scans" if args.log_scans else None
@@ -156,7 +123,7 @@ def _cmd_teach(args) -> int:
 
 def _cmd_repeat(args) -> int:
     cfg = _load_cfg(args)
-    world = _world_from_args(args, cfg)
+    world = generate_world(cfg.seed, cfg.world)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     result = run_repeat(world, args.db, cfg,
                         start=Pose2D(args.start_x, args.start_y,
@@ -276,8 +243,6 @@ def _cmd_perturbation(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "world":
-            return _cmd_world_gen(args)
         if args.command == "teach":
             return _cmd_teach(args)
         if args.command == "repeat":
@@ -293,8 +258,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TeachAbort, RegistrationFailure, DegenerateRegistration,
-            PriorCoverageError) as exc:
+    except (TeachAbort, RegistrationFailure, PriorCoverageError) as exc:
         print(f"mission abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
     except (OSError, MapLoadError, NpcdError, PersistenceError,

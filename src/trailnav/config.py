@@ -1,10 +1,8 @@
-"""Global configuration and world specs: nested dataclasses that one strict
-builder loads from YAML config files and ``key = JSON`` world-spec files, and
-round-trip saves."""
+"""Global configuration: nested dataclasses, the simulated world among them,
+that one strict builder loads from a YAML file, and its round-trip saver."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -17,8 +15,7 @@ from .simworld import LidarParams, WorldParams
 
 
 class ConfigError(ValueError):
-    """Config file, world spec or option problem; the message names the
-    offending key, file or option."""
+    """Config file problem; the message names the offending key or file."""
 
 
 @dataclass
@@ -63,19 +60,17 @@ class GlobalConfig:
     prior: PriorConfig = field(default_factory=PriorConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     mission: MissionConfig = field(default_factory=MissionConfig)
-    seed: int = 0
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    world: WorldParams = field(default_factory=WorldParams)
+    seed: int = 0    # the CLI's world seed, and every run's scan-noise seed
 
 
 def _build(cls, data, path: str):
-    """Instantiate dataclass ``cls`` from a mapping, rejecting unknown keys and
-    a non-integer value for an ``int`` field, and reporting validation errors
-    with their full key path. A field whose default is a dataclass is a
-    nested section. A list becomes a tuple for a ``tuple`` field, and each
-    item of a ``list`` field becomes a tuple."""
+    """Instantiate dataclass ``cls`` from a mapping, rejecting unknown keys, a
+    non-integer value for an ``int`` field and a non-number for a ``float``
+    field, and reporting validation errors with their full key path. A field
+    whose default is a dataclass is a nested section. A list becomes a tuple
+    for a ``tuple`` field, and each item of a ``list`` field becomes a
+    tuple."""
     if not isinstance(data, dict):
         raise ConfigError(f"'{path}' must be a mapping" if path
                           else "config root must be a mapping")
@@ -89,8 +84,12 @@ def _build(cls, data, path: str):
         key_path = f"{path}.{name}" if path else name
         # Field annotations are strings: the config modules postpone them.
         kind, section = known[name].type, known[name].default_factory
-        if kind == "int" and not _is_int(value):
+        number = (isinstance(value, (int, float))
+                  and not isinstance(value, bool))
+        if kind == "int" and not (number and isinstance(value, int)):
             raise ConfigError(f"'{key_path}' must be an integer")
+        if kind == "float" and not number:
+            raise ConfigError(f"'{key_path}' must be a number")
         if is_dataclass(section):
             value = _build(section, value, key_path)
         elif isinstance(value, list) and kind.startswith("tuple"):
@@ -113,13 +112,6 @@ def config_from_dict(data: dict) -> GlobalConfig:
     return _build(GlobalConfig, data, "")
 
 
-def config_to_dict(cfg: GlobalConfig) -> dict:
-    data = asdict(cfg)
-    data["registration"]["bboxes"] = [
-        list(b) for b in data["registration"]["bboxes"]]
-    return data
-
-
 def load_config(path) -> GlobalConfig:
     path = Path(path)
     if not path.exists():
@@ -135,36 +127,5 @@ def load_config(path) -> GlobalConfig:
 
 def save_config(cfg: GlobalConfig, path) -> None:
     Path(path).write_text(
-        yaml.safe_dump(config_to_dict(cfg), sort_keys=True,
+        yaml.safe_dump(asdict(cfg), sort_keys=True,
                        default_flow_style=False))
-
-
-def save_world_spec(path, seed: int, params: WorldParams) -> None:
-    """Key-value text file from which the world regenerates deterministically:
-    the seed, then one ``key = JSON`` line per ``WorldParams`` field."""
-    lines = [f"seed = {json.dumps(seed)}"]
-    for key, value in asdict(params).items():
-        lines.append(f"{key} = {json.dumps(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_world_spec(path) -> tuple[int, WorldParams]:
-    """(seed, WorldParams) from a ``save_world_spec`` file, through the
-    config's checks; blank lines and ``#`` comments are skipped. A malformed
-    file (bad JSON, a missing or non-integer seed, an unknown key, an invalid
-    value) raises ConfigError naming the file."""
-    text = Path(path).read_text()
-    try:
-        data = {}
-        for line in text.splitlines():
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key and not key.startswith("#"):
-                data[key] = json.loads(value)
-        seed = data.pop("seed", None)
-        if not _is_int(seed):
-            raise ConfigError("missing a seed" if seed is None
-                              else "'seed' must be an integer")
-        return seed, _build(WorldParams, data, "")
-    except ValueError as exc:   # a ConfigError, or bad JSON
-        raise ConfigError(f"world spec {path}: {exc}") from exc

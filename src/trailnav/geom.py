@@ -9,9 +9,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 FRAME_LIDAR = "L"
-FRAME_ROBOT = "R"
 FRAME_MAP = "G"
-VALID_FRAMES = (FRAME_LIDAR, FRAME_ROBOT, FRAME_MAP)
+VALID_FRAMES = (FRAME_LIDAR, FRAME_MAP)
 
 
 class FrameMismatchError(ValueError):

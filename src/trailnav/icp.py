@@ -19,10 +19,11 @@ SUBSAMPLE_STREAM = 81
 
 
 class RegistrationFailure(RuntimeError):
-    """No usable matches between reading and reference."""
+    """Registration gave no pose: no usable matches between reading and
+    reference, or (the subclass below) a degenerate normal system."""
 
 
-class DegenerateRegistration(RuntimeError):
+class DegenerateRegistration(RegistrationFailure):
     """The normal system does not constrain all of (t_x, t_y, t_z, yaw)."""
 
     def __init__(self, msg, null_direction=None):

@@ -14,7 +14,7 @@ from .controller import (Command, ControllerConfig, Pose2D, Status,
 # build_index is unused here but kept: perfbench/harness.py patches it here.
 from .geom import PointCloud, RigidTransform, build_index, transform_cloud
 from .icp import (RegistrationConfig, RegistrationFailure, RegistrationResult,
-                  DegenerateRegistration, apply_input_filters, register)
+                  apply_input_filters, register)
 from .mapping import (MappingConfig, VoxelMap, filter_dynamic, insert_scan,
                       load_map, refresh_normals, retile, save_map)
 from .prior import deskew
@@ -125,7 +125,7 @@ def teach_step(state: TeachState, scan: PointCloud,
     state.scan_count += 1
     try:
         result = localize(state.map, scan, prior_tail, state.reg_cfg)
-    except (RegistrationFailure, DegenerateRegistration) as exc:
+    except RegistrationFailure as exc:
         raise TeachAbort(f"teach registration failed on scan {scan_id}: {exc}",
                          scan_id=scan_id, last_pose=state.current_pose) from exc
     if result is None:   # nothing survived the input filters
@@ -175,7 +175,7 @@ def initialize_localization(vmap: VoxelMap, scan: PointCloud,
         return InitResult(False, None, 0.0, "map has no usable normals")
     try:
         result = localize(vmap, scan, prior_tail, reg_cfg)
-    except (RegistrationFailure, DegenerateRegistration) as exc:
+    except RegistrationFailure as exc:
         return InitResult(False, None, 0.0, f"registration failed: {exc}")
     if result is None:
         return InitResult(False, None, 0.0, "scan empty after input filters")
@@ -198,7 +198,7 @@ def repeat_step(state: RepeatState, scan: PointCloud,
     state.scan_count += 1
     try:
         result = localize(state.map, scan, prior_tail, state.reg_cfg)
-    except (RegistrationFailure, DegenerateRegistration):
+    except RegistrationFailure:
         state.intervention_count += 1
         return RepeatStepResult(None, Status.SAFETY_ABORT,
                                 pose=state.current_pose)

@@ -88,7 +88,7 @@ class WorldParams:
                 and np.shape(self.clearing_center) != (2,)):
             raise ValueError("clearing_center must be (x, y)")
         if any(np.shape(b) != (5,) for b in self.buildings):
-            raise ValueError("each building must be (cx, cy, sx, sy, height)")
+            raise ValueError("buildings must each be (cx, cy, sx, sy, height)")
         for name in ("trunk_height", "trunk_radius", "foliage_radius"):
             lo_hi = np.asarray(getattr(self, name))
             if (lo_hi.shape != (2,) or lo_hi.dtype.kind not in "iuf"

@@ -7,8 +7,7 @@ import yaml
 
 from trailnav.cli import main
 from trailnav.config import (ConfigError, GlobalConfig, config_from_dict,
-                             config_to_dict, load_config, load_world_spec,
-                             save_config, save_world_spec)
+                             load_config, save_config)
 from trailnav.icp import RegistrationFailure
 from trailnav.mission import TeachAbort
 from trailnav.csvio import read_csv, read_float_csv
@@ -19,8 +18,33 @@ from trailnav.simworld import LidarParams, WorldParams
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def _small_config() -> GlobalConfig:
+    """Seed 3 at the acceptance tests' small lidar (8x200 beams, 20 m)."""
+    cfg = GlobalConfig(seed=3)
+    cfg.sim.lidar = LidarParams(beams=8, azimuth_steps=200, rate=2.5,
+                                max_range=20.0)
+    cfg.registration.r = cfg.mapping.r = 20.0
+    return cfg
+
+
+def _ten_metre_world(tmp_path, cfg=None) -> list[str]:
+    """``--config`` arguments naming ``cfg`` (defaults when omitted), set on
+    a 10 m trail and saved."""
+    cfg = cfg or GlobalConfig()
+    cfg.world = WorldParams(trail_length=10.0)
+    save_config(cfg, tmp_path / "ten_metres.yaml")
+    return ["--config", str(tmp_path / "ten_metres.yaml")]
+
+
 def test_shipped_default_config_matches_code_defaults():
-    cfg = load_config(REPO_ROOT / "configs" / "default.yaml")
+    """Every shipped config loads; ``default.yaml`` is the code's defaults,
+    and ``demo.yaml`` the demo's trail."""
+    shipped = {path.name: load_config(path)
+               for path in sorted((REPO_ROOT / "configs").glob("*.yaml"))}
+    assert set(shipped) == {"default.yaml", "demo.yaml"}
+    demo = shipped["demo.yaml"]
+    assert demo.seed == 4 and len(demo.world.centerline) == 32
+    cfg = shipped["default.yaml"]
     assert cfg == GlobalConfig()
     reg = cfg.registration
     assert (reg.eta_s, reg.r, reg.n_m, reg.eps) == (0.7, 80.0, 7, 1.0)
@@ -67,6 +91,23 @@ def test_invalid_value_names_section():
         config_from_dict({"registration": {"bboxes": [list("abcdef")]}})
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"sim": {"lidar": {"max_range": "far"}}}, "sim.lidar.max_range"),
+    ({"mapping": {"rho": True}}, "mapping.rho"),
+    ({"world": {"trail_length": "ten"}}, "world.trail_length"),
+], ids=["string_max_range", "bool_rho", "string_trail_length"])
+def test_float_key_rejects_a_non_number(data, key):
+    """A string or a bool for a ``float`` key is rejected with its key path,
+    whether or not the section's own checks would catch it."""
+    with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
+        config_from_dict(data)
+
+
+def test_float_key_accepts_an_integer():
+    cfg = config_from_dict({"mapping": {"rho": 1}, "world": {"cell": 2}})
+    assert cfg.mapping.rho == 1 and cfg.world.cell == 2
+
+
 def test_partial_config_fills_defaults(tmp_path):
     (tmp_path / "c.yaml").write_text("seed: 3\nmapping:\n  rho: 0.15\n")
     cfg = load_config(tmp_path / "c.yaml")
@@ -80,21 +121,45 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.yaml")
 
 
-def test_config_to_dict_is_plain_yaml():
-    data = config_to_dict(GlobalConfig())
-    text = yaml.safe_dump(data)
-    assert config_from_dict(yaml.safe_load(text)) == GlobalConfig()
+# One value per WorldParams field, each unlike its default, in the types the
+# world generator is given in code.
+_WORLD_FIELDS = dict(
+    trail_width=3.0, trail_length=80.0, tree_density=0.04,
+    extent=(-10.0, 90.0, -30.0, 30.0), cell=0.5, terrain_amplitude=0.3,
+    terrain_scale=20.0, centerline=[(0.0, 0.0), (40.0, 5.0), (80.0, 0.0)],
+    buildings=[(50.0, 12.0, 6.0, 4.0, 3.0)], clearing_center=(40.0, 5.0),
+    clearing_radius=8.0, canopy_porosity=0.5, trunk_height=(2.5, 6.0),
+    trunk_radius=(0.1, 0.25), foliage_radius=(1.2, 2.0),
+    foliage_jitter_sd=0.05)
+
+
+def test_config_to_dict_is_plain_yaml(tmp_path):
+    """``save_config`` writes plain YAML, with no ``!!python/`` tag for the
+    tuples of a registration box or of the world."""
+    cfg = GlobalConfig(world=WorldParams(**_WORLD_FIELDS))
+    save_config(cfg, tmp_path / "c.yaml")
+    text = (tmp_path / "c.yaml").read_text()
+    assert "!!" not in text
+    assert config_from_dict(yaml.safe_load(text)) == cfg
+
+
+def test_world_spec_round_trips_every_field(tmp_path):
+    """Every WorldParams field loads back equal, in its own type, through a
+    saved config's world section; a field this test does not list fails
+    it."""
+    assert set(_WORLD_FIELDS) == {f.name for f in fields(WorldParams)}
+    params = WorldParams(**_WORLD_FIELDS)
+    assert all(getattr(params, f.name) != getattr(WorldParams(), f.name)
+               for f in fields(WorldParams))
+    save_config(GlobalConfig(seed=3, world=params), tmp_path / "c.yaml")
+    back = load_config(tmp_path / "c.yaml")
+    assert back.seed == 3 and back.world == params
+    for f in fields(WorldParams):
+        assert (type(getattr(back.world, f.name))
+                is type(getattr(params, f.name)))
 
 
 # -- CLI ----------------------------------------------------------------------
-
-
-def test_cli_world_gen_exit_zero(tmp_path):
-    rc = main(["world", "gen", "--out-dir", str(tmp_path / "w"),
-               "--trail-length", "30", "--seed", "5"])
-    assert rc == 0
-    assert (tmp_path / "w" / "world_spec.txt").exists()
-    assert (tmp_path / "w" / "config_used.yaml").exists()
 
 
 @pytest.mark.parametrize("text, key", [
@@ -102,10 +167,12 @@ def test_cli_world_gen_exit_zero(tmp_path):
     ("registration:\n  n_m: 7.0\n", "registration.n_m"),
     ("mapping:\n  n_n: true\n", "mapping.n_n"),
     ("sim:\n  canopy_porosity: 0.3\n", "sim.canopy_porosity"),
-], ids=["float_beams", "float_n_m", "bool_n_n", "porosity_in_config"])
+    ("sim:\n  lidar:\n    max_range: far\n", "sim.lidar.max_range"),
+], ids=["float_beams", "float_n_m", "bool_n_n", "porosity_in_config",
+        "string_max_range"])
 def test_cli_bad_config_key_exit_two(tmp_path, capsys, text, key):
-    """An integer key given a float or a bool, or a key the config does not
-    have, exits 2 with the key path named."""
+    """An integer key given a float or a bool, a float key given a string,
+    or a key the config does not have, exits 2 with the key path named."""
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     rc = main(["teach", "--out-dir", str(tmp_path / "t"),
@@ -124,101 +191,53 @@ def test_world_spec_porosity_reaches_the_world(tmp_path, monkeypatch):
                          last_pose=None)
 
     monkeypatch.setattr(cli, "run_teach", recording_run_teach)
-    save_world_spec(tmp_path / "world_spec.txt", 1,
-                    WorldParams(trail_length=10.0, canopy_porosity=0.7))
+    (tmp_path / "c.yaml").write_text(
+        "world:\n  trail_length: 10.0\n  canopy_porosity: 0.7\n")
     assert main(["teach", "--out-dir", str(tmp_path / "t"),
-                 "--world", str(tmp_path / "world_spec.txt")]) == 3
+                 "--config", str(tmp_path / "c.yaml")]) == 3
     assert worlds[0].params.canopy_porosity == 0.7
 
 
 def test_cli_bad_config_exit_two(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("mapping:\n  bogus: 1\n")
-    rc = main(["world", "gen", "--out-dir", str(tmp_path / "w"),
+    rc = main(["teach", "--out-dir", str(tmp_path / "t"),
                "--config", str(bad)])
     assert rc == 2
-    rc = main(["world", "gen", "--out-dir", str(tmp_path / "w"),
+    rc = main(["teach", "--out-dir", str(tmp_path / "t"),
                "--config", str(tmp_path / "absent.yaml")])
     assert rc == 2
 
 
-@pytest.mark.parametrize("spec, why", [
-    ("trail_length = 10.0\n", "missing a seed"),
-    ("seed = 1\nbogus = 2\n", "bogus"),
-    ("seed = 1\ntrail_length = ten\n", "Expecting value"),
-    ("seed = 1\ncanopy_porosity = 1.5\n", "canopy_porosity"),
-    ("seed = 1.7\n", "'seed' must be an integer"),
-    ("seed = true\n", "'seed' must be an integer"),
-    ("seed = 1\ncell = 0.0\n", "cell must be positive"),
-    ("seed = 1\nextent = [10.0, -10.0, -5.0, 5.0]\n", "xmin < xmax"),
-    ("seed = 1\ntrunk_height = 3\n", "trunk_height"),
-    ("seed = 1\ntrunk_radius = [0.3, 0.1]\n", "trunk_radius"),
-    ("seed = 1\ncenterline = [[0.0, 0.0]]\n", "at least 2 points"),
-    ("seed = 1\nbuildings = [[1.0, 2.0]]\n", "each building"),
-    ("seed = 1\nterrain_scale = 0.0\n", "terrain_scale"),
-    ("seed = 1\nfoliage_jitter_sd = -0.1\n", "foliage_jitter_sd"),
-    ("seed = 1\nclearing_center = [1.0]\n", "clearing_center"),
-], ids=["missing_seed", "unknown_key", "bad_json", "porosity_above_one",
-        "float_seed", "bool_seed", "zero_cell", "inverted_extent",
-        "scalar_trunk_height", "inverted_trunk_radius", "one_point_centerline",
-        "short_building", "zero_terrain_scale", "negative_jitter",
-        "one_number_clearing_center"])
-def test_cli_malformed_world_spec_exit_two(tmp_path, capsys, spec, why):
-    path = tmp_path / "world_spec.txt"
-    path.write_text(spec)
-    rc = main(["teach", "--out-dir", str(tmp_path / "t"), "--world", str(path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(path) in err and why in err
-
-
-@pytest.mark.parametrize("seed", ["1.7", "true"])
-def test_world_spec_seed_must_be_an_integer(tmp_path, seed):
-    path = tmp_path / "world_spec.txt"
-    path.write_text(f"seed = {seed}\ntrail_length = 10.0\n")
-    with pytest.raises(ConfigError, match="'seed' must be an integer") as exc:
-        load_world_spec(path)
-    assert str(path) in str(exc.value)
-
-
-# One value per WorldParams field, each unlike its default, in the types the
-# world generator is given in code.
-_WORLD_FIELDS = dict(
-    trail_width=3.0, trail_length=80.0, tree_density=0.04,
-    extent=(-10.0, 90.0, -30.0, 30.0), cell=0.5, terrain_amplitude=0.3,
-    terrain_scale=20.0, centerline=[(0.0, 0.0), (40.0, 5.0), (80.0, 0.0)],
-    buildings=[(50.0, 12.0, 6.0, 4.0, 3.0)], clearing_center=(40.0, 5.0),
-    clearing_radius=8.0, canopy_porosity=0.5, trunk_height=(2.5, 6.0),
-    trunk_radius=(0.1, 0.25), foliage_radius=(1.2, 2.0),
-    foliage_jitter_sd=0.05)
-
-
-def test_world_spec_round_trips_every_field(tmp_path):
-    """Every WorldParams field loads back equal, in its own type, through the
-    world-spec builder; a field this test does not list fails it."""
-    assert set(_WORLD_FIELDS) == {f.name for f in fields(WorldParams)}
-    params = WorldParams(**_WORLD_FIELDS)
-    assert all(getattr(params, f.name) != getattr(WorldParams(), f.name)
-               for f in fields(WorldParams))
-    save_world_spec(tmp_path / "world_spec.txt", 3, params)
-    seed, back = load_world_spec(tmp_path / "world_spec.txt")
-    assert seed == 3 and back == params
-    for f in fields(WorldParams):
-        assert type(getattr(back, f.name)) is type(getattr(params, f.name))
-
-
-@pytest.mark.parametrize("option, value, why", [
-    ("--trail-length", "0", "trail_length must be positive"),
-    ("--trail-width", "0", "trail_width must be positive"),
-    ("--tree-density", "-0.1", "tree_density must be >= 0"),
-])
-def test_cli_world_gen_bad_option_exit_two(tmp_path, capsys, option, value,
-                                           why):
-    rc = main(["world", "gen", "--out-dir", str(tmp_path / "w"),
-               option, value])
+@pytest.mark.parametrize("text, why", [
+    ("world:\n  bogus: 2\n", "unknown key 'world.bogus'"),
+    ("world:\n  trail_length: ten\n", "'world.trail_length' must be a number"),
+    ("world:\n  canopy_porosity: 1.5\n", "world: canopy_porosity"),
+    ("seed: 1.7\n", "'seed' must be an integer"),
+    ("seed: true\n", "'seed' must be an integer"),
+    ("world:\n  cell: 0.0\n", "world: cell must be positive"),
+    ("world:\n  extent: [10.0, -10.0, -5.0, 5.0]\n", "world: extent"),
+    ("world:\n  trunk_height: 3\n", "world: trunk_height"),
+    ("world:\n  trunk_radius: [0.3, 0.1]\n", "world: trunk_radius"),
+    ("world:\n  centerline: [[0.0, 0.0]]\n", "world: centerline"),
+    ("world:\n  buildings: [[1.0, 2.0]]\n", "world: buildings"),
+    ("world:\n  terrain_scale: 0.0\n", "world: terrain_scale"),
+    ("world:\n  foliage_jitter_sd: -0.1\n", "world: foliage_jitter_sd"),
+    ("world:\n  clearing_center: [1.0]\n", "world: clearing_center"),
+], ids=["unknown_key", "bad_json", "porosity_above_one", "float_seed",
+        "bool_seed", "zero_cell", "inverted_extent", "scalar_trunk_height",
+        "inverted_trunk_radius", "one_point_centerline", "short_building",
+        "zero_terrain_scale", "negative_jitter", "one_number_clearing_center"])
+def test_cli_malformed_world_spec_exit_two(tmp_path, capsys, text, why):
+    """A config whose world section, or whose seed (the world's seed), is
+    malformed exits 2 with the world key or the seed named."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    rc = main(["teach", "--out-dir", str(tmp_path / "t"), "--config",
+               str(path)])
     assert rc == 2
     assert why in capsys.readouterr().err
-    assert not (tmp_path / "w").exists()
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -246,11 +265,9 @@ def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, capsys,
 
 
 def test_cli_missing_database_exit_four(tmp_path):
-    world_dir = tmp_path / "w"
-    assert main(["world", "gen", "--out-dir", str(world_dir)]) == 0
     rc = main(["repeat", "--out-dir", str(tmp_path / "r"),
                "--db", str(tmp_path / "no_such_db"),
-               "--world", str(world_dir / "world_spec.txt")])
+               *_ten_metre_world(tmp_path)])
     assert rc == 4
 
 
@@ -271,9 +288,7 @@ def test_cli_malformed_manifest_exit_four(tmp_path, capsys, command,
     db.mkdir()
     (db / "manifest.json").write_text(manifest)
     if command == "repeat":
-        assert main(["world", "gen", "--out-dir", str(tmp_path / "w"),
-                     "--trail-length", "10"]) == 0
-        argv = ["repeat", "--world", str(tmp_path / "w" / "world_spec.txt")]
+        argv = ["repeat", *_ten_metre_world(tmp_path)]
     else:
         argv = ["analyze", command, "--scans", str(tmp_path / "scans")]
     rc = main([*argv, "--db", str(db), "--out-dir", str(tmp_path / "out")])
@@ -282,17 +297,28 @@ def test_cli_malformed_manifest_exit_four(tmp_path, capsys, command,
     assert str(db / "manifest.json") in err and why in err
 
 
+def test_cli_repeats_a_teach_from_its_saved_config(tmp_path, capsys):
+    """The ``config_used.yaml`` a teach writes holds its world, so a repeat
+    reads that file and the database, and nothing else."""
+    cfg = _small_config()
+    teach = tmp_path / "teach"
+    assert main(["teach", "--out-dir", str(teach),
+                 *_ten_metre_world(tmp_path, cfg)]) == 0
+    assert load_config(teach / "config_used.yaml") == cfg
+    assert main(["repeat", "--config", str(teach / "config_used.yaml"),
+                 "--db", str(teach / "db"),
+                 "--out-dir", str(tmp_path / "repeat")]) == 0
+    assert "status goal_reached" in capsys.readouterr().out
+
+
 def test_cli_teach_abort_exit_three(tmp_path, monkeypatch):
     def abort(state, scan, prior_tail):
         raise TeachAbort("teach registration failed on scan 0", scan_id=0,
                          last_pose=None)
 
     monkeypatch.setattr("trailnav.runner.teach_step", abort)
-    world_dir = tmp_path / "w"
-    assert main(["world", "gen", "--out-dir", str(world_dir),
-                 "--trail-length", "10"]) == 0
     rc = main(["teach", "--out-dir", str(tmp_path / "t"),
-               "--world", str(world_dir / "world_spec.txt")])
+               *_ten_metre_world(tmp_path)])
     assert rc == 3
 
 
@@ -321,17 +347,10 @@ def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
     localize, teach_step = mission.localize, runner.teach_step
     monkeypatch.setattr(mission, "localize", failing_localize)
     monkeypatch.setattr(runner, "teach_step", recording_teach_step)
-    cfg = GlobalConfig(seed=3)
-    cfg.sim.lidar = LidarParams(beams=8, azimuth_steps=200, rate=2.5,
-                                max_range=20.0)
-    cfg.registration.r = cfg.mapping.r = 20.0
-    save_config(cfg, tmp_path / "cfg.yaml")
-    common = ["--config", str(tmp_path / "cfg.yaml")]
-    world_dir = tmp_path / "w"
-    assert main(["world", "gen", "--out-dir", str(world_dir),
-                 "--trail-length", "10", *common]) == 0
+    cfg = _small_config()
+    common = _ten_metre_world(tmp_path, cfg)
     rc = main(["teach", "--out-dir", str(tmp_path / "t"), "--log-scans",
-               "--world", str(world_dir / "world_spec.txt"), *common])
+               *common])
     assert rc == 3
     assert f"failed on scan {k}" in capsys.readouterr().err
     log = tmp_path / "t" / "scans"

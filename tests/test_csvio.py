@@ -159,10 +159,7 @@ def test_repeat_truncated_trajectory_exits_four(tmp_path, capsys):
     text = (db / "trajectory.csv").read_text()
     last = text.rstrip("\n").rfind("\n") + 1       # cut halfway into the last row
     (db / "trajectory.csv").write_text(text[:last + (len(text) - last) // 2])
-    assert main(["world", "gen", "--out-dir", str(tmp_path / "w"),
-                 "--trail-length", "10"]) == 0
     err = _exits_four(capsys, ["repeat", "--db", str(db),
-                               "--world", str(tmp_path / "w" / "world_spec.txt"),
                                "--out-dir", str(tmp_path / "r")],
                       db / "trajectory.csv")
     assert "line 13" in err
@@ -193,7 +190,7 @@ _CROSS_TRACK = ["analyze", "cross-track", "--executed", "executed.csv",
      "9 rows; a reference's curvature fit needs at least 10"),
     (["analyze", "curvature-bins", "--cross-track", "series.csv"],
      "series.csv", None, None, "0 rows; curvature binning needs at least 1"),
-    (["repeat", "--db", ".", "--world", "world_spec.txt"], "trajectory.csv",
+    (["repeat", "--db", "."], "trajectory.csv",
      12, (3, 0, 0.0), "stamps must be strictly increasing"),
 ], ids=["decreasing_arc_length", "repeated_stamp", "one_executed_pose",
         "nine_reference_poses", "header_only_series", "repeat_database"])
@@ -208,9 +205,6 @@ def test_unusable_input_file_exits_four_naming_it(tmp_path, capsys,
         (tmp_path / "manifest.json").write_text(
             f'{{"format": "{MAP_FORMAT}", "version": {MAP_VERSION}, '
             f'"v_s": 10.0, "voxels": []}}')
-        assert main(["world", "gen", "--out-dir", ".",
-                     "--trail-length", "10"]) == 0
-        capsys.readouterr()
     assert main(argv + ["--out-dir", "out"]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"I/O error: {bad}: ") and why in err

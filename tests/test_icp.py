@@ -252,7 +252,9 @@ def test_minimize_step_recovers_small_offset():
     assert corrected < 0.1 * err
 
 
-def test_minimize_step_degenerate_plane_only():
+def _plane_only_step():
+    """``minimize_step``'s inputs for a reading 0.1 m above a flat plane,
+    which constrains neither x, y nor yaw."""
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(-5, 5, (500, 2)), np.zeros(500)])
     ref = PointCloud(pts, FRAME_MAP,
@@ -262,8 +264,12 @@ def test_minimize_step_degenerate_plane_only():
                  np.ones(500, np.int8))
     p, q, normals = _pairs(m, reading, ref)
     _, res = point_to_plane_error(p, q, normals, m.weights)
+    return p, normals, res, m.weights, _IDENTITY
+
+
+def test_minimize_step_degenerate_plane_only():
     with pytest.raises(DegenerateRegistration) as exc:
-        minimize_step(p, normals, res, m.weights, _IDENTITY)
+        minimize_step(*_plane_only_step())
     assert exc.value.null_direction is not None
 
 
@@ -302,6 +308,9 @@ def test_register_fails_on_disjoint_clouds():
     with pytest.raises(RegistrationFailure):
         register(reading, ref, RigidTransform(np.eye(3), np.zeros(3), "L", "G"),
                  cfg, build_index(ref))
+    # A degenerate normal system is a registration failure too.
+    with pytest.raises(RegistrationFailure):
+        minimize_step(*_plane_only_step())
 
 
 def test_register_iteration_cap():

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from trailnav.cli import main
-from trailnav.config import GlobalConfig, save_config, save_world_spec
+from trailnav.config import GlobalConfig, save_config
 from trailnav.controller import Pose2D, Status
 from trailnav.csvio import read_csv, read_float_csv, write_csv
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
@@ -522,11 +522,11 @@ def cli_logged_teach(request, tmp_path_factory):
     cfg.sim.lidar = LidarParams(beams=8, azimuth_steps=200, rate=2.5,
                                 max_range=20.0)
     cfg.registration.r = cfg.mapping.r = 20.0
-    save_config(cfg, out / "cfg.yaml")
     start = np.array([3.0, -2.0])
     end = start + 10.0 * np.array([np.cos(heading), np.sin(heading)])
-    save_world_spec(out / "world.txt", 3, WorldParams(
-        trail_length=10.0, centerline=[start.tolist(), end.tolist()]))
+    cfg.world = WorldParams(trail_length=10.0,
+                            centerline=[start.tolist(), end.tolist()])
+    save_config(cfg, out / "cfg.yaml")
     states = []
 
     def recording_teach_step(state, scan, prior_tail):
@@ -535,8 +535,7 @@ def cli_logged_teach(request, tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "teach_step", recording_teach_step)
-        assert main(["teach", "--config", str(out / "cfg.yaml"),
-                     "--world", str(out / "world.txt"), "--log-scans",
+        assert main(["teach", "--config", str(out / "cfg.yaml"), "--log-scans",
                      "--out-dir", str(out / "teach")]) == 0
     common = ["--config", str(out / "cfg.yaml"),
               "--scans", str(out / "teach" / "scans")]

@@ -9,7 +9,7 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("name", ["teach_repeat_demo", "degradation_study"])
+@pytest.mark.parametrize("name", ["degradation_study"])
 def test_script_imports_and_defines_main(name):
     spec = importlib.util.spec_from_file_location(
         f"script_{name}", SCRIPTS / f"{name}.py")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trailnav.controller import Pose2D
-from trailnav.config import load_world_spec, save_world_spec
+from trailnav.config import GlobalConfig, load_config, save_config
 from trailnav import simworld
 from trailnav.prior import dead_reckon, deskew
 from trailnav.simworld import (CLASS_BUILDING, CLASS_GROUND, CLASS_SNOWFALL,
@@ -195,17 +195,19 @@ def test_accumulate_snow_arithmetic():
 
 
 def test_world_spec_round_trip(tmp_path):
+    """A world saved as a config's section and seed regenerates bit for
+    bit."""
     params = WorldParams(trail_length=80.0, tree_density=0.04,
                          extent=(-10.0, 90.0, -30.0, 30.0),
                          centerline=[(0.0, 0.0), (40.0, 5.0), (80.0, 0.0)],
                          buildings=[(50.0, 12.0, 6.0, 4.0, 3.0)],
                          clearing_center=(40.0, 5.0), clearing_radius=8.0)
-    path = tmp_path / "world.txt"
-    save_world_spec(path, 42, params)
-    seed, back = load_world_spec(path)
-    assert seed == 42
-    assert back == params
-    a = generate_world(seed, back)
+    path = tmp_path / "c.yaml"
+    save_config(GlobalConfig(seed=42, world=params), path)
+    back = load_config(path)
+    assert back.seed == 42
+    assert back.world == params
+    a = generate_world(back.seed, back.world)
     b = generate_world(42, params)
     assert np.array_equal(a.trees.xy, b.trees.xy)
     assert np.array_equal(a.ground.grid, b.ground.grid)
