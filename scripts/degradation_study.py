@@ -11,6 +11,10 @@ Study B — corridor degeneracy. Measures the longitudinal perturbation
 uncertainty of a single scan registered against a dense reference in a long
 tree-walled corridor versus a four-way intersection of corridors.
 
+The functions below are the one definition of these scenes and their
+measurements; the acceptance criteria on degeneracy and snow accumulation
+call them too.
+
 Usage:
     python3 scripts/degradation_study.py --out-dir out/degradation
 """
@@ -33,6 +37,14 @@ from trailnav.simworld import (LidarParams, Trees, WorldParams,
 
 SNOW_DEPTH = 0.3
 SNOW_FACTORS = {"ground": 1.0, "vegetation": 0.2}
+START_AREAS = (("open-ground", 25.0, 0.0), ("building", 44.0, 0.5))
+SWEEP_X = np.linspace(22.0, 28.0, 5)    # open-ground start poses, y = 0
+CENTERLINES = {
+    "corridor": [(-40.0, 0.0), (40.0, 0.0)],
+    # crosses itself at the origin: a second corridor along y
+    "intersection": [(-40.0, 0.0), (0.0, 0.0), (0.0, 40.0), (0.0, -40.0),
+                     (0.0, 0.0), (40.0, 0.0)],
+}
 
 
 def add_bushes(world, rng, x_range, n=120):
@@ -53,7 +65,10 @@ def add_bushes(world, rng, x_range, n=120):
     return world
 
 
-def snow_study(out_dir: Path):
+def snow_scenes():
+    """The snow study's config and its worlds, ``{"unchanged": ...,
+    "accumulated": ...}``: noise-free exact geometry, so the only degradation
+    is the changed surfaces."""
     cfg = GlobalConfig(seed=0)
     cfg.sim.lidar = LidarParams(beams=16, azimuth_steps=360, rate=5.0,
                                 max_range=15.0, range_noise_sd=0.0)
@@ -61,7 +76,6 @@ def snow_study(out_dir: Path):
     cfg.mapping.r = 15.0
     cfg.mapping.v_s = 10.0
     cfg.mapping.rho = 0.15
-
     params = WorldParams(trail_length=50.0, tree_density=0.05,
                          terrain_amplitude=0.0,
                          extent=(-25.0, 75.0, -30.0, 30.0),
@@ -69,68 +83,81 @@ def snow_study(out_dir: Path):
                          buildings=[(45.0, 6.0, 8.0, 5.0, 4.0)])
     clean = add_bushes(generate_world(11, params),
                        np.random.default_rng(99), (12.0, 38.0))
-    print("teaching in the unchanged world ...")
-    res = run_teach(clean, cfg, waypoints=[(50.0, 0.0)],
-                    out_dir=out_dir / "db", v_teach=1.0, max_ticks=2000)
-    vmap, traj = load_database(res.db_dir)
-    print(f"  taught {traj.total_length():.1f} m")
-    snowy = accumulate_snow(clean, SNOW_DEPTH, SNOW_FACTORS)
-
-    def init_at(world, x, y, seed):
-        return initialize_at_rest(world, vmap, cfg, Pose2D(x, y, 0.0), seed)
-
-    rows = []
-    for area, x, y in (("open-ground", 25.0, 0.0), ("building", 44.0, 0.5)):
-        for wname, world in (("unchanged", clean), ("accumulated", snowy)):
-            r = init_at(world, x, y, 777)
-            rows.append((area, wname, r.success, round(r.overlap, 2),
-                         r.reason))
-            print(f"  {area:12s} {wname:12s} success={str(r.success):5s} "
-                  f"overlap={r.overlap:5.1f}%  {r.reason}")
-    write_csv(out_dir / "snow_init.csv",
-              ["start_area", "world", "success", "overlap_pct", "reason"], rows)
-
-    sweep = []
-    for wname, world in (("unchanged", clean), ("accumulated", snowy)):
-        for i, x in enumerate(np.linspace(22.0, 28.0, 5)):
-            sweep.append((wname, round(x, 1),
-                          round(init_at(world, x, 0.0, 800 + i).overlap, 2)))
-    write_csv(out_dir / "snow_overlap_sweep.csv", ["world", "x", "overlap_pct"],
-              sweep)
-    for wname in ("unchanged", "accumulated"):
-        vals = [s[2] for s in sweep if s[0] == wname]
-        print(f"  open-ground overlap, {wname}: mean {np.mean(vals):.2f}%")
+    return cfg, {"unchanged": clean,
+                 "accumulated": accumulate_snow(clean, SNOW_DEPTH,
+                                                SNOW_FACTORS)}
 
 
-def corridor_study(out_dir: Path):
-    def build(kind):
-        params = WorldParams(trail_length=80.0, tree_density=0.06,
-                             extent=(-40.0, 40.0, -40.0, 40.0),
-                             centerline=[(-40.0, 0.0), (40.0, 0.0)],
-                             terrain_amplitude=0.2)
-        w = generate_world(0, params)
-        if kind == "intersection":
-            keep = np.abs(w.trees.xy[:, 0]) > 2.25 + w.trees.trunk_radius
-            t = w.trees
-            w.trees = Trees(xy=t.xy[keep], trunk_radius=t.trunk_radius[keep],
-                            trunk_top=t.trunk_top[keep],
-                            base_z=t.base_z[keep],
-                            foliage_center=t.foliage_center[keep],
-                            foliage_radius=t.foliage_radius[keep])
-        return w
+def teach_snowfield(cfg, world, out_dir):
+    """Teach the trail in ``world``; returns the saved (map, trajectory)."""
+    res = run_teach(world, cfg, waypoints=[(50.0, 0.0)], out_dir=out_dir,
+                    v_teach=1.0, max_ticks=2000)
+    return load_database(res.db_dir)
 
+
+def start_area_inits(cfg, vmap, worlds):
+    """Localization bootstrap at each start area in each world, keyed
+    ``(area, world name)``."""
+    return {(area, name): initialize_at_rest(world, vmap, cfg,
+                                             Pose2D(x, y, 0.0), 777)
+            for area, x, y in START_AREAS for name, world in worlds.items()}
+
+
+def overlap_sweep(cfg, vmap, worlds):
+    """Bootstrap overlap (%) at each ``SWEEP_X`` start, per world name."""
+    return {name: [initialize_at_rest(world, vmap, cfg, Pose2D(x, 0.0, 0.0),
+                                      800 + i).overlap
+                   for i, x in enumerate(SWEEP_X)]
+            for name, world in worlds.items()}
+
+
+def degeneracy_world(kind):
+    """The ``"corridor"`` or ``"intersection"`` forest of study B."""
+    return generate_world(0, WorldParams(
+        trail_length=80.0, tree_density=0.06, extent=(-40.0, 40.0, -40.0, 40.0),
+        centerline=CENTERLINES[kind], terrain_amplitude=0.2))
+
+
+def perturbation_profile(world):
+    """(offsets, errors, std) of one scan at the origin, perturbed along x,
+    against a denser reference scan from the same pose."""
     lp = LidarParams(beams=16, azimuth_steps=600, rate=10.0, max_range=40.0,
                      range_noise_sd=0.01)
     lp_ref = LidarParams(beams=24, azimuth_steps=900, rate=10.0,
                          max_range=40.0, range_noise_sd=0.01)
-    for kind in ("corridor", "intersection"):
-        world = build(kind)
-        scan = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=3)
-        ref = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp_ref, seed=4)
-        map_l = compute_normals(PointCloud(ref.points, "L"), 15,
-                                viewpoints=np.zeros(3))
-        offs, errs, std = perturbation_uncertainty(
-            PointCloud(scan.points, "L"), map_l)
+    scan = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=3)
+    ref = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp_ref, seed=4)
+    map_l = compute_normals(PointCloud(ref.points, "L"), 15,
+                            viewpoints=np.zeros(3))
+    return perturbation_uncertainty(PointCloud(scan.points, "L"), map_l)
+
+
+def snow_study(out_dir: Path):
+    cfg, worlds = snow_scenes()
+    print("teaching in the unchanged world ...")
+    vmap, traj = teach_snowfield(cfg, worlds["unchanged"], out_dir / "db")
+    print(f"  taught {traj.total_length():.1f} m")
+
+    rows = []
+    for (area, name), r in start_area_inits(cfg, vmap, worlds).items():
+        rows.append((area, name, r.success, round(r.overlap, 2), r.reason))
+        print(f"  {area:12s} {name:12s} success={str(r.success):5s} "
+              f"overlap={r.overlap:5.1f}%  {r.reason}")
+    write_csv(out_dir / "snow_init.csv",
+              ["start_area", "world", "success", "overlap_pct", "reason"], rows)
+
+    sweep = overlap_sweep(cfg, vmap, worlds)
+    write_csv(out_dir / "snow_overlap_sweep.csv", ["world", "x", "overlap_pct"],
+              [(name, round(x, 1), round(overlap, 2))
+               for name, overlaps in sweep.items()
+               for x, overlap in zip(SWEEP_X, overlaps)])
+    for name, overlaps in sweep.items():
+        print(f"  open-ground overlap, {name}: mean {np.mean(overlaps):.2f}%")
+
+
+def corridor_study(out_dir: Path):
+    for kind in CENTERLINES:
+        offs, errs, std = perturbation_profile(degeneracy_world(kind))
         write_csv(out_dir / f"perturbation_{kind}.csv", ["offset_m", "error"],
                   zip(offs, errs))
         print(f"  {kind:12s} profile std {std:10.1f}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .controller import ControllerConfig
@@ -64,13 +65,17 @@ class GlobalConfig:
     seed: int = 0    # the CLI's world seed, and every run's scan-noise seed
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _build(cls, data, path: str):
     """Instantiate dataclass ``cls`` from a mapping, rejecting unknown keys, a
     non-integer value for an ``int`` field and a non-number for a ``float``
     field, and reporting validation errors with their full key path. A field
-    whose default is a dataclass is a nested section. A list becomes a tuple
-    for a ``tuple`` field, and each item of a ``list`` field becomes a
-    tuple."""
+    whose default is a dataclass is a nested section. A list of numbers
+    becomes a tuple for a ``tuple`` field, and a ``list`` field takes a list
+    of lists of numbers, each becoming a tuple."""
     if not isinstance(data, dict):
         raise ConfigError(f"'{path}' must be a mapping" if path
                           else "config root must be a mapping")
@@ -84,22 +89,21 @@ def _build(cls, data, path: str):
         key_path = f"{path}.{name}" if path else name
         # Field annotations are strings: the config modules postpone them.
         kind, section = known[name].type, known[name].default_factory
-        number = (isinstance(value, (int, float))
-                  and not isinstance(value, bool))
-        if kind == "int" and not (number and isinstance(value, int)):
+        if kind == "int" and not (_is_number(value) and isinstance(value, int)):
             raise ConfigError(f"'{key_path}' must be an integer")
-        if kind == "float" and not number:
+        if kind == "float" and not _is_number(value):
             raise ConfigError(f"'{key_path}' must be a number")
         if is_dataclass(section):
             value = _build(section, value, key_path)
-        elif isinstance(value, list) and kind.startswith("tuple"):
-            value = tuple(value)
         elif isinstance(value, list):
-            try:
-                value = [tuple(item) for item in value]
-            except TypeError as exc:
-                raise ConfigError(f"'{key_path}' must be a list of lists: "
-                                  f"{exc}") from exc
+            single = kind.startswith("tuple")
+            rows = [value] if single else value
+            if not all(isinstance(row, list) and all(map(_is_number, row))
+                       for row in rows):
+                raise ConfigError(f"'{key_path}' must be a list of "
+                                  + ("numbers" if single
+                                     else "lists of numbers"))
+            value = tuple(value) if single else [tuple(row) for row in value]
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -125,7 +129,15 @@ def load_config(path) -> GlobalConfig:
     return config_from_dict(data)
 
 
+class _Dumper(yaml.SafeDumper):
+    """Safe YAML that writes a numpy scalar as the plain number it holds."""
+
+
+_Dumper.add_multi_representer(
+    np.generic, lambda dumper, value: dumper.represent_data(value.item()))
+
+
 def save_config(cfg: GlobalConfig, path) -> None:
     Path(path).write_text(
-        yaml.safe_dump(asdict(cfg), sort_keys=True,
-                       default_flow_style=False))
+        yaml.dump(asdict(cfg), Dumper=_Dumper, sort_keys=True,
+                  default_flow_style=False))

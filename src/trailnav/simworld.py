@@ -87,8 +87,10 @@ class WorldParams:
         if (self.clearing_center is not None
                 and np.shape(self.clearing_center) != (2,)):
             raise ValueError("clearing_center must be (x, y)")
-        if any(np.shape(b) != (5,) for b in self.buildings):
-            raise ValueError("buildings must each be (cx, cy, sx, sy, height)")
+        if any(np.shape(b) != (5,) or not min(b[2:]) > 0
+               for b in self.buildings):
+            raise ValueError("buildings must each be (cx, cy, sx, sy, height) "
+                             "with sx, sy and height positive")
         for name in ("trunk_height", "trunk_radius", "foliage_radius"):
             lo_hi = np.asarray(getattr(self, name))
             if (lo_hi.shape != (2,) or lo_hi.dtype.kind not in "iuf"
@@ -163,7 +165,6 @@ class World:
     ground: Heightfield
     trees: Trees
     buildings: list
-    seed: int
     params: WorldParams
 
     def ground_height(self, x, y):
@@ -247,7 +248,7 @@ def generate_world(seed: int, params: WorldParams) -> World:
                                   cy + sy / 2, zb, zb + h))
 
     return World(ground=ground, trees=trees, buildings=buildings,
-                 seed=seed, params=params)
+                 params=params)
 
 
 def step_robot(state: RobotState, u, dt: float,
@@ -541,4 +542,4 @@ def accumulate_snow(world: World, depth: float, class_factors: dict) -> World:
     buildings = [Building(b.xmin, b.xmax, b.ymin, b.ymax, b.z_base,
                           b.z_top + depth * fb) for b in world.buildings]
     return World(ground=ground, trees=trees, buildings=buildings,
-                 seed=world.seed, params=world.params)
+                 params=world.params)

@@ -10,7 +10,9 @@ run one or more repeat missions against the stored database; everything is
 seeded and deterministic.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,13 +28,18 @@ from trailnav.icp import (MatchSet, RegistrationConfig, apply_input_filters,
                           gather_reference, point_to_plane_error, register)
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, load_map, retile, save_map)
-from trailnav.mission import load_database, new_teach_state, teach_step
+from trailnav.mission import new_teach_state, teach_step
 from trailnav.prior import dead_reckon, deskew
-from trailnav.runner import (_sense, _sensor_anchor, initialize_at_rest,
-                             run_repeat, run_teach)
+from trailnav.runner import _sense, _sensor_anchor, run_repeat, run_teach
 from trailnav.simworld import (CLASS_BUILDING, CLASS_SNOWFALL, LidarParams,
-                               RobotState, Trees, WorldParams, accumulate_snow,
-                               apply_snowfall, generate_world, simulate_lidar)
+                               RobotState, WorldParams, apply_snowfall,
+                               generate_world, simulate_lidar)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+from degradation_study import (degeneracy_world, overlap_sweep,  # noqa: E402
+                               perturbation_profile, snow_scenes,
+                               start_area_inits, teach_snowfield)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -317,36 +324,6 @@ def test_criterion_05_curvature_error_correlation(taught_ramp):
 # -- criterion 6: perturbation uncertainty in degenerate scenes -----------------
 
 
-def _degeneracy_world(kind):
-    params = WorldParams(trail_length=80.0, tree_density=0.06,
-                         extent=(-40.0, 40.0, -40.0, 40.0),
-                         centerline=[(-40.0, 0.0), (40.0, 0.0)],
-                         terrain_amplitude=0.2)
-    w = generate_world(0, params)
-    if kind == "intersection":
-        # clear a second corridor along y through the origin
-        keep = np.abs(w.trees.xy[:, 0]) > 2.25 + w.trees.trunk_radius
-        t = w.trees
-        w.trees = Trees(xy=t.xy[keep], trunk_radius=t.trunk_radius[keep],
-                        trunk_top=t.trunk_top[keep], base_z=t.base_z[keep],
-                        foliage_center=t.foliage_center[keep],
-                        foliage_radius=t.foliage_radius[keep])
-    return w
-
-
-def _perturbation_std(world):
-    lp = LidarParams(beams=16, azimuth_steps=600, rate=10.0, max_range=40.0,
-                     range_noise_sd=0.01)
-    scan = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=3)
-    ref = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), LidarParams(
-        beams=24, azimuth_steps=900, rate=10.0, max_range=40.0,
-        range_noise_sd=0.01), seed=4)
-    map_l = compute_normals(PointCloud(ref.points, "L"), 15,
-                            viewpoints=np.zeros(3))
-    _, _, std = perturbation_uncertainty(PointCloud(scan.points, "L"), map_l)
-    return std
-
-
 def _plane_cloud(spacing, half, frame="L"):
     xs = np.arange(-half, half + 1e-9, spacing)
     gx, gy = np.meshgrid(xs, xs)
@@ -355,8 +332,8 @@ def _plane_cloud(spacing, half, frame="L"):
 
 
 def test_criterion_06_corridor_degeneracy():
-    corridor_std = _perturbation_std(_degeneracy_world("corridor"))
-    cross_std = _perturbation_std(_degeneracy_world("intersection"))
+    corridor_std = perturbation_profile(degeneracy_world("corridor"))[2]
+    cross_std = perturbation_profile(degeneracy_world("intersection"))[2]
 
     plane = _plane_cloud(0.3, 8.0)
     plane_map = compute_normals(_plane_cloud(0.25, 12.0), 15,
@@ -381,77 +358,34 @@ def test_criterion_06_corridor_degeneracy():
 # -- criterion 7: snow accumulation degrades repeat-phase localization ----------
 
 
-def _add_bushes(world, rng, x_range, n=120):
-    """Low shrubs flanking the trail: foliage blobs sitting on the ground,
-    small enough for 0.3 m of snow to bury them completely."""
-    bx = rng.uniform(x_range[0], x_range[1], n)
-    side = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    by = side * rng.uniform(2.6, 9.0, n)
-    bz = np.asarray(world.ground.sample(bx, by), dtype=float)
-    t = world.trees
-    world.trees = Trees(
-        xy=np.vstack([t.xy, np.column_stack([bx, by])]),
-        trunk_radius=np.concatenate([t.trunk_radius, np.full(n, 0.05)]),
-        trunk_top=np.concatenate([t.trunk_top, bz + 0.02]),
-        base_z=np.concatenate([t.base_z, bz]),
-        foliage_center=np.vstack([t.foliage_center,
-                                  np.column_stack([bx, by, bz])]),
-        foliage_radius=np.concatenate([t.foliage_radius, np.full(n, 0.23)]))
-    return world
-
-
 @pytest.fixture(scope="module")
 def snow_setup(tmp_path_factory):
-    cfg = GlobalConfig(seed=0)
-    # Noise-free exact geometry: the degradation mechanism under test is
-    # purely the changed surfaces, not sensor noise.
-    cfg.sim.lidar = LidarParams(beams=16, azimuth_steps=360, rate=5.0,
-                                max_range=15.0, range_noise_sd=0.0)
-    cfg.registration.r = 15.0
-    cfg.mapping.r = 15.0
-    cfg.mapping.v_s = 10.0
-    cfg.mapping.rho = 0.15
-    params = WorldParams(trail_length=50.0, tree_density=0.05,
-                         terrain_amplitude=0.0,
-                         extent=(-25.0, 75.0, -30.0, 30.0),
-                         clearing_center=(25.0, 0.0), clearing_radius=18.0,
-                         buildings=[(45.0, 6.0, 8.0, 5.0, 4.0)])
-    clean = _add_bushes(generate_world(11, params),
-                        np.random.default_rng(99), (12.0, 38.0))
-    out = tmp_path_factory.mktemp("db_snow")
-    res = run_teach(clean, cfg, waypoints=[(50.0, 0.0)], out_dir=out,
-                    v_teach=1.0, max_ticks=2000)
-    vmap, traj = load_database(res.db_dir)
-    snowy = accumulate_snow(clean, 0.3, {"ground": 1.0, "vegetation": 0.2})
-    return cfg, clean, snowy, vmap
-
-
-def _init_at(cfg, vmap, world, x, y, seed):
-    return initialize_at_rest(world, vmap, cfg, Pose2D(x, y, 0.0), seed)
+    cfg, worlds = snow_scenes()
+    vmap, _ = teach_snowfield(cfg, worlds["unchanged"],
+                              tmp_path_factory.mktemp("db_snow"))
+    return cfg, worlds, vmap
 
 
 def test_criterion_07_snow_accumulation(snow_setup):
-    cfg, clean, snowy, vmap = snow_setup
+    cfg, worlds, vmap = snow_setup
     # Repeat-phase overlap over the open snowfield (bushes buried by 0.3 m of
     # snow), sampled at five start poses, paired across the two worlds.
-    overlaps = {}
-    for name, world in (("clean", clean), ("snowy", snowy)):
-        overlaps[name] = [
-            _init_at(cfg, vmap, world, x, 0.0, 800 + i).overlap
-            for i, x in enumerate(np.linspace(22.0, 28.0, 5))]
-    drop = float(np.mean(overlaps["clean"]) - np.mean(overlaps["snowy"]))
+    overlaps = overlap_sweep(cfg, vmap, worlds)
+    drop = float(np.mean(overlaps["unchanged"])
+                 - np.mean(overlaps["accumulated"]))
     # Localization bootstrap contrast in the accumulated world: an open-ground
     # start area versus a start area next to the building.
-    ground_snowy = _init_at(cfg, vmap, snowy, 25.0, 0.0, 777)
-    building_snowy = _init_at(cfg, vmap, snowy, 44.0, 0.5, 777)
-    building_clean = _init_at(cfg, vmap, clean, 44.0, 0.5, 777)
+    inits = start_area_inits(cfg, vmap, worlds)
+    ground_snowy = inits["open-ground", "accumulated"]
+    building_snowy = inits["building", "accumulated"]
+    building_clean = inits["building", "unchanged"]
     ok_drop = drop >= 10.0
     ok_init = (not ground_snowy.success) and building_snowy.success \
         and building_clean.success
     _report(7, "snow accumulation", ok_drop and ok_init,
             f"open-ground overlap drop {drop:.2f} pp "
-            f"(clean {np.mean(overlaps['clean']):.1f}% -> snowy "
-            f"{np.mean(overlaps['snowy']):.1f}%, need >=10 pp); "
+            f"(clean {np.mean(overlaps['unchanged']):.1f}% -> snowy "
+            f"{np.mean(overlaps['accumulated']):.1f}%, need >=10 pp); "
             f"snowy ground-area init success={ground_snowy.success} "
             f"(reason: {ground_snowy.reason or 'n/a'}; must fail), "
             f"snowy building-area init success={building_snowy.success} "

@@ -143,6 +143,21 @@ def test_config_to_dict_is_plain_yaml(tmp_path):
     assert config_from_dict(yaml.safe_load(text)) == cfg
 
 
+def test_save_config_writes_numpy_scalars_as_numbers(tmp_path):
+    """A config built from numpy values, such as a numpy path's rows, saves
+    as plain numbers and loads back equal."""
+    path = np.array([[0.0, 0.0], [10.0, 2.0]])
+    cfg = GlobalConfig(seed=np.int64(3), world=WorldParams(
+        centerline=[tuple(p) for p in path],
+        extent=tuple(np.array([-5.0, 15.0, -5.0, 5.0])),
+        buildings=[tuple(np.array([5.0, 3.0, 1.0, 1.0, 2.0]))],
+        clearing_center=(np.float32(1.5), np.float64(2.0)),
+        clearing_radius=np.float64(1.0)))
+    save_config(cfg, tmp_path / "c.yaml")
+    assert "!!" not in (tmp_path / "c.yaml").read_text()
+    assert load_config(tmp_path / "c.yaml") == cfg
+
+
 def test_world_spec_round_trips_every_field(tmp_path):
     """Every WorldParams field loads back equal, in its own type, through a
     saved config's world section; a field this test does not list fails
@@ -224,10 +239,21 @@ def test_cli_bad_config_exit_two(tmp_path):
     ("world:\n  terrain_scale: 0.0\n", "world: terrain_scale"),
     ("world:\n  foliage_jitter_sd: -0.1\n", "world: foliage_jitter_sd"),
     ("world:\n  clearing_center: [1.0]\n", "world: clearing_center"),
+    ("world:\n  buildings: [[a, 1, 1, 1, 1]]\n", "'world.buildings'"),
+    ("world:\n  buildings: [[1, 1, true, 1, 2]]\n", "'world.buildings'"),
+    ("world:\n  buildings: [[1, 1, 1, 1, -3]]\n", "world: buildings"),
+    ("world:\n  clearing_center: [a, 1]\n  clearing_radius: 2.0\n",
+     "'world.clearing_center'"),
+    ("world:\n  clearing_center: [true, 1]\n", "'world.clearing_center'"),
+    ("world:\n  centerline: [[0, 0], [10, x]]\n", "'world.centerline'"),
+    ("world:\n  extent: [-5, 5, -5, null]\n", "'world.extent'"),
 ], ids=["unknown_key", "bad_json", "porosity_above_one", "float_seed",
         "bool_seed", "zero_cell", "inverted_extent", "scalar_trunk_height",
         "inverted_trunk_radius", "one_point_centerline", "short_building",
-        "zero_terrain_scale", "negative_jitter", "one_number_clearing_center"])
+        "zero_terrain_scale", "negative_jitter", "one_number_clearing_center",
+        "string_in_building", "bool_in_building", "negative_building_height",
+        "string_in_clearing_center", "bool_in_clearing_center",
+        "string_in_centerline", "null_in_extent"])
 def test_cli_malformed_world_spec_exit_two(tmp_path, capsys, text, why):
     """A config whose world section, or whose seed (the world's seed), is
     malformed exits 2 with the world key or the seed named."""

@@ -525,7 +525,7 @@ def cli_logged_teach(request, tmp_path_factory):
     start = np.array([3.0, -2.0])
     end = start + 10.0 * np.array([np.cos(heading), np.sin(heading)])
     cfg.world = WorldParams(trail_length=10.0,
-                            centerline=[start.tolist(), end.tolist()])
+                            centerline=[tuple(start), tuple(end)])
     save_config(cfg, out / "cfg.yaml")
     states = []
 

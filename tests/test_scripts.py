@@ -1,18 +1,18 @@
-"""The scripts under ``scripts/`` import against the current package and
-define their ``main`` entry point."""
+"""Every script under ``scripts/`` imports against the current package and
+defines its ``main`` entry point."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts")
+                 .glob("*.py"))
 
 
-@pytest.mark.parametrize("name", ["degradation_study"])
-def test_script_imports_and_defines_main(name):
-    spec = importlib.util.spec_from_file_location(
-        f"script_{name}", SCRIPTS / f"{name}.py")
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+def test_script_imports_and_defines_main(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,26 @@ def test_corridor_and_clearing_are_tree_free():
     assert np.all(d > params.trail_width / 2.0)
     d_clear = np.linalg.norm(world.trees.xy - [30.0, 20.0], axis=1)
     assert np.all(d_clear > 6.0)
+
+
+def test_self_crossing_centerline_clears_both_corridors():
+    """A centerline that crosses itself at the origin keeps exactly the trees
+    that the straight corridor keeps outside a second corridor along y."""
+    common = dict(trail_length=40.0, tree_density=0.08, terrain_amplitude=0.2,
+                  extent=(-20.0, 20.0, -20.0, 20.0))
+    corridor = generate_world(5, WorldParams(
+        centerline=[(-20.0, 0.0), (20.0, 0.0)], **common))
+    crossing = generate_world(5, WorldParams(
+        centerline=[(-20.0, 0.0), (0.0, 0.0), (0.0, 20.0), (0.0, -20.0),
+                    (0.0, 0.0), (20.0, 0.0)], **common))
+    t = corridor.trees
+    half = corridor.params.trail_width / 2.0
+    keep = np.abs(t.xy[:, 0]) > half + t.trunk_radius
+    assert 50 < keep.sum() < len(t) - 5
+    for f in fields(Trees):
+        assert np.array_equal(getattr(crossing.trees, f.name),
+                              getattr(t, f.name)[keep]), f.name
+    assert np.array_equal(crossing.ground.grid, corridor.ground.grid)
 
 
 def test_zero_density_gives_no_trees():
