@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -316,23 +317,22 @@ def _sensor_position(position) -> np.ndarray:
 
 
 def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
-                rho: float, base=None) -> None:
-    """Append scan points (in index order) whose nearest base point, or point
-    accepted earlier in this call, is farther than rho, and list the new rows
-    in ``last_inserted``; the map keeps the base for ``refresh_normals``.
+                rho: float) -> None:
+    """Append scan points (in index order) whose nearest local map point, or
+    point accepted earlier in this call, is farther than rho, and list the
+    new rows in ``last_inserted``; the map keeps its cached local points and
+    kd-tree from before the insertion for ``refresh_normals``.
 
-    ``base`` is a (local points, kd-tree or None) pair and defaults to the
-    map's cached local arrays. A teach tick passes the arrays it registered
-    on, from before ``filter_dynamic`` dropped points, so the gate and the
-    normals see the map the scan was registered on. ``sensor_pose`` is not
-    used."""
+    A teach tick inserts while ``filter_dynamic`` searches, before the
+    filter touches the map, so the cached arrays are the ones the scan was
+    registered on. ``sensor_pose`` is not used."""
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("insert_scan expects a registered (map-frame) scan")
     vmap.last_inserted, vmap._pre_insert = [], None
     pts = scan_in_g.points
     if len(pts) == 0:
         return
-    base_pts, tree = vmap._local_arrays()[:2] if base is None else base
+    base_pts, tree = vmap._local_arrays()[:2]
     if tree is not None:
         # Only d > rho matters; cKDTree's bound is strict, hence nextafter.
         d, _ = tree.query(pts, k=1,
@@ -375,7 +375,7 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
 
 
 def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
-                   cfg: MappingConfig) -> None:
+                   cfg: MappingConfig, meanwhile=None) -> None:
     """Raise dyn_prob of map points the scan saw through, lower it for points
     coincident with a return, and drop points whose dyn_prob exceeds tau_d.
 
@@ -384,24 +384,32 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     it sits at least rho closer to the sensor than the return.
 
     The local points come from the map's cached arrays, which a teach tick's
-    registration has just built, so nothing is re-stacked. A teach tick
-    filters before ``insert_scan``: a new point sits on its own beam at that
-    beam's range, coincident and not seen through, so its zero dyn_prob
-    would stay 0 had it been filtered.
+    registration has just built, so nothing is re-stacked. ``meanwhile()``,
+    if given, runs on the calling thread while the beam search runs on
+    ``_BEAM_SEARCH``'s worker, before the map is touched; it may append rows
+    to local chunks (a teach tick inserts the scan and takes its normals).
+    The filter then updates and drops only rows that were local when it
+    started, so appended rows, new voxels and reloaded spilled voxels keep
+    what ``meanwhile`` left. A new point sits on its own beam at that beam's
+    range, coincident and not seen through, so its zero dyn_prob would stay
+    0 had it been filtered: the map ends as if the filter had run first.
+    When ``meanwhile`` raises, the search is waited for and the map is left
+    as ``meanwhile`` left it.
     """
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("filter_dynamic expects a registered (map-frame) scan")
-    if len(scan_in_g) == 0:
-        return
     sensor = _sensor_position(sensor_pose)
     beam_vec = scan_in_g.points - sensor
     beam_range = np.linalg.norm(beam_vec, axis=1)
     ok = beam_range > 1e-9
+    pts = vmap._local_arrays()[0]
+    if not ok.any() or len(pts) == 0:
+        if meanwhile is not None:
+            meanwhile()
+        return
     beam_dir = beam_vec[ok] / beam_range[ok, None]
     beam_range = beam_range[ok]
     beam_pts = scan_in_g.points[ok]
-    if len(beam_dir) == 0:
-        return
     # Only exact nearest-direction queries: an unbalanced tree builds faster
     # and answers them alike.
     dir_tree = cKDTree(beam_dir, balanced_tree=False)
@@ -409,16 +417,14 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
 
     # One gathered pass over every chunk; rows without a hit keep their value
     # bit for bit (x + 0.0 - 0.0 == x).
-    pts = vmap._local_arrays()[0]
-    if len(pts) == 0:
-        return
     chunks = vmap._local_chunks()
+    sizes = [len(chunk) for chunk in chunks]
     dyn = np.concatenate([chunk.dyn_prob for chunk in chunks])
     rel = pts - sensor
     rng = np.linalg.norm(rel, axis=1)
     rows = np.nonzero((rng > 1e-9) & (rng <= cfg.r))[0]
     dd, bi = _nearest_beams(dir_tree, rel[rows] / rng[rows, None], rng[rows],
-                            chord, cfg.rho)
+                            chord, cfg.rho, meanwhile)
     found = bi < len(beam_dir)
     rows, dd, bi = rows[found], dd[found], bi[found]
     seen_through = (dd <= chord) & (rng[rows] <= beam_range[bi] - cfg.rho)
@@ -430,19 +436,35 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     remove = dyn > cfg.tau_d
     if not (hit or remove.any()):
         return
-    splits = np.cumsum([len(chunk) for chunk in chunks])[:-1]
-    for chunk, part, drop in zip(chunks, np.split(dyn, splits),
-                                 np.split(remove, splits)):
-        chunk.dyn_prob[:] = part
+    splits = np.cumsum(sizes)[:-1]
+    for chunk, n, part, drop in zip(chunks, sizes, np.split(dyn, splits),
+                                    np.split(remove, splits)):
+        chunk.dyn_prob[:n] = part
         if drop.any():
-            chunk.keep(~drop)
+            chunk.keep(np.concatenate([~drop, np.ones(len(chunk) - n, bool)]))
     vmap._invalidate()
 
 
-def _nearest_beams(dir_tree, dirs, rng, chord, rho):
+# The one worker that runs filter_dynamic's beam search. cKDTree.query
+# releases the GIL, so the search runs beside the caller's ``meanwhile``.
+# The worker runs nothing but the two queries: the caller owns every map
+# array and every other step. The thread starts on the first search.
+_BEAM_SEARCH = ThreadPoolExecutor(max_workers=1,
+                                  thread_name_prefix="trailnav-beams")
+
+
+def _query_beams(dir_tree, far_dirs, near_dirs, bound):
+    return (dir_tree.query(far_dirs, k=1, distance_upper_bound=bound),
+            dir_tree.query(near_dirs, k=1))
+
+
+def _nearest_beams(dir_tree, dirs, rng, chord, rho, meanwhile=None):
     """Distance and index of each map point's nearest beam direction, or
     (inf, len(beams)) where that beam can neither pass through nor meet the
-    point; dirs are the points' unit directions and rng their ranges.
+    point; dirs are the points' unit directions and rng their ranges. The
+    queries run on ``_BEAM_SEARCH``'s worker while ``meanwhile()``, if
+    given, runs here; an exception from either is raised here once both
+    have finished.
 
     A beam passes through a point only within chord of its direction. A
     return lies within rho of a point at range rng > rho only within
@@ -453,11 +475,18 @@ def _nearest_beams(dir_tree, dirs, rng, chord, rho):
     same neighbour for a bounded query as for an unbounded one when it finds
     one."""
     far = rng * chord >= rho * (1.0 + chord)
+    search = _BEAM_SEARCH.submit(_query_beams, dir_tree, dirs[far],
+                                 dirs[~far], chord * (1 + 1e-9))
+    try:
+        if meanwhile is not None:
+            meanwhile()
+    finally:
+        wait([search])
+    (dd_far, bi_far), (dd_near, bi_near) = search.result()
     dd = np.full(len(dirs), np.inf)
     bi = np.full(len(dirs), dir_tree.n)
-    dd[far], bi[far] = dir_tree.query(dirs[far], k=1,
-                                      distance_upper_bound=chord * (1 + 1e-9))
-    dd[~far], bi[~far] = dir_tree.query(dirs[~far], k=1)
+    dd[far], bi[far] = dd_far, bi_far
+    dd[~far], bi[~far] = dd_near, bi_near
     return dd, bi
 
 

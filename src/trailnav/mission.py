@@ -110,17 +110,20 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
 
 def teach_step(state: TeachState, scan: PointCloud,
                prior_tail: Trajectory) -> None:
-    """One teach tick: localize (an empty map starts at the prior),
-    dynamic-filter the map, insert the scan, compute the new points' normals,
-    retile; the registered pose joins the raw trajectory.
+    """One teach tick: localize (an empty map starts at the prior), then
+    dynamic-filter the map while the scan is inserted and the new points'
+    normals computed, then retile; the registered pose joins the raw
+    trajectory.
 
-    The filter works on the local arrays registration cached. Insertion gates
-    against those same arrays, from before the filter dropped points, and the
-    normals merge starts from them; the map ends as if the scan had been
-    inserted before the filter ran, since the filter leaves a new point
-    untouched. The exception is a spilled chunk that insertion reloads, which
-    the local cube's margin keeps from happening near the robot: its old
-    points miss this tick's filter."""
+    The filter hands its beam search to a worker and runs the insertion and
+    the normals meanwhile, before it changes the map. So the filter, the
+    insertion gate and the normals merge all work on the local arrays
+    registration cached, and the filter updates and drops only points that
+    were local before the insertion. The map ends as if the filter had run
+    first and the scan been inserted after it: the filter would leave a new
+    point untouched, and a spilled voxel that insertion reloads (which the
+    local cube's margin keeps from happening near the robot) missed this
+    tick's filter either way."""
     scan_id = state.scan_count
     state.scan_count += 1
     try:
@@ -133,10 +136,12 @@ def teach_step(state: TeachState, scan: PointCloud,
     t_hat, reading_in_map = result.T_hat, result.reading_in_map
     sensor = t_hat.translation
     vmap, map_cfg = state.map, state.map_cfg
-    registered_on = vmap._local_arrays()[:2]   # a cache hit after register
-    filter_dynamic(vmap, reading_in_map, sensor, map_cfg)
-    insert_scan(vmap, reading_in_map, sensor, map_cfg.rho, registered_on)
-    refresh_normals(vmap, map_cfg, sensor)
+
+    def grow():
+        insert_scan(vmap, reading_in_map, sensor, map_cfg.rho)
+        refresh_normals(vmap, map_cfg, sensor)
+
+    filter_dynamic(vmap, reading_in_map, sensor, map_cfg, meanwhile=grow)
     retile(vmap, sensor, map_cfg)
     state.raw_stamps.append(float(scan.timestamps.max()))
     state.raw_poses.append(t_hat)

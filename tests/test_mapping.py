@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from trailnav.geom import FRAME_MAP, PointCloud
@@ -291,6 +295,22 @@ def test_load_map_missing_voxel_file(tmp_path):
     (tmp_path / "db" / "vx_0_0_0.npcd").unlink()
     with pytest.raises(MapLoadError):
         load_map(tmp_path / "db")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "retile's oscillation guard takes the smallest penetration over the "
+    "changed axes, so 1 mm past the y = 0 border it never fires again; "
+    "ROADMAP.md item 2"))
+def test_retile_follows_a_robot_just_past_a_voxel_border(tmp_path):
+    vmap = VoxelMap(20.0, spill_dir=tmp_path)
+    cfg = _map_cfg()
+    retile(vmap, [0.0, 0.0, 0.0], cfg)
+    for x in range(0, 201, 20):
+        pos = [x + 1.0, -0.001, 0.5]
+        retile(vmap, pos, cfg)
+        # The last retile voxel stays within one voxel of the robot's.
+        gap = np.subtract(vmap.voxel_key(pos), vmap.last_retile_voxel)
+        assert np.abs(gap).max() <= 1, (pos, vmap.last_retile_voxel)
 
 
 def _labelled_map(spill_dir):
@@ -596,6 +616,156 @@ def test_filter_dynamic_leaves_the_scans_own_new_points_alone(tmp_path):
         chunk = vmap.voxels[key]
         assert np.array_equal(chunk.points[len(chunk) - len(new_pts):], new_pts)
         assert (chunk.dyn_prob[len(chunk) - len(new_pts):] == 0.0).all()
+
+
+def _filter_then_grow(vmap, scan, sensor, cfg):
+    """The sequential teach upkeep: filter, then insert the scan and take its
+    normals, the insertion gating against (and the normals merging from) the
+    local arrays the filter started on, as a teach tick's registration
+    cached them."""
+    registered = vmap._local_arrays()
+    filter_dynamic(vmap, scan, sensor, cfg)
+    vmap._cache = registered   # the insertion's base: the pre-filter arrays
+    insert_scan(vmap, scan, sensor, cfg.rho)
+    refresh_normals(vmap, cfg, sensor)
+
+
+def _grow_meanwhile(vmap, scan, sensor, cfg):
+    """filter_dynamic with the insertion and the normals as its meanwhile."""
+    def grow():
+        insert_scan(vmap, scan, sensor, cfg.rho)
+        refresh_normals(vmap, cfg, sensor)
+    filter_dynamic(vmap, scan, sensor, cfg, meanwhile=grow)
+
+
+_UPKEEP_SENSOR = np.array([2.5, 2.5, 1.5])
+_PHANTOM_KEY, _NEW_KEY, _SPILLED_KEY = (1, 0, 1), (0, 0, 1), (3, 0, 0)
+
+
+def _upkeep_scene(seed, spill_dir):
+    """A map on 5 m voxels and one scan from ``_UPKEEP_SENSOR``, the same for
+    one seed. The ground has random normals, labels and dyn_prob; the scan
+    sees through and re-observes random ground points. Every point of voxel
+    ``_PHANTOM_KEY`` is seen through at dyn_prob 0.7, and returns 0.3 m
+    behind them refill it; returns above the sensor create ``_NEW_KEY``;
+    returns on a post in ``_SPILLED_KEY``, which a retile spilled, reload
+    it."""
+    rng = np.random.default_rng(seed)
+    vmap = VoxelMap(5.0, spill_dir=spill_dir)
+    xy = rng.uniform([-12.0, -12.0], [20.0, 12.0], (3000, 2))
+    ground = np.column_stack([xy, 0.3 * np.sin(xy[:, 0]) * np.cos(0.7 * xy[:, 1])])
+    grid = np.stack(np.meshgrid([6.0, 6.6, 7.2, 7.8], [1.0, 1.6, 2.2, 2.8, 3.4],
+                                [6.0, 6.6, 7.2], indexing="ij"), -1).reshape(-1, 3)
+    phantoms = grid + rng.uniform(-0.05, 0.05, grid.shape)
+    insert_scan(vmap, PointCloud(np.vstack([ground, phantoms]), FRAME_MAP,
+                                 labels=rng.integers(1, 4, len(ground) + len(grid))),
+                [0.0, 0.0, 2.0], 0.1)
+    refresh_normals(vmap, _map_cfg(), [0.0, 0.0, 2.0])
+    for key in sorted(vmap.voxels):
+        chunk = vmap.voxels[key]
+        chunk.dyn_prob[:] = (0.7 if key == _PHANTOM_KEY else
+                             rng.uniform(0.0, 0.8, len(chunk)))
+    retile(vmap, _UPKEEP_SENSOR, _SPILL_CFG)     # the local cube: -3 .. 2
+    pts = vmap._local_arrays()[0]
+    pts = pts[pts[:, 2] < 1.0]                   # the local ground
+    pick = rng.choice(len(pts), 600, replace=False)
+    ray = pts[pick[:400]] - _UPKEEP_SENSOR
+    through = pts[pick[:400]] + ray / np.linalg.norm(ray, axis=1, keepdims=True)
+    ray = phantoms - _UPKEEP_SENSOR
+    behind = phantoms + 0.3 * ray / np.linalg.norm(ray, axis=1, keepdims=True)
+    above = rng.uniform([1.0, 1.0, 6.0], [4.0, 4.0, 7.0], (60, 3))
+    post = rng.uniform([16.0, 1.0, 1.0], [18.0, 4.0, 3.0], (60, 3))
+    returns = np.vstack([through, pts[pick[400:]], behind, above, post])
+    return vmap, PointCloud(returns, FRAME_MAP,
+                            labels=rng.integers(1, 4, len(returns)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_upkeep_beside_the_filter_builds_the_sequential_map(seed):
+    cfg = _map_cfg()
+    with tempfile.TemporaryDirectory() as tmp:
+        (vmap, scan), (ref, _) = (_upkeep_scene(seed, f"{tmp}/{name}")
+                                  for name in "ab")
+        assert _SPILLED_KEY in vmap.nonlocal_manifest
+        assert _NEW_KEY not in vmap.voxels
+        phantoms = vmap.voxels[_PHANTOM_KEY].points.copy()
+        before = vmap.local_point_count()
+        _grow_meanwhile(vmap, scan, _UPKEEP_SENSOR, cfg)
+        _filter_then_grow(ref, scan, _UPKEEP_SENSOR, cfg)
+
+        for m in (vmap, ref):
+            assert _SPILLED_KEY in m.voxels and _NEW_KEY in m.voxels
+            refilled = m.voxels[_PHANTOM_KEY].points
+            assert len(refilled) and not (refilled[:, None] ==
+                                          phantoms[None]).all(-1).any()
+        assert vmap.local_point_count() - before < len(scan)  # drops too
+        assert vmap.voxels.keys() == ref.voxels.keys()
+        assert vmap.nonlocal_manifest.keys() == ref.nonlocal_manifest.keys()
+        for key, chunk in vmap.voxels.items():
+            for field in ("points", "normals", "dyn_prob", "labels"):
+                got, want = getattr(chunk, field), getattr(ref.voxels[key], field)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (key, field)
+
+
+def test_a_failed_beam_search_reaches_the_caller_and_the_next_one_runs(
+        tmp_path, monkeypatch):
+    import trailnav.mapping as mapping
+    (vmap, scan), (ref, _) = (_upkeep_scene(5, tmp_path / name)
+                              for name in "ab")
+    cfg = _map_cfg()
+    before = {key: (c.points.copy(), c.dyn_prob.copy())
+              for key, c in vmap.voxels.items()}
+    grown = []
+
+    def broken_search(*args):
+        raise FloatingPointError("search failed")
+
+    monkeypatch.setattr(mapping, "_query_beams", broken_search)
+    with pytest.raises(FloatingPointError, match="search failed"):
+        filter_dynamic(vmap, scan, _UPKEEP_SENSOR, cfg,
+                       meanwhile=lambda: grown.append(1))
+    assert grown == [1]          # meanwhile ran; the map was left alone
+    for key, (points, dyn) in before.items():
+        assert np.array_equal(vmap.voxels[key].points, points)
+        assert np.array_equal(vmap.voxels[key].dyn_prob, dyn)
+    monkeypatch.undo()
+    _grow_meanwhile(vmap, scan, _UPKEEP_SENSOR, cfg)
+    _filter_then_grow(ref, scan, _UPKEEP_SENSOR, cfg)
+    for key, chunk in ref.voxels.items():
+        assert np.array_equal(vmap.voxels[key].points, chunk.points)
+        assert np.array_equal(vmap.voxels[key].dyn_prob, chunk.dyn_prob)
+
+
+def test_a_failed_meanwhile_waits_for_the_search_and_leaves_the_map(
+        tmp_path, monkeypatch):
+    import threading
+    import time
+    import trailnav.mapping as mapping
+    vmap, scan = _upkeep_scene(5, tmp_path)
+    before = {key: c.dyn_prob.copy() for key, c in vmap.voxels.items()}
+    started, finished = threading.Event(), []
+    query = mapping._query_beams
+
+    def slow_search(*args):
+        started.wait(timeout=10.0)    # set by meanwhile before it raises
+        time.sleep(0.2)
+        out = query(*args)
+        finished.append(1)
+        return out
+
+    def failing():
+        started.set()
+        raise KeyError("meanwhile failed")
+
+    monkeypatch.setattr(mapping, "_query_beams", slow_search)
+    with pytest.raises(KeyError, match="meanwhile failed"):
+        filter_dynamic(vmap, scan, _UPKEEP_SENSOR, _map_cfg(),
+                       meanwhile=failing)
+    assert finished == [1]            # the call returned after the search
+    for key, dyn in before.items():
+        assert np.array_equal(vmap.voxels[key].dyn_prob, dyn)
 
 
 def test_bounded_beam_search_misses_only_beams_that_cannot_act():

@@ -261,39 +261,50 @@ def test_teach_produces_database(taught):
     assert np.linalg.norm(est_end - true_end) < 0.5
 
 
-def _teach_step_insert_first(state, scan, prior_tail):
-    """A teach tick in the order insert, normals, dynamic filter, each step
-    on the map the one before left; returns how many points the filter
-    dropped."""
-    from trailnav.mapping import (filter_dynamic, insert_scan,
-                                  refresh_normals, retile)
-    from trailnav.mission import localize
-    result = localize(state.map, scan, prior_tail, state.reg_cfg)
-    if result is None:
-        return 0
-    vmap, cfg, sensor = state.map, state.map_cfg, result.T_hat.translation
-    insert_scan(vmap, result.reading_in_map, sensor, cfg.rho)
+def _insert_first(vmap, scan, sensor, cfg):
+    """Teach upkeep in the order insert, normals, dynamic filter, each step
+    on the map the one before left."""
+    from trailnav.mapping import filter_dynamic, insert_scan, refresh_normals
+    insert_scan(vmap, scan, sensor, cfg.rho)
     refresh_normals(vmap, cfg, sensor)
-    before = vmap.local_point_count()
-    filter_dynamic(vmap, result.reading_in_map, sensor, cfg)
-    dropped = before - vmap.local_point_count()
-    retile(vmap, sensor, cfg)
-    state.raw_poses.append(result.T_hat)
-    return dropped
+    filter_dynamic(vmap, scan, sensor, cfg)
 
 
-def test_filtering_before_insertion_builds_the_same_map(logged_teach):
-    # The fixture's teach ran teach_step; replay its inputs inserting first.
+def _replay_teach(logged_teach, upkeep, monkeypatch):
+    """The fixture teach's inputs replayed through localize, ``upkeep(vmap,
+    reading, sensor, map_cfg)`` and retile; asserts that the filter dropped
+    points and returns the replay's state and the taught one."""
+    from trailnav.mapping import VoxelChunk, retile
+    from trailnav.mission import localize
     _, cfg, result, received, _ = logged_teach
     state = new_teach_state(cfg.registration, cfg.mapping)
-    dropped = sum(_teach_step_insert_first(state, scan, prior_tail)
-                  for scan, prior_tail in received)
-    assert dropped > 0
-    taught = result.state
+    vmap, map_cfg = state.map, state.map_cfg
+    dropped = []
+    keep = VoxelChunk.keep
+
+    def counting_keep(chunk, mask):
+        dropped.append(int(np.count_nonzero(~mask)))
+        keep(chunk, mask)
+
+    monkeypatch.setattr(VoxelChunk, "keep", counting_keep)
+    for scan, prior_tail in received:
+        reg = localize(vmap, scan, prior_tail, state.reg_cfg)
+        if reg is None:
+            continue
+        sensor = reg.T_hat.translation
+        upkeep(vmap, reg.reading_in_map, sensor, map_cfg)
+        retile(vmap, sensor, map_cfg)
+        state.raw_poses.append(reg.T_hat)
+    assert len(received) >= 20 and sum(dropped) > 0
+    return state, result.state
+
+
+def _assert_same_teach(state, taught):
+    """Byte-equal raw poses and chunks, local and spilled."""
     assert len(state.raw_poses) == len(taught.raw_poses)
     for a, b in zip(state.raw_poses, taught.raw_poses):
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
+        assert a.rotation.tobytes() == b.rotation.tobytes()
+        assert a.translation.tobytes() == b.translation.tobytes()
     for attr in ("voxels", "nonlocal_manifest"):
         assert getattr(state.map, attr).keys() == getattr(taught.map, attr).keys()
 
@@ -303,8 +314,47 @@ def test_filtering_before_insertion_builds_the_same_map(logged_teach):
     for key in taught.map.all_keys():
         a, b = chunk(state.map, key), chunk(taught.map, key)
         for field in ("points", "normals", "dyn_prob", "labels"):
-            assert np.array_equal(getattr(a, field), getattr(b, field),
-                                  equal_nan=field == "normals"), (key, field)
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), \
+                (key, field)
+
+
+def test_filtering_before_insertion_builds_the_same_map(logged_teach,
+                                                       monkeypatch):
+    # The fixture's teach ran teach_step; replay its inputs inserting first.
+    _assert_same_teach(*_replay_teach(logged_teach, _insert_first,
+                                      monkeypatch))
+
+
+def test_teach_builds_the_map_of_the_sequential_filter_insert_normals_order(
+        logged_teach, monkeypatch):
+    # Each tick filters, then inserts and takes normals, one after the other,
+    # gating against the arrays it registered on.
+    from test_mapping import _filter_then_grow
+    _assert_same_teach(*_replay_teach(logged_teach, _filter_then_grow,
+                                      monkeypatch))
+
+
+def test_traced_teach_spans_have_nonnegative_self_time(monkeypatch):
+    # Set up as tests/test_bench_hooks.py sets up the benchmark's tracer.
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    from harness import Probe, Tracer
+    probe = Probe()
+    tracer = Tracer(probe)
+    with probe.installed(), tracer.active():
+        probe.start()
+        run_teach(_small_world(length=6.0), _small_cfg(),
+                  waypoints=[(6.0, 0.0)], v_teach=1.0)
+    names = {name for name, *_ in tracer.spans}
+    assert {"dynamic", "insert", "normals"} <= names
+    for name, start, end, _parent, _tick, child in tracer.spans:
+        assert end - start - child >= 0.0, name
+    # Insertion and normals run inside the filter's span, beside its search.
+    dynamic = {i for i, span in enumerate(tracer.spans) if span[0] == "dynamic"}
+    assert all(span[3] in dynamic for span in tracer.spans
+               if span[0] in ("insert", "normals"))
+    assert tracer.metrics(probe.factor())["mapping.dynamic_ms"] > 0.0
 
 
 def test_teach_is_deterministic(taught, tmp_path, monkeypatch):
