@@ -125,8 +125,9 @@ def perturbation_profile(world):
                      range_noise_sd=0.01)
     lp_ref = LidarParams(beams=24, azimuth_steps=900, rate=10.0,
                          max_range=40.0, range_noise_sd=0.01)
-    scan = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=3)
-    ref = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp_ref, seed=4)
+    at_origin = [[0.0], [0.0], [0.0], [0.0]]   # (stamp, x, y, yaw), at rest
+    scan = simulate_lidar(world, at_origin, lp, seed=3)
+    ref = simulate_lidar(world, at_origin, lp_ref, seed=4)
     map_l = compute_normals(PointCloud(ref.points, "L"), 15,
                             viewpoints=np.zeros(3))
     return perturbation_uncertainty(PointCloud(scan.points, "L"), map_l)

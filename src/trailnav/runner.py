@@ -166,30 +166,18 @@ def _rollout(state: RobotState, v: float, omega: float, slip_rot: float,
     """Integrate the true motion over one scan period in ``ROLLOUT_SUBSTEPS``
     substeps.
 
-    Returns (pose_fn over absolute time, final RobotState); pose_fn
-    interpolates the substep poses (heading unwrapped)."""
+    Returns (track, final RobotState); the track is the (4, substeps + 1)
+    array of substep stamps, x, y and unwrapped heading that
+    ``simulate_lidar`` senses along."""
     dt = period / ROLLOUT_SUBSTEPS
-    times = [state.stamp]
-    xs = [state.pose.x]
-    ys = [state.pose.y]
-    ths = [state.pose.theta_r]
+    rows = [(state.stamp, state.pose.x, state.pose.y, state.pose.theta_r)]
     s = state
     for _ in range(ROLLOUT_SUBSTEPS):
         s = step_robot(s, (v, omega), dt, slip_rot)
-        times.append(s.stamp)
-        xs.append(s.pose.x)
-        ys.append(s.pose.y)
-        ths.append(s.pose.theta_r)
-    times = np.array(times)
-    xs = np.array(xs)
-    ys = np.array(ys)
-    ths = np.unwrap(np.array(ths))
-
-    def pose_fn(t):
-        return (float(np.interp(t, times, xs)), float(np.interp(t, times, ys)),
-                float(np.interp(t, times, ths)))
-
-    return pose_fn, s
+        rows.append((s.stamp, s.pose.x, s.pose.y, s.pose.theta_r))
+    track = np.array(rows).T
+    track[3] = np.unwrap(track[3])
+    return track, s
 
 
 def _prior_window(anchor: RigidTransform, t0: float, period: float,
@@ -210,7 +198,7 @@ def _prior_window(anchor: RigidTransform, t0: float, period: float,
 
 def _sensor_anchor(world: World, state: RobotState,
                    mount_height: float) -> RigidTransform:
-    z = float(world.ground_height(state.pose.x, state.pose.y)) + mount_height
+    z = float(world.ground.sample(state.pose.x, state.pose.y)) + mount_height
     return RigidTransform.from_yaw(state.pose.theta_r,
                                    [state.pose.x, state.pose.y, z],
                                    from_frame="L", to_frame="G")
@@ -227,8 +215,8 @@ def _sense(world: World, cfg: GlobalConfig, state: RobotState, v: float,
     lp = cfg.sim.lidar
     period = 1.0 / lp.rate
     t0 = state.stamp
-    pose_fn, next_state = _rollout(state, v, omega, cfg.sim.slip_rot, period)
-    scan = simulate_lidar(world, pose_fn, lp, seed=seed, t0=t0)
+    track, next_state = _rollout(state, v, omega, cfg.sim.slip_rot, period)
+    scan = simulate_lidar(world, track, lp, seed=seed)
     if log is not None:
         log.add_scan(t0, scan)
     tail = _prior_window(anchor, t0, period, cfg.prior.rate_hz, cfg.prior.beta,
@@ -242,7 +230,8 @@ def initialize_at_rest(world: World, vmap: VoxelMap, cfg: GlobalConfig,
     with a stationary prior window anchored at the true sensor pose."""
     lp = cfg.sim.lidar
     anchor = _sensor_anchor(world, RobotState(pose=pose), lp.mount_height)
-    scan = simulate_lidar(world, pose, lp, seed=seed)
+    scan = simulate_lidar(world, [[0.0], [pose.x], [pose.y], [pose.theta_r]],
+                          lp, seed=seed)
     tail = _prior_window(anchor, 0.0, 1.0 / lp.rate, cfg.prior.rate_hz,
                          cfg.prior.beta, 0.0, 0.0)
     return initialize_localization(vmap, scan, tail, cfg.registration,

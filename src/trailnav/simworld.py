@@ -4,7 +4,7 @@ snowfall noise, and heterogeneous snow accumulation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,9 +166,6 @@ class World:
     trees: Trees
     buildings: list
     params: WorldParams
-
-    def ground_height(self, x, y):
-        return self.ground.sample(x, y)
 
 
 @dataclass
@@ -405,29 +402,26 @@ def _ray_boxes(origins, dirs, boxes, max_range):
     return best
 
 
-def simulate_lidar(world: World, pose_fn, lp: LidarParams, seed: int,
-                   t0: float = 0.0) -> PointCloud:
+def simulate_lidar(world: World, track, lp: LidarParams,
+                   seed: int) -> PointCloud:
     """One revolution of the spinning lidar, swept over the scan period.
 
-    ``pose_fn`` maps an absolute time to the true planar robot pose (Pose2D or
-    (x, y, yaw)); a constant pose may be passed directly. Points are expressed
-    in the instantaneous sensor frame at their own timestamp (frame L, skewed),
-    ordered beam-major / azimuth-minor.
+    ``track`` is the true planar robot motion as rows (stamps, x, y, yaw),
+    e.g. a (4, m) array with increasing stamps and unwrapped yaw. The scan
+    starts at the first stamp, and each azimuth column senses from the track
+    linearly interpolated at its own time; a one-sample track is a robot at
+    rest. Points are expressed in the instantaneous sensor frame at their
+    own timestamp (frame L, skewed), ordered beam-major / azimuth-minor.
     """
+    stamps, xs, ys, yaws = np.asarray(track, dtype=np.float64)
     period = 1.0 / lp.rate
-    if not callable(pose_fn):
-        const = pose_fn
-        pose_fn = lambda _t: const  # noqa: E731
-
     az = 2 * np.pi * np.arange(lp.azimuth_steps) / lp.azimuth_steps
-    col_times = t0 + period * np.arange(lp.azimuth_steps) / lp.azimuth_steps
-    poses = [pose_fn(t) for t in col_times]
-    poses = [(p.x, p.y, p.theta_r) if isinstance(p, Pose2D) else tuple(p)
-             for p in poses]
-    px = np.array([p[0] for p in poses])
-    py = np.array([p[1] for p in poses])
-    yaw = np.array([p[2] for p in poses])
-    pz = np.asarray(world.ground_height(px, py)) + lp.mount_height
+    col_times = (stamps[0]
+                 + period * np.arange(lp.azimuth_steps) / lp.azimuth_steps)
+    px = np.interp(col_times, stamps, xs)
+    py = np.interp(col_times, stamps, ys)
+    yaw = np.interp(col_times, stamps, yaws)
+    pz = world.ground.sample(px, py) + lp.mount_height
 
     elev = np.deg2rad(np.linspace(lp.fov_low_deg, lp.fov_high_deg, lp.beams))
     ce, se = np.cos(elev), np.sin(elev)
@@ -451,8 +445,7 @@ def simulate_lidar(world: World, pose_fn, lp: LidarParams, seed: int,
 
     t_ground = _ray_ground(origins, dirs, world.ground, lp.max_range)
     t_trunk = _ray_cylinders(origins, dirs, world.trees, lp.max_range)
-    t_building = _ray_boxes(origins, dirs, world.buildings, lp.max_range) \
-        if world.buildings else np.full(n, np.inf)
+    t_building = _ray_boxes(origins, dirs, world.buildings, lp.max_range)
 
     t_solid = np.minimum.reduce([t_ground, t_trunk, t_building])
     cls = np.select(
@@ -463,8 +456,7 @@ def simulate_lidar(world: World, pose_fn, lp: LidarParams, seed: int,
 
     rng = _rng(seed, _STREAM_FOLIAGE)
     s1, s2 = _ray_spheres(origins, dirs, world.trees.foliage_center,
-                          world.trees.foliage_radius, lp.max_range) \
-        if len(world.trees) else (np.full(n, np.inf), np.full(n, np.inf))
+                          world.trees.foliage_radius, lp.max_range)
     porosity = world.params.canopy_porosity
     draw1 = rng.random(n)
     draw2 = rng.random(n)
@@ -523,23 +515,16 @@ def apply_snowfall(scan: PointCloud, particle_count: int, near_radius: float,
 def accumulate_snow(world: World, depth: float, class_factors: dict) -> World:
     """Heterogeneous accumulation: ground raised by depth*factor('ground'),
     building tops by depth*factor('building'), foliage shells displaced outward
-    by depth*factor('vegetation'). Returns a new world."""
+    by depth*factor('vegetation'). Returns a new world that shares the
+    arrays it leaves unchanged with ``world``."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     fg = float(class_factors.get("ground", 0.0))
     fv = float(class_factors.get("vegetation", 0.0))
     fb = float(class_factors.get("building", 0.0))
-    ground = Heightfield(world.ground.x0, world.ground.y0, world.ground.cell,
-                         world.ground.grid + depth * fg)
-    trees = Trees(
-        xy=world.trees.xy.copy(),
-        trunk_radius=world.trees.trunk_radius.copy(),
-        trunk_top=world.trees.trunk_top.copy(),
-        base_z=world.trees.base_z.copy(),
-        foliage_center=world.trees.foliage_center.copy(),
-        foliage_radius=world.trees.foliage_radius + depth * fv,
-    )
-    buildings = [Building(b.xmin, b.xmax, b.ymin, b.ymax, b.z_base,
-                          b.z_top + depth * fb) for b in world.buildings]
-    return World(ground=ground, trees=trees, buildings=buildings,
-                 params=world.params)
+    ground, trees = world.ground, world.trees
+    return replace(
+        world, ground=replace(ground, grid=ground.grid + depth * fg),
+        trees=replace(trees, foliage_radius=trees.foliage_radius + depth * fv),
+        buildings=[replace(b, z_top=b.z_top + depth * fb)
+                   for b in world.buildings])

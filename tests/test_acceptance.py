@@ -12,6 +12,7 @@ seeded and deterministic.
 
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -531,7 +532,12 @@ def test_criterion_10_deskewing():
         return Pose2D(r * np.sin(omega * t), r * (1.0 - np.cos(omega * t)),
                       omega * t)
 
-    scan = simulate_lidar(world, true_pose, lp, seed=0, t0=0.0)
+    # The circle sampled at each azimuth column's time, which the scan's
+    # interpolation returns exactly.
+    n = lp.azimuth_steps
+    col_times = 1.0 / lp.rate * np.arange(n) / n
+    track = np.array([(t, *astuple(true_pose(t))) for t in col_times]).T
+    scan = simulate_lidar(world, track, lp, seed=0)
     start = (0.0, 0.0, lp.mount_height, 0.0)   # level, heading +x
     stamps = 0.01 * np.arange(1, 12)
     dts = np.full(11, 0.01)
@@ -549,7 +555,7 @@ def test_criterion_10_deskewing():
     wx = pa.x + np.cos(pa.theta_r) * pts[:, 0] - np.sin(pa.theta_r) * pts[:, 1]
     residual = float(np.abs(wx - 10.0).max())
 
-    still = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=0, t0=0.0)
+    still = simulate_lidar(world, [[0.0], [0.0], [0.0], [0.0]], lp, seed=0)
     still_prior = dead_reckon(start, 0.0, stamps, dts,
                               np.zeros((11, 3)), up, np.zeros(11), 0.1)
     out2 = deskew(still, still_prior)

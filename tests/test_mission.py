@@ -92,7 +92,8 @@ def _origin_scan(world, cfg):
     from trailnav.simworld import RobotState, simulate_lidar
     rs = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
     anchor = _sensor_anchor(world, rs, cfg.sim.lidar.mount_height)
-    scan = simulate_lidar(world, rs.pose, cfg.sim.lidar, seed=0)
+    scan = simulate_lidar(world, [[0.0], [0.0], [0.0], [0.0]], cfg.sim.lidar,
+                          seed=0)
     return scan, _stationary_tail(anchor, cfg)
 
 
@@ -424,6 +425,33 @@ def test_repeat_reaches_goal_and_map_stays_frozen(taught):
     assert rr.log_rows[-1].status == "goal_reached"
 
 
+# The sha256 of the taught fixture's database files, and of the executed
+# positions of a 20-tick repeat on it. They hold on numpy 2.4.6 and scipy
+# 1.17.1; a change that moves them updates them here and says why in
+# CHANGES.md.
+TAUGHT_DB_SHA256 = (
+    "fed5e91c82a752a3f50fbf6e6e234a2da600a38b2950a3b424c05b37cbc362bf")
+REPEAT_POSITIONS_SHA256 = (
+    "f40cba76517d7bf5e83ff4415f0bfa7d2b685fbe0f6288bbe40c1af1fb953f54")
+
+
+def test_taught_database_and_repeat_match_their_pinned_hashes(taught):
+    """Outputs stay bit-identical: the bytes of every file of the taught
+    ``db/`` (manifest, voxel files, ``trajectory.csv``) and a short repeat's
+    executed positions hash to their pinned values."""
+    world, cfg, result = taught
+    h = hashlib.sha256()
+    for path in sorted(result.db_dir.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == TAUGHT_DB_SHA256
+    rr = run_repeat(world, result.db_dir, cfg,
+                    start=Pose2D(0.2, 0.15, 0.05), max_ticks=20)
+    assert len(rr.executed) == 20
+    assert (hashlib.sha256(rr.executed.positions.tobytes()).hexdigest()
+            == REPEAT_POSITIONS_SHA256)
+
+
 @pytest.fixture(scope="module")
 def taught_fine(tmp_path_factory):
     """The small teach on 5 m voxels, where a repeat's retile spills voxels
@@ -479,7 +507,7 @@ def test_init_corrects_small_start_offset(taught):
     assert rr.init.overlap > 60.0
     # Lateral and vertical correction are tight; the along-trail direction is
     # weakly constrained by the corridor, so only bound it loosely.
-    true_sensor = np.array([0.3, 0.2, float(world.ground_height(0.3, 0.2)) +
+    true_sensor = np.array([0.3, 0.2, float(world.ground.sample(0.3, 0.2)) +
                             cfg.sim.lidar.mount_height])
     delta = rr.init.pose.translation - true_sensor
     assert abs(delta[1]) < 0.05

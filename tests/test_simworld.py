@@ -10,6 +10,7 @@ from trailnav.controller import Pose2D
 from trailnav.config import GlobalConfig, load_config, save_config
 from trailnav import simworld
 from trailnav.prior import dead_reckon, deskew
+from trailnav.runner import _rollout
 from trailnav.simworld import (CLASS_BUILDING, CLASS_GROUND, CLASS_SNOWFALL,
                                CLASS_VEGETATION, Heightfield, LidarParams,
                                RobotState, WorldParams, accumulate_snow,
@@ -98,6 +99,20 @@ def test_step_robot_slip_scales_rotation():
         step_robot(state, (1.0, 0.0), 0.0)
 
 
+def _at_rest(x, y, yaw, stamp=0.0):
+    """The one-sample (stamp, x, y, yaw) track of a robot at rest."""
+    return [[stamp], [x], [y], [yaw]]
+
+
+def _sampled(pose_at, lp, t0=0.0):
+    """The track of ``pose_at(t) -> (x, y, yaw)`` sampled at each azimuth
+    column's time from ``t0``: ``simulate_lidar`` interpolates it back
+    exactly, so each column senses from ``pose_at`` at its own time."""
+    n = lp.azimuth_steps
+    times = t0 + 1.0 / lp.rate * np.arange(n) / n
+    return np.array([(t, *pose_at(t)) for t in times]).T
+
+
 def _wall_world():
     # A flat world with a single big box whose near face is the plane x = 10.
     return generate_world(0, _flat_params(
@@ -108,7 +123,7 @@ def test_wall_ranges_exact_at_zero_noise():
     world = _wall_world()
     lp = LidarParams(beams=1, azimuth_steps=360, rate=10.0, max_range=30.0,
                      range_noise_sd=0.0, fov_low_deg=0.0, fov_high_deg=0.0)
-    scan = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=0)
+    scan = simulate_lidar(world, _at_rest(0.0, 0.0, 0.0), lp, seed=0)
     r = np.linalg.norm(scan.points, axis=1)
     az = np.arctan2(scan.points[:, 1], scan.points[:, 0])
     on_wall = (scan.labels == CLASS_BUILDING) & (np.abs(az) < np.deg2rad(60))
@@ -120,24 +135,102 @@ def test_ground_returns_match_heightfield():
     world = generate_world(0, _flat_params())
     lp = LidarParams(beams=4, azimuth_steps=180, max_range=40.0,
                      range_noise_sd=0.0, fov_low_deg=-15.0, fov_high_deg=-5.0)
-    scan = simulate_lidar(world, Pose2D(5.0, 0.0, 0.3), lp, seed=0)
+    scan = simulate_lidar(world, _at_rest(5.0, 0.0, 0.3), lp, seed=0)
     assert len(scan) > 0
     assert np.all(scan.labels == CLASS_GROUND)
     # Flat ground: every return sits mount_height below the sensor.
     assert np.allclose(scan.points[:, 2], -lp.mount_height, atol=1e-6)
 
 
-def test_scan_order_and_timestamps():
+def _per_column_reference(track, lp):
+    """``track`` at each azimuth column's time, with one scalar ``np.interp``
+    per column and coordinate, as a track stamped at the column times."""
+    stamps, xs, ys, yaws = track
+    return _sampled(lambda t: (float(np.interp(t, stamps, xs)),
+                               float(np.interp(t, stamps, ys)),
+                               float(np.interp(t, stamps, yaws))),
+                    lp, stamps[0])
+
+
+def _sensed(world, track, lp, seed, monkeypatch):
+    """The scan along ``track`` and the ray origins and directions it cast."""
+    cast = []
+
+    def spy(origins, dirs, *args):
+        cast.append((origins.copy(), dirs.copy()))
+        return ray_ground(origins, dirs, *args)
+
+    ray_ground = simworld._ray_ground
+    with monkeypatch.context() as mp:
+        mp.setattr(simworld, "_ray_ground", spy)
+        scan = simulate_lidar(world, track, lp, seed)
+    return scan, *cast[0]
+
+
+def _same_scan(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("points", "timestamps", "labels"))
+
+
+def test_scan_order_and_timestamps(monkeypatch):
+    """A track stamped from 2.0 s gives timestamps in [2.0, 2.0 + period),
+    and the sweep moves along the track from its first pose."""
     world = _wall_world()
     lp = LidarParams(beams=2, azimuth_steps=90, max_range=30.0,
                      range_noise_sd=0.0, fov_low_deg=-10.0, fov_high_deg=0.0)
-    scan = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=0, t0=2.0)
+    period = 1.0 / lp.rate
+    start = RobotState(pose=Pose2D(0.0, 0.0, 0.0), stamp=2.0)
+    track, _ = _rollout(start, 1.5, 0.0, 0.0, period)
+    scan, origins, _ = _sensed(world, track, lp, 0, monkeypatch)
     assert scan.frame == "L"
-    assert scan.timestamps.min() >= 2.0
-    assert scan.timestamps.max() < 2.0 + 1.0 / lp.rate
+    assert len(scan) > 100
+    assert scan.timestamps.min() == 2.0
+    assert scan.timestamps.max() < 2.0 + period
+    n = lp.azimuth_steps
+    assert origins[0, 0] == 0.0
+    assert origins[n - 1, 0] == pytest.approx(1.5 * period * (n - 1) / n)
     # Beam-major ordering: timestamps restart when the beam index advances.
     jumps = np.diff(scan.timestamps)
     assert (jumps < 0).sum() <= lp.beams - 1
+
+
+def test_scan_senses_the_track_as_one_interpolation_per_column(monkeypatch):
+    """A turning rollout's track, whose heading passes pi unwrapped: every
+    column's rays and the whole scan are byte-equal to those of the track
+    interpolated one column at a time with scalar ``np.interp``."""
+    world = generate_world(4, WorldParams(trail_length=120.0,
+                                          tree_density=0.05))
+    lp = LidarParams(beams=4, azimuth_steps=200, rate=2.5, max_range=20.0)
+    start = RobotState(pose=Pose2D(40.0, 1.0, 3.0), stamp=1.7)
+    track, _ = _rollout(start, 1.5, 0.8, 0.1, 1.0 / lp.rate)
+    assert track.shape == (4, 21) and track[3, -1] > np.pi
+    ref = _per_column_reference(track, lp)
+    scan, origins, dirs = _sensed(world, track, lp, 5, monkeypatch)
+    want, want_origins, want_dirs = _sensed(world, ref, lp, 5, monkeypatch)
+    n = lp.azimuth_steps
+    assert origins[:n, 0].tobytes() == ref[1].tobytes()
+    assert origins[:n, 1].tobytes() == ref[2].tobytes()
+    assert origins.tobytes() == want_origins.tobytes()
+    assert dirs.tobytes() == want_dirs.tobytes()
+    assert _same_scan(scan, want)
+    assert (scan.labels == CLASS_VEGETATION).sum() > 20
+
+
+def test_one_sample_track_is_a_robot_at_rest():
+    """A one-sample track senses every column from its one pose, as a track
+    holding that pose at every column's time and a two-sample still track
+    over the period do."""
+    world = generate_world(5, _flat_params(tree_density=0.02,
+                                           trail_length=30.0))
+    lp = LidarParams(beams=4, azimuth_steps=180, max_range=30.0)
+    x, y, yaw, t0 = 15.0, -1.0, 0.7, 0.5
+    one = simulate_lidar(world, _at_rest(x, y, yaw, stamp=t0), lp, seed=2)
+    held = simulate_lidar(world, _sampled(lambda t: (x, y, yaw), lp, t0), lp,
+                          seed=2)
+    still = simulate_lidar(world, [[t0, t0 + 1.0 / lp.rate], [x, x], [y, y],
+                                   [yaw, yaw]], lp, seed=2)
+    assert (one.labels == CLASS_VEGETATION).sum() > 20
+    assert _same_scan(one, held) and _same_scan(one, still)
 
 
 def test_vegetation_returns_and_porosity():
@@ -145,12 +238,12 @@ def test_vegetation_returns_and_porosity():
     world = generate_world(5, params)
     lp = LidarParams(beams=8, azimuth_steps=360, max_range=40.0,
                      range_noise_sd=0.0)
-    scan = simulate_lidar(world, Pose2D(15.0, 0.0, 0.0), lp, seed=1)
+    scan = simulate_lidar(world, _at_rest(15.0, 0.0, 0.0), lp, seed=1)
     assert (scan.labels == CLASS_VEGETATION).sum() > 0
     # Determinism of the full scan for a fixed seed.
-    again = simulate_lidar(world, Pose2D(15.0, 0.0, 0.0), lp, seed=1)
+    again = simulate_lidar(world, _at_rest(15.0, 0.0, 0.0), lp, seed=1)
     assert np.array_equal(scan.points, again.points)
-    other = simulate_lidar(world, Pose2D(15.0, 0.0, 0.0), lp, seed=2)
+    other = simulate_lidar(world, _at_rest(15.0, 0.0, 0.0), lp, seed=2)
     assert not np.array_equal(scan.points, other.points)
 
 
@@ -161,8 +254,8 @@ def test_deskew_moving_scan_straightens_wall():
     v = 1.5
     lp = LidarParams(beams=1, azimuth_steps=360, rate=10.0, max_range=30.0,
                      range_noise_sd=0.0, fov_low_deg=0.0, fov_high_deg=0.0)
-    pose_fn = lambda t: Pose2D(v * t, 0.0, 0.0)  # noqa: E731
-    scan = simulate_lidar(world, pose_fn, lp, seed=0, t0=0.0)
+    track = _sampled(lambda t: (v * t, 0.0, 0.0), lp)
+    scan = simulate_lidar(world, track, lp, seed=0)
 
     prior = dead_reckon((0.0, 0.0, 0.0, 0.0), -0.01,
                         -0.01 + 0.01 * np.arange(1, 14), np.full(13, 0.01),
@@ -182,7 +275,7 @@ def test_snowfall_count_radius_and_labels():
     world = _wall_world()
     lp = LidarParams(beams=1, azimuth_steps=180, max_range=30.0,
                      range_noise_sd=0.0, fov_low_deg=0.0, fov_high_deg=0.0)
-    scan = simulate_lidar(world, Pose2D(0.0, 0.0, 0.0), lp, seed=0)
+    scan = simulate_lidar(world, _at_rest(0.0, 0.0, 0.0), lp, seed=0)
     out = apply_snowfall(scan, 500, near_radius=4.0, seed=9)
     assert len(out) == len(scan) + 500
     snow = out.labels == CLASS_SNOWFALL
@@ -370,7 +463,7 @@ def test_blocked_ground_march_matches_single_rays(march_grounds, monkeypatch):
 def test_simulated_scan_matches_full_march(monkeypatch):
     world = generate_world(0, WorldParams(trail_length=60.0))
     lp = LidarParams(beams=8, azimuth_steps=240, max_range=40.0)
-    pose = Pose2D(20.0, 0.5, 0.4)
+    pose = _at_rest(20.0, 0.5, 0.4)
     scan = simulate_lidar(world, pose, lp, seed=3)
     monkeypatch.setattr(simworld, "_ray_ground", _reference_ray_ground)
     want = simulate_lidar(world, pose, lp, seed=3)
@@ -440,7 +533,7 @@ def _sweep_rays(world, n, max_range, seed):
     rng = np.random.default_rng(seed)
     s = np.sort(rng.random(n))
     x, y = 30.0 + 0.6 * s, 1.5 + 0.1 * s
-    origins = np.column_stack([x, y, world.ground_height(x, y) + 1.3])
+    origins = np.column_stack([x, y, world.ground.sample(x, y) + 1.3])
     az = rng.uniform(0.0, 2 * np.pi, n)
     el = np.deg2rad(rng.uniform(-15.0, 15.0, n))
     dirs = np.column_stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az),
@@ -486,12 +579,10 @@ def test_simulated_scan_matches_every_trunk(monkeypatch):
                                           tree_density=0.05))
     lp = LidarParams(beams=8, azimuth_steps=200, rate=2.5, max_range=20.0)
 
-    def pose_fn(t):
-        return (40.0 + 1.5 * t, 1.0, 0.3 * t)
-
-    scan = simulate_lidar(world, pose_fn, lp, seed=5, t0=0.0)
+    track = _sampled(lambda t: (40.0 + 1.5 * t, 1.0, 0.3 * t), lp)
+    scan = simulate_lidar(world, track, lp, seed=5)
     monkeypatch.setattr(simworld, "_ray_cylinders", _reference_ray_cylinders)
-    want = simulate_lidar(world, pose_fn, lp, seed=5, t0=0.0)
+    want = simulate_lidar(world, track, lp, seed=5)
     assert (scan.labels == CLASS_VEGETATION).sum() > 50
     assert np.array_equal(scan.points, want.points)
     assert np.array_equal(scan.timestamps, want.timestamps)
