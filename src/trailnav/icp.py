@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import PointCloud, RigidTransform, transform_cloud
+from .geom import PointCloud, RigidTransform, split_query, transform_cloud
 
 # Default bounding boxes mask the robot body and its sensor trailer.
 DEFAULT_BBOX_1 = (-1.5, 0.5, -1.0, 1.0, -1.0, 0.5)
@@ -124,14 +124,16 @@ def match(reading_in_g: PointCloud, ref_index: cKDTree,
     """Up to n_m neighbors within d_max per reading point, all weights 1.
 
     Pair order is canonical: sorted by (reading index, distance, reference index).
+    A large reading is queried in two halves, one on the worker thread
+    (``geom.split_query``).
     """
     pts = reading_in_g.points
     if len(pts) == 0:
         return MatchSet(np.zeros(0, np.int64), np.zeros(0, np.int64),
                         np.zeros(0), np.zeros(0, np.int8))
     k = min(cfg.n_m, ref_index.n)
-    dist, idx = ref_index.query(pts, k=k, eps=cfg.eps,
-                                     distance_upper_bound=cfg.d_max)
+    dist, idx = split_query(ref_index, pts, k=k, eps=cfg.eps,
+                            distance_upper_bound=cfg.d_max)
     dist = dist.reshape(len(pts), -1)
     idx = idx.reshape(len(pts), -1)
     valid = np.isfinite(dist)

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import json
 import tempfile
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import FRAME_MAP, PointCloud
+from .geom import FRAME_MAP, WORKER, PointCloud
 from .npcd import NpcdError, read_npcd, write_npcd
 
 MAP_FORMAT = "trailnav-map"
@@ -107,6 +107,7 @@ class VoxelMap:
         self.spill_dir = Path(spill_dir)
         self.spill_dir.mkdir(parents=True, exist_ok=True)
         self._cache = None
+        self._building = None
 
     # -- basic geometry -------------------------------------------------
 
@@ -130,6 +131,7 @@ class VoxelMap:
 
     def _invalidate(self):
         self._cache = None
+        self._building = None   # a build still running is dropped unread
         self.last_inserted = []
         self._pre_insert = None
 
@@ -139,18 +141,33 @@ class VoxelMap:
         return [self.voxels[k] for k in sorted(self.voxels)
                 if len(self.voxels[k])]
 
-    def _local_arrays(self):
-        """Concatenated local points in sorted voxel order, a kd-tree over
-        them, and the registration reference built on both (None when a
-        normal is missing); cached until invalidated."""
-        if self._cache is None:
+    def prefetch_reference(self) -> None:
+        """Stack the local points and normals here, read-only, and start
+        their kd-tree's build on ``geom.WORKER``, unless they are cached or
+        already being built; ``_local_arrays`` collects the tree. A change
+        to the map before then drops the build."""
+        if self._cache is None and self._building is None:
             chunks = self._local_chunks()
             pts = np.vstack([c.points for c in chunks] or [np.zeros((0, 3))])
             normals = np.vstack([c.normals for c in chunks] or
                                 [np.zeros((0, 3))])
-            for shared in (pts, normals):   # handed out below
+            for shared in (pts, normals):   # handed out, and read by the worker
                 shared.flags.writeable = False
-            tree = cKDTree(pts) if len(pts) else None
+            self._building = (pts, normals,
+                              WORKER.submit(cKDTree, pts) if len(pts) else None)
+
+    def _local_arrays(self):
+        """Concatenated local points in sorted voxel order, a kd-tree over
+        them, and the registration reference built on both (None when a
+        normal is missing); cached until invalidated. The tree is built on
+        ``geom.WORKER`` (``prefetch_reference``, here if nobody called it
+        since the map last changed) and waited for here; an exception from
+        the build is raised here. The worker runs only ``cKDTree``, nothing
+        the benchmark's tracer wraps: its span stack is not thread-safe."""
+        if self._cache is None:
+            self.prefetch_reference()
+            (pts, normals, build), self._building = self._building, None
+            tree = None if build is None else build.result()
             ref = None
             if tree is not None and np.isfinite(normals).all():
                 ref = (PointCloud(pts, FRAME_MAP, normals), tree)
@@ -383,58 +400,41 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     beam when its direction is within beam_half_angle of the beam direction and
     it sits at least rho closer to the sensor than the return.
 
-    The local points come from the map's cached arrays, which a teach tick's
-    registration has just built, so nothing is re-stacked. ``meanwhile()``,
-    if given, runs on the calling thread while the beam search runs on
-    ``_BEAM_SEARCH``'s worker, before the map is touched; it may append rows
-    to local chunks (a teach tick inserts the scan and takes its normals).
-    The filter then updates and drops only rows that were local when it
-    started, so appended rows, new voxels and reloaded spilled voxels keep
-    what ``meanwhile`` left. A new point sits on its own beam at that beam's
-    range, coincident and not seen through, so its zero dyn_prob would stay
-    0 had it been filtered: the map ends as if the filter had run first.
-    When ``meanwhile`` raises, the search is waited for and the map is left
-    as ``meanwhile`` left it.
+    The whole visibility pass (``_visibility``) runs on ``geom.WORKER``, on
+    the map's cached local points, which a teach tick's registration has
+    just built, and on a copy of their dyn_prob. Meanwhile ``meanwhile()``,
+    if given, runs on the calling thread before the map is touched; it may
+    append rows to local chunks (a teach tick inserts the scan and takes its
+    normals). The caller then writes the new dyn_prob and drops points only
+    among the rows that were local when the filter started, so appended
+    rows, new voxels and reloaded spilled voxels keep what ``meanwhile``
+    left. A new point sits on its own beam at that beam's range, coincident
+    and not seen through, so its zero dyn_prob would stay 0 had it been
+    filtered: the map ends as if the filter had run first. When the pass or
+    ``meanwhile`` raises, the other is waited for and the exception reaches
+    the caller with the map unfiltered. The pass calls nothing the
+    benchmark's tracer wraps, whose span stack is not thread-safe;
+    ``meanwhile`` runs here.
     """
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("filter_dynamic expects a registered (map-frame) scan")
-    sensor = _sensor_position(sensor_pose)
-    beam_vec = scan_in_g.points - sensor
-    beam_range = np.linalg.norm(beam_vec, axis=1)
-    ok = beam_range > 1e-9
     pts = vmap._local_arrays()[0]
-    if not ok.any() or len(pts) == 0:
+    if len(pts) == 0:
         if meanwhile is not None:
             meanwhile()
         return
-    beam_dir = beam_vec[ok] / beam_range[ok, None]
-    beam_range = beam_range[ok]
-    beam_pts = scan_in_g.points[ok]
-    # Only exact nearest-direction queries: an unbalanced tree builds faster
-    # and answers them alike.
-    dir_tree = cKDTree(beam_dir, balanced_tree=False)
-    chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
-
-    # One gathered pass over every chunk; rows without a hit keep their value
-    # bit for bit (x + 0.0 - 0.0 == x).
     chunks = vmap._local_chunks()
     sizes = [len(chunk) for chunk in chunks]
     dyn = np.concatenate([chunk.dyn_prob for chunk in chunks])
-    rel = pts - sensor
-    rng = np.linalg.norm(rel, axis=1)
-    rows = np.nonzero((rng > 1e-9) & (rng <= cfg.r))[0]
-    dd, bi = _nearest_beams(dir_tree, rel[rows] / rng[rows, None], rng[rows],
-                            chord, cfg.rho, meanwhile)
-    found = bi < len(beam_dir)
-    rows, dd, bi = rows[found], dd[found], bi[found]
-    seen_through = (dd <= chord) & (rng[rows] <= beam_range[bi] - cfg.rho)
-    coincident = np.linalg.norm(pts[rows] - beam_pts[bi], axis=1) < cfg.rho
-    hit = seen_through.any() or coincident.any()
-    if hit:
-        dp = dyn[rows] + cfg.delta_up * seen_through - cfg.delta_down * coincident
-        dyn[rows] = np.clip(dp, 0.0, 1.0)
-    remove = dyn > cfg.tau_d
-    if not (hit or remove.any()):
+    visibility = WORKER.submit(_visibility, pts, dyn, scan_in_g.points,
+                               _sensor_position(sensor_pose), cfg)
+    try:
+        if meanwhile is not None:
+            meanwhile()
+    finally:
+        wait([visibility])
+    remove = visibility.result()
+    if remove is None:
         return
     splits = np.cumsum(sizes)[:-1]
     for chunk, n, part, drop in zip(chunks, sizes, np.split(dyn, splits),
@@ -445,26 +445,56 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     vmap._invalidate()
 
 
-# The one worker that runs filter_dynamic's beam search. cKDTree.query
-# releases the GIL, so the search runs beside the caller's ``meanwhile``.
-# The worker runs nothing but the two queries: the caller owns every map
-# array and every other step. The thread starts on the first search.
-_BEAM_SEARCH = ThreadPoolExecutor(max_workers=1,
-                                  thread_name_prefix="trailnav-beams")
+# Map rows per block of the visibility pass: it bounds the pass's
+# temporaries, which the worker thread's own malloc arena would keep.
+_VISIBILITY_ROWS = 4096
 
 
-def _query_beams(dir_tree, far_dirs, near_dirs, bound):
-    return (dir_tree.query(far_dirs, k=1, distance_upper_bound=bound),
-            dir_tree.query(near_dirs, k=1))
+def _visibility(pts, dyn, returns, sensor, cfg: MappingConfig):
+    """``filter_dynamic``'s pass over the local points pts: update their
+    dyn_prob dyn in place, block by block, and return the mask of rows to
+    drop, or None when the map is to stay as it is (no beam has a
+    direction, or no point was hit and none is over tau_d). Each row's new
+    value depends on that row alone; rows without a hit keep their value
+    bit for bit (x + 0.0 - 0.0 == x)."""
+    beam_vec = returns - sensor
+    beam_range = np.linalg.norm(beam_vec, axis=1)
+    ok = beam_range > 1e-9
+    if not ok.any():
+        return None
+    beam_dir = beam_vec[ok] / beam_range[ok, None]
+    beam_range = beam_range[ok]
+    beam_pts = returns[ok]
+    # Only exact nearest-direction queries: an unbalanced tree builds faster
+    # and answers them alike.
+    dir_tree = cKDTree(beam_dir, balanced_tree=False)
+    chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
+    hit = False
+    for lo in range(0, len(pts), _VISIBILITY_ROWS):
+        block, block_dyn = (a[lo:lo + _VISIBILITY_ROWS] for a in (pts, dyn))
+        rel = block - sensor
+        rng = np.linalg.norm(rel, axis=1)
+        rows = np.nonzero((rng > 1e-9) & (rng <= cfg.r))[0]
+        dd, bi = _nearest_beams(dir_tree, rel[rows] / rng[rows, None],
+                                rng[rows], chord, cfg.rho)
+        found = bi < len(beam_dir)
+        rows, dd, bi = rows[found], dd[found], bi[found]
+        seen_through = (dd <= chord) & (rng[rows] <= beam_range[bi] - cfg.rho)
+        coincident = (np.linalg.norm(block[rows] - beam_pts[bi], axis=1)
+                      < cfg.rho)
+        if seen_through.any() or coincident.any():
+            hit = True
+            dp = (block_dyn[rows] + cfg.delta_up * seen_through
+                  - cfg.delta_down * coincident)
+            block_dyn[rows] = np.clip(dp, 0.0, 1.0)
+    remove = dyn > cfg.tau_d
+    return remove if hit or remove.any() else None
 
 
-def _nearest_beams(dir_tree, dirs, rng, chord, rho, meanwhile=None):
+def _nearest_beams(dir_tree, dirs, rng, chord, rho):
     """Distance and index of each map point's nearest beam direction, or
     (inf, len(beams)) where that beam can neither pass through nor meet the
-    point; dirs are the points' unit directions and rng their ranges. The
-    queries run on ``_BEAM_SEARCH``'s worker while ``meanwhile()``, if
-    given, runs here; an exception from either is raised here once both
-    have finished.
+    point; dirs are the points' unit directions and rng their ranges.
 
     A beam passes through a point only within chord of its direction. A
     return lies within rho of a point at range rng > rho only within
@@ -475,18 +505,11 @@ def _nearest_beams(dir_tree, dirs, rng, chord, rho, meanwhile=None):
     same neighbour for a bounded query as for an unbounded one when it finds
     one."""
     far = rng * chord >= rho * (1.0 + chord)
-    search = _BEAM_SEARCH.submit(_query_beams, dir_tree, dirs[far],
-                                 dirs[~far], chord * (1 + 1e-9))
-    try:
-        if meanwhile is not None:
-            meanwhile()
-    finally:
-        wait([search])
-    (dd_far, bi_far), (dd_near, bi_near) = search.result()
     dd = np.full(len(dirs), np.inf)
     bi = np.full(len(dirs), dir_tree.n)
-    dd[far], bi[far] = dd_far, bi_far
-    dd[~far], bi[~far] = dd_near, bi_near
+    dd[far], bi[far] = dir_tree.query(dirs[far], k=1,
+                                      distance_upper_bound=chord * (1 + 1e-9))
+    dd[~far], bi[~far] = dir_tree.query(dirs[~far], k=1)
     return dd, bi
 
 

@@ -88,10 +88,17 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
     """Deskew and filter the scan, then register it against the map's local
     reference from the prior's last pose.
 
+    When the map changed since its reference was built, the reference's
+    kd-tree is built on the worker thread (``geom.WORKER``) while the scan
+    is deskewed and filtered here; ICP's match query then splits a large
+    reading between the worker and this thread. Deskew, the input filters,
+    the match and everything else the benchmark's tracer wraps run here.
+
     Returns None when nothing survives the input filters. On an empty local
     map the scan is placed at the prior pose (zero iterations, not
     converged). Raises RegistrationFailure when the local map lacks a normal,
-    and whatever ``register`` raises."""
+    and whatever ``register`` raises, or the tree's build."""
+    vmap.prefetch_reference()
     filtered = apply_input_filters(deskew(scan, prior_tail), reg_cfg)
     if len(filtered) == 0:
         return None
@@ -115,15 +122,21 @@ def teach_step(state: TeachState, scan: PointCloud,
     normals computed, then retile; the registered pose joins the raw
     trajectory.
 
-    The filter hands its beam search to a worker and runs the insertion and
-    the normals meanwhile, before it changes the map. So the filter, the
-    insertion gate and the normals merge all work on the local arrays
-    registration cached, and the filter updates and drops only points that
-    were local before the insertion. The map ends as if the filter had run
-    first and the scan been inserted after it: the filter would leave a new
-    point untouched, and a spilled voxel that insertion reloads (which the
-    local cube's margin keeps from happening near the robot) missed this
-    tick's filter either way."""
+    The one worker thread (``geom.WORKER``) builds the local kd-tree while
+    ``localize`` deskews and filters the scan, queries half of each large
+    ICP match, and runs the filter's visibility pass while this thread
+    inserts the scan and takes the new normals. Every map write, and every
+    function the benchmark's tracer wraps, runs on this thread: the tracer's
+    span stack is not thread-safe.
+
+    The filter runs the insertion and the normals before it changes the
+    map. So the filter, the insertion gate and the normals merge all work on
+    the local arrays registration cached, and the filter updates and drops
+    only points that were local before the insertion. The map ends as if
+    the filter had run first and the scan been inserted after it: the
+    filter would leave a new point untouched, and a spilled voxel that
+    insertion reloads (which the local cube's margin keeps from happening
+    near the robot) missed this tick's filter either way."""
     scan_id = state.scan_count
     state.scan_count += 1
     try:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from trailnav.geom import (FrameMismatchError, PointCloud, RigidTransform,
-                           build_index, transform_cloud)
+from trailnav.geom import (SPLIT_QUERY_MIN, WORKER, FrameMismatchError,
+                           PointCloud, RigidTransform, build_index,
+                           split_query, transform_cloud)
 
 
 def test_pointcloud_shape_validation():
@@ -113,3 +115,64 @@ def test_knn_respects_d_max():
     got = match(PointCloud(np.zeros((1, 3))), index,
                 RegistrationConfig(n_m=5, d_max=1.0, eps=0.0))
     assert np.array_equal(got.reference_indices, [0])
+
+
+class _CountingWorker:
+    """Stands in for ``geom.WORKER`` and counts the jobs handed to it."""
+
+    def __init__(self):
+        self.jobs = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.jobs += 1
+        return WORKER.submit(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(k=1),
+    dict(k=1, distance_upper_bound=1.5),
+    dict(k=7, eps=1.0, distance_upper_bound=2.0),
+], ids=["k1", "k1-bounded", "k7-eps1-bounded"])
+def test_split_query_is_byte_equal_to_one_query(kwargs, monkeypatch):
+    import trailnav.geom as geom
+    rng = np.random.default_rng(11)
+    # Integer points, queried from integer and half-integer points: many
+    # neighbours at exactly equal distances, and (with the bound) misses.
+    ref = rng.integers(0, 12, (3000, 3)).astype(np.float64)
+    tree = cKDTree(ref)
+    worker = _CountingWorker()
+    monkeypatch.setattr(geom, "WORKER", worker)
+    for n, jobs in [(SPLIT_QUERY_MIN - 1, 0), (SPLIT_QUERY_MIN, 1),
+                    (2 * SPLIT_QUERY_MIN + 1, 1)]:
+        pts = rng.integers(-4, 32, (n, 3)) * 0.5
+        want = tree.query(pts, **kwargs)
+        worker.jobs = 0
+        got = split_query(tree, pts, **kwargs)
+        assert worker.jobs == jobs
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        if "distance_upper_bound" in kwargs:
+            assert np.isinf(want[0]).any() and (want[1] == tree.n).any()
+
+
+def test_a_refused_pin_leaves_a_working_worker(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+    import trailnav.geom as geom
+
+    def refuse(pid, cpus):
+        raise PermissionError("sched_setaffinity refused")
+
+    monkeypatch.setattr(geom.os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(geom.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    worker = ThreadPoolExecutor(max_workers=1, initializer=geom._pin_worker)
+    monkeypatch.setattr(geom, "WORKER", worker)
+    try:
+        pts = np.arange(3 * SPLIT_QUERY_MIN, dtype=np.float64).reshape(-1, 3)
+        tree = cKDTree(pts)
+        dist, idx = split_query(tree, pts, k=1)
+        assert np.array_equal(idx, np.arange(SPLIT_QUERY_MIN))
+        assert not dist.any()
+    finally:
+        worker.shutdown()

@@ -709,6 +709,78 @@ def test_upkeep_beside_the_filter_builds_the_sequential_map(seed):
                 assert got.tobytes() == want.tobytes(), (key, field)
 
 
+@pytest.mark.parametrize("seed", [5, 17])
+def test_the_visibility_blocks_join_without_a_seam(seed, tmp_path,
+                                                   monkeypatch):
+    import trailnav.mapping as mapping
+    cfg = _map_cfg()
+    (blocks, scan), (one, _), (ref, _) = (_upkeep_scene(seed, tmp_path / name)
+                                          for name in "abc")
+    local = len(blocks._local_arrays()[0])
+    rows = local // 3 - 7                 # odd seams, and a short last block
+    assert local > 3 * rows
+    monkeypatch.setattr(mapping, "_VISIBILITY_ROWS", rows)
+    _grow_meanwhile(blocks, scan, _UPKEEP_SENSOR, cfg)
+    monkeypatch.setattr(mapping, "_VISIBILITY_ROWS", local)
+    _grow_meanwhile(one, scan, _UPKEEP_SENSOR, cfg)
+    _filter_then_grow(ref, scan, _UPKEEP_SENSOR, cfg)
+    for other in (one, ref):
+        assert blocks.voxels.keys() == other.voxels.keys()
+        for key, chunk in blocks.voxels.items():
+            for field in ("points", "normals", "dyn_prob", "labels"):
+                got, want = (getattr(c, field) for c in (chunk,
+                                                         other.voxels[key]))
+                assert got.tobytes() == want.tobytes(), (key, field)
+
+
+def test_a_failed_tree_build_reaches_the_caller_at_the_reference(
+        tmp_path, monkeypatch):
+    from concurrent.futures import wait
+    import trailnav.mapping as mapping
+    vmap, _ = _upkeep_scene(5, tmp_path)
+    vmap._invalidate()
+
+    def broken_build(pts):
+        raise MemoryError("build failed")
+
+    monkeypatch.setattr(mapping, "cKDTree", broken_build)
+    vmap.prefetch_reference()
+    wait([vmap._building[2]])          # the worker ran the broken build
+    monkeypatch.undo()
+    with pytest.raises(MemoryError, match="build failed"):
+        vmap.registration_reference()
+    # The failed build is gone; the next call starts a new one.
+    reference, tree = vmap.registration_reference()
+    assert tree.n == len(reference) == vmap.local_point_count()
+
+
+def test_a_map_change_drops_the_tree_being_built(tmp_path, monkeypatch):
+    import threading
+    import trailnav.mapping as mapping
+    vmap, _ = _upkeep_scene(5, tmp_path)
+    vmap._invalidate()
+    release, stale = threading.Event(), []
+
+    def slow_build(pts):
+        release.wait(timeout=10.0)
+        stale.append(mapping.cKDTree(pts))
+        return stale[-1]
+
+    monkeypatch.setattr(mapping, "cKDTree", slow_build)
+    vmap.prefetch_reference()
+    monkeypatch.undo()
+    before = vmap.local_point_count()
+    vmap.voxels[_PHANTOM_KEY].append(np.full((4, 3), 7.0))
+    vmap._invalidate()
+    release.set()
+    pts, tree, _ = vmap._local_arrays()
+    assert len(pts) == vmap.local_point_count() > before
+    assert tree not in stale and tree.n == len(pts)
+    assert np.array_equal(pts, np.vstack([c.points
+                                          for c in vmap._local_chunks()]))
+    assert np.array_equal(tree.data, pts)
+
+
 def test_a_failed_beam_search_reaches_the_caller_and_the_next_one_runs(
         tmp_path, monkeypatch):
     import trailnav.mapping as mapping
@@ -722,7 +794,7 @@ def test_a_failed_beam_search_reaches_the_caller_and_the_next_one_runs(
     def broken_search(*args):
         raise FloatingPointError("search failed")
 
-    monkeypatch.setattr(mapping, "_query_beams", broken_search)
+    monkeypatch.setattr(mapping, "_visibility", broken_search)
     with pytest.raises(FloatingPointError, match="search failed"):
         filter_dynamic(vmap, scan, _UPKEEP_SENSOR, cfg,
                        meanwhile=lambda: grown.append(1))
@@ -745,21 +817,21 @@ def test_a_failed_meanwhile_waits_for_the_search_and_leaves_the_map(
     import trailnav.mapping as mapping
     vmap, scan = _upkeep_scene(5, tmp_path)
     before = {key: c.dyn_prob.copy() for key, c in vmap.voxels.items()}
-    started, finished = threading.Event(), []
-    query = mapping._query_beams
+    running, finished = threading.Event(), []
+    visibility = mapping._visibility
 
     def slow_search(*args):
-        started.wait(timeout=10.0)    # set by meanwhile before it raises
+        running.set()
         time.sleep(0.2)
-        out = query(*args)
+        out = visibility(*args)
         finished.append(1)
         return out
 
     def failing():
-        started.set()
+        running.wait(timeout=10.0)    # the pass has started on the worker
         raise KeyError("meanwhile failed")
 
-    monkeypatch.setattr(mapping, "_query_beams", slow_search)
+    monkeypatch.setattr(mapping, "_visibility", slow_search)
     with pytest.raises(KeyError, match="meanwhile failed"):
         filter_dynamic(vmap, scan, _UPKEEP_SENSOR, _map_cfg(),
                        meanwhile=failing)
