@@ -20,8 +20,8 @@ from .mapping import MapLoadError, PersistenceError
 from .mission import TeachAbort, load_database, localize
 from .npcd import NpcdError
 from .prior import PriorCoverageError, dead_reckon
-from .runner import (level_anchor, read_scan_log, run_repeat, run_replay,
-                     run_teach, save_run_log)
+from .runner import (RUN_LOG_HEADER, level_anchor, read_scan_log, run_repeat,
+                     run_replay, run_teach)
 from .simworld import generate_world
 from .trajectory import Trajectory
 
@@ -133,7 +133,7 @@ def _cmd_repeat(args) -> int:
         print(f"localization initialization failed: {result.init.reason}",
               file=sys.stderr)
         return EXIT_ABORT
-    save_run_log(args.out_dir / "run_log.csv", result.log_rows)
+    write_csv(args.out_dir / "run_log.csv", RUN_LOG_HEADER, result.log_rows)
     if result.executed is not None:
         result.executed.save_csv(args.out_dir / "executed.csv")
     save_config(cfg, args.out_dir / "config_used.yaml")

@@ -26,16 +26,6 @@ class RegistrationFailure(RuntimeError):
 class DegenerateRegistration(RegistrationFailure):
     """The normal system does not constrain all of (t_x, t_y, t_z, yaw)."""
 
-    def __init__(self, msg, null_direction=None):
-        super().__init__(msg)
-        self.null_direction = null_direction
-
-
-class MissingNormalError(ValueError):
-    def __init__(self, reference_index):
-        super().__init__(f"reference point {reference_index} has no surface normal")
-        self.reference_index = int(reference_index)
-
 
 @dataclass
 class RegistrationConfig:
@@ -176,13 +166,11 @@ def trim_outliers(m: MatchSet, eta_d: float) -> MatchSet:
 
 
 def gather_reference(m: MatchSet, reference: PointCloud):
-    """Reference points and normals of every pair, row k for pair k."""
+    """Reference points and normals of every pair, row k for pair k; the
+    reference carries normals, which a ``PointCloud`` keeps unit-length."""
     # np.take gathers rows several times faster than fancy indexing.
-    n = np.take(reference.normals, m.reference_indices, axis=0)
-    if not np.isfinite(n).all():
-        bad = ~np.isfinite(n).all(axis=1)
-        raise MissingNormalError(m.reference_indices[np.argmax(bad)])
-    return np.take(reference.points, m.reference_indices, axis=0), n
+    return (np.take(reference.points, m.reference_indices, axis=0),
+            np.take(reference.normals, m.reference_indices, axis=0))
 
 
 def point_to_plane_error(p: np.ndarray, q: np.ndarray, n: np.ndarray,
@@ -222,8 +210,7 @@ def minimize_step(p: np.ndarray, n: np.ndarray, res: np.ndarray,
     b = -res
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0 or s[-1] < 1e-9 * s[0]:
-        raise DegenerateRegistration(
-            "normal system is rank deficient", null_direction=vt[-1])
+        raise DegenerateRegistration("normal system is rank deficient")
     x = vt.T @ ((u.T @ b) / s)
     return RigidTransform.from_yaw(x[3], x[:3], from_frame=current.from_frame,
                                    to_frame=current.from_frame)

@@ -618,5 +618,4 @@ def load_map(path, spill_dir=None) -> VoxelMap:
         if len(chunk) != count:
             raise MapLoadError(
                 f"{fpath}: has {len(chunk)} points, manifest says {count}")
-    vmap._invalidate()
     return vmap

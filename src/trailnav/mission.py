@@ -78,11 +78,6 @@ class RepeatStepResult:
     skipped: bool = False
 
 
-def new_teach_state(reg_cfg: RegistrationConfig,
-                    map_cfg: MappingConfig) -> TeachState:
-    return TeachState(VoxelMap(map_cfg.v_s), reg_cfg, map_cfg)
-
-
 def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
              reg_cfg: RegistrationConfig) -> RegistrationResult | None:
     """Deskew and filter the scan, then register it against the map's local
@@ -232,8 +227,5 @@ def repeat_step(state: RepeatState, scan: PointCloud,
     status = check_termination(frenet, ctrl_cfg)
     if status is not Status.CONTINUE:
         return RepeatStepResult(Command(0.0, 0.0), status, frenet, t_hat)
-    cmd = compute_command(frenet, ctrl_cfg)
-    # Re-assert the clamps at the mission boundary.
-    cmd = Command(float(np.clip(cmd.v_x, 0.0, ctrl_cfg.v_max)),
-                  float(np.clip(cmd.omega, -ctrl_cfg.omega_m, ctrl_cfg.omega_m)))
-    return RepeatStepResult(cmd, status, frenet, t_hat)
+    return RepeatStepResult(compute_command(frenet, ctrl_cfg), status, frenet,
+                            t_hat)

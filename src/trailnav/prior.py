@@ -68,16 +68,13 @@ def dead_reckon(anchor, start_stamp: float, stamps: np.ndarray,
 
 
 def _interp_poses(prior: Trajectory, times: np.ndarray):
-    """Linear translation / slerp rotation interpolation at the given times."""
+    """Linear translation / slerp rotation interpolation at the given times;
+    the prior has at least two poses, as ``dead_reckon`` gives."""
     trans = np.column_stack([
         np.interp(times, prior.stamps, prior.positions[:, i]) for i in range(3)
     ])
-    if len(prior) == 1:
-        rots = Rotation.from_quat(np.tile(prior.quats[0][[1, 2, 3, 0]], (len(times), 1)))
-    else:
-        key = Rotation.from_quat(prior.quats[:, [1, 2, 3, 0]])  # to xyzw
-        rots = Slerp(prior.stamps, key)(times)
-    return trans, rots
+    key = Rotation.from_quat(prior.quats[:, [1, 2, 3, 0]])  # to xyzw
+    return trans, Slerp(prior.stamps, key)(times)
 
 
 def deskew(scan: PointCloud, prior: Trajectory) -> PointCloud:

@@ -4,7 +4,7 @@ the teach/repeat mission, and run logging together."""
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from .geom import RigidTransform
 from .mapping import VoxelMap
 from .mission import (InitResult, RepeatState, RepeatStepResult, TeachState,
                       finalize_teach, initialize_localization, load_database,
-                      new_teach_state, repeat_step, teach_step)
+                      repeat_step, teach_step)
 from .npcd import read_npcd, write_npcd
 from .prior import GRAVITY, dead_reckon
 from .simworld import RobotState, World, simulate_lidar, step_robot
@@ -24,23 +24,6 @@ from .trajectory import Trajectory
 
 RUN_LOG_HEADER = ["stamp", "x", "y", "theta", "x_n", "d_g", "v_x", "omega",
                   "status"]
-
-
-@dataclass
-class LogRow:
-    stamp: float
-    x: float
-    y: float
-    theta: float
-    x_n: float
-    d_g: float
-    v_x: float
-    omega: float
-    status: str
-
-
-def save_run_log(path, rows) -> None:
-    write_csv(path, RUN_LOG_HEADER, map(astuple, rows))
 
 
 SCANS_HEADER = ["stamp", "file"]
@@ -279,7 +262,8 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
     if start is None:
         start = Pose2D(0.0, 0.0, 0.0)
     state = RobotState(pose=start)
-    mission = new_teach_state(cfg.registration, cfg.mapping)
+    mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
+                         cfg.mapping)
     truth_stamps, truth_poses = [], []
     wp_i = 0
     mount = cfg.sim.lidar.mount_height
@@ -320,7 +304,7 @@ class RepeatRunResult:
     status: Status | None
     init: InitResult
     mission: RepeatState | None
-    log_rows: list
+    log_rows: list          # one tuple per controlled tick, RUN_LOG_HEADER order
     executed: Trajectory | None
     truth: Trajectory | None
 
@@ -364,16 +348,11 @@ def run_repeat(world: World, db_dir, cfg: GlobalConfig,
             truth_poses.append(_sensor_anchor(world, state,
                                               cfg.sim.lidar.mount_height))
         if step.frenet is not None:
-            cmd = step.command
-            rows.append(LogRow(
-                stamp=state.stamp,
-                x=float(step.pose.translation[0]),
-                y=float(step.pose.translation[1]),
-                theta=step.pose.yaw,
-                x_n=step.frenet.x_n, d_g=step.frenet.d_g,
-                v_x=0.0 if cmd is None else cmd.v_x,
-                omega=0.0 if cmd is None else cmd.omega,
-                status=step.status.value))
+            rows.append((state.stamp, float(step.pose.translation[0]),
+                         float(step.pose.translation[1]), step.pose.yaw,
+                         step.frenet.x_n, step.frenet.d_g,
+                         step.command.v_x, step.command.omega,
+                         step.status.value))
         if status is not Status.CONTINUE:
             break
         if step.command is not None:
@@ -398,7 +377,8 @@ def run_replay(scans_dir, cfg: GlobalConfig, out_dir) -> Path:
     persist a database: a log of a teach on this config replays to that
     teach's database, or to its ``TeachAbort``. A log that registers fewer
     than two scans raises ``CsvFormatError``."""
-    mission = new_teach_state(cfg.registration, cfg.mapping)
+    mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
+                         cfg.mapping)
     start, scans = read_scan_log(scans_dir)
     for scan, stamp, samples in scans:
         pose = mission.current_pose

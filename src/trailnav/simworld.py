@@ -480,10 +480,12 @@ def simulate_lidar(world: World, track, lp: LidarParams,
 
 def apply_snowfall(scan: PointCloud, particle_count: int, near_radius: float,
                    seed: int) -> PointCloud:
-    """Append spurious returns uniformly distributed in a sphere around the
-    sensor, with timestamps inside the scan window."""
+    """Append spurious returns, uniform in a sphere around the sensor and
+    stamped inside the scan window, to a raw scan (no normals, no dyn_prob)."""
     if particle_count < 0:
         raise ValueError("particle_count must be >= 0")
+    if scan.normals is not None or scan.dyn_prob is not None:
+        raise ValueError("snowfall injection expects a raw scan")
     if particle_count == 0:
         return scan.copy()
     rng = _rng(seed, _STREAM_SNOWFALL)
@@ -507,8 +509,6 @@ def apply_snowfall(scan: PointCloud, particle_count: int, near_radius: float,
     out.labels = np.concatenate([out.labels,
                                  np.full(particle_count, CLASS_SNOWFALL,
                                          dtype=np.int64)])
-    if out.normals is not None or out.dyn_prob is not None:
-        raise ValueError("snowfall injection expects a raw scan")
     return out
 
 

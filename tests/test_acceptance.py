@@ -29,7 +29,7 @@ from trailnav.icp import (MatchSet, RegistrationConfig, apply_input_filters,
                           gather_reference, point_to_plane_error, register)
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, load_map, retile, save_map)
-from trailnav.mission import new_teach_state, teach_step
+from trailnav.mission import TeachState, teach_step
 from trailnav.prior import dead_reckon, deskew
 from trailnav.runner import _sense, _sensor_anchor, run_repeat, run_teach
 from trailnav.simworld import (CLASS_BUILDING, CLASS_SNOWFALL, LidarParams,
@@ -400,7 +400,8 @@ def _snowfall_teach(world, cfg, with_snow, n_ticks=40):
     """A straight 1 m/s teach on the runner's simulated tick, with snowfall
     particles added to the first 20 scans when ``with_snow``."""
     state = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
-    mission = new_teach_state(cfg.registration, cfg.mapping)
+    mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
+                         cfg.mapping)
     anchor = _sensor_anchor(world, state, cfg.sim.lidar.mount_height)
     counts, admitted, prev = [], 0, 0
     for tick in range(n_ticks):

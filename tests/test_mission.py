@@ -12,14 +12,15 @@ from trailnav.controller import Pose2D, Status
 from trailnav.csvio import read_csv, read_float_csv, write_csv
 from trailnav.geom import FRAME_MAP, PointCloud, RigidTransform
 from trailnav.icp import DegenerateRegistration, RegistrationFailure
-from trailnav.mission import (RepeatState, TeachAbort, finalize_teach,
-                              initialize_localization, load_database,
-                              new_teach_state, repeat_step, teach_step)
+from trailnav.mapping import VoxelMap
+from trailnav.mission import (RepeatState, TeachAbort, TeachState,
+                              finalize_teach, initialize_localization,
+                              load_database, repeat_step, teach_step)
 import trailnav.runner as runner
 from trailnav.trajectory import Trajectory
-from trailnav.runner import (IMU_HEADER, ODOM_HEADER, SCANS_HEADER,
-                             _prior_window, read_scan_log, run_repeat,
-                             run_teach)
+from trailnav.runner import (IMU_HEADER, ODOM_HEADER, RUN_LOG_HEADER,
+                             SCANS_HEADER, _prior_window, read_scan_log,
+                             run_repeat, run_teach)
 from trailnav.simworld import LidarParams, WorldParams, generate_world
 
 
@@ -32,6 +33,10 @@ def _small_cfg(seed=0):
     cfg.mapping.v_s = 10.0
     cfg.mapping.rho = 0.15
     return cfg
+
+
+def _teach_state(cfg):
+    return TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration, cfg.mapping)
 
 
 def _small_world(seed=0, length=15.0):
@@ -99,7 +104,7 @@ def _origin_scan(world, cfg):
 
 def test_teach_bootstraps_empty_map(taught):
     world, cfg, _ = taught
-    state = new_teach_state(cfg.registration, cfg.mapping)
+    state = _teach_state(cfg)
     scan, tail = _origin_scan(world, cfg)
     teach_step(state, scan, tail)
     assert state.map.local_point_count() > 100
@@ -108,6 +113,19 @@ def test_teach_bootstraps_empty_map(taught):
     assert np.allclose(state.raw_poses[0].translation,
                        tail.pose(-1).translation,
                        atol=1e-9)
+
+
+def test_registration_reference_normals_are_set_and_read_only(taught):
+    """ICP gathers the reference's normals unchecked: after a teach tick
+    they are finite, and nothing can write into them."""
+    world, cfg, _ = taught
+    state = _teach_state(cfg)
+    teach_step(state, *_origin_scan(world, cfg))
+    normals = state.map.registration_reference()[0].normals
+    assert np.isfinite(normals).all()
+    assert not normals.flags.writeable
+    with pytest.raises(ValueError):
+        normals[0] = np.nan
 
 
 def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
@@ -131,7 +149,7 @@ def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
     for module in (geom, mission):
         monkeypatch.setattr(module, "build_index", spy_build_index)
 
-    state = new_teach_state(cfg.registration, cfg.mapping)
+    state = _teach_state(cfg)
     owner[0] = state.map
     teach_step(state, scan, tail)          # bootstrap: nothing to register on
     teach_step(state, scan, tail)
@@ -205,7 +223,7 @@ def test_a_missing_normal_leaves_no_registration_reference(taught):
                                    cfg.mission.init_overlap_floor)
     assert not init.success
     assert init.reason == "map has no usable normals"
-    state = new_teach_state(cfg.registration, cfg.mapping)
+    state = _teach_state(cfg)
     state.map = vmap
     with pytest.raises(TeachAbort) as info:
         teach_step(state, scan, tail)
@@ -278,7 +296,7 @@ def _replay_teach(logged_teach, upkeep, monkeypatch):
     from trailnav.mapping import VoxelChunk, retile
     from trailnav.mission import localize
     _, cfg, result, received, _ = logged_teach
-    state = new_teach_state(cfg.registration, cfg.mapping)
+    state = _teach_state(cfg)
     vmap, map_cfg = state.map, state.map_cfg
     dropped = []
     keep = VoxelChunk.keep
@@ -382,7 +400,7 @@ def test_teach_is_deterministic(taught, tmp_path, monkeypatch):
 
 def test_finalize_teach_subsampling_example(tmp_path):
     cfg = _small_cfg()
-    state = new_teach_state(cfg.registration, cfg.mapping)
+    state = _teach_state(cfg)
     from trailnav.mapping import insert_scan
     insert_scan(state.map, PointCloud(np.zeros((1, 3)), FRAME_MAP),
                 [0, 0, 1.0], cfg.mapping.rho)
@@ -422,23 +440,27 @@ def test_repeat_reaches_goal_and_map_stays_frozen(taught):
     assert np.median(series.eps_ct) < 0.1
     # The run log carries one row per controlled tick.
     assert len(rr.log_rows) > 10
-    assert rr.log_rows[-1].status == "goal_reached"
+    assert rr.log_rows[-1][RUN_LOG_HEADER.index("status")] == "goal_reached"
 
 
 # The sha256 of the taught fixture's database files, and of the executed
-# positions of a 20-tick repeat on it. They hold on numpy 2.4.6 and scipy
-# 1.17.1; a change that moves them updates them here and says why in
-# CHANGES.md.
+# positions and the run log of a 20-tick repeat on it. They hold on numpy
+# 2.4.6 and scipy 1.17.1; a change that moves them updates them here and
+# says why in CHANGES.md.
 TAUGHT_DB_SHA256 = (
     "fed5e91c82a752a3f50fbf6e6e234a2da600a38b2950a3b424c05b37cbc362bf")
 REPEAT_POSITIONS_SHA256 = (
     "f40cba76517d7bf5e83ff4415f0bfa7d2b685fbe0f6288bbe40c1af1fb953f54")
+REPEAT_RUN_LOG_SHA256 = (
+    "19c73a2fdbd33a98a5812bf28746ab51d240d6fca9fc7c0345ccc9dcdb0ab68e")
 
 
-def test_taught_database_and_repeat_match_their_pinned_hashes(taught):
+def test_taught_database_and_repeat_match_their_pinned_hashes(taught,
+                                                              tmp_path):
     """Outputs stay bit-identical: the bytes of every file of the taught
-    ``db/`` (manifest, voxel files, ``trajectory.csv``) and a short repeat's
-    executed positions hash to their pinned values."""
+    ``db/`` (manifest, voxel files, ``trajectory.csv``), a short repeat's
+    executed positions and its ``run_log.csv`` hash to their pinned
+    values."""
     world, cfg, result = taught
     h = hashlib.sha256()
     for path in sorted(result.db_dir.iterdir()):
@@ -450,6 +472,9 @@ def test_taught_database_and_repeat_match_their_pinned_hashes(taught):
     assert len(rr.executed) == 20
     assert (hashlib.sha256(rr.executed.positions.tobytes()).hexdigest()
             == REPEAT_POSITIONS_SHA256)
+    write_csv(tmp_path / "run_log.csv", RUN_LOG_HEADER, rr.log_rows)
+    assert (hashlib.sha256((tmp_path / "run_log.csv").read_bytes()).hexdigest()
+            == REPEAT_RUN_LOG_SHA256)
 
 
 @pytest.fixture(scope="module")

@@ -232,8 +232,7 @@ def _wobbly_prior(n, seed):
     return Trajectory(stamps, trans, quats)
 
 
-@pytest.mark.parametrize("case", ["repeated_stamps", "with_normals",
-                                  "one_sample_prior"])
+@pytest.mark.parametrize("case", ["repeated_stamps", "with_normals"])
 def test_deskew_matches_per_point_slerp(case):
     rng = np.random.default_rng(7)
     prior = _wobbly_prior(41, seed=3)
@@ -244,9 +243,6 @@ def test_deskew_matches_per_point_slerp(case):
     if case != "repeated_stamps":
         normals = rng.normal(size=(len(ts), 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    if case == "one_sample_prior":
-        prior = Trajectory([0.05], [[1.0, 2.0, 3.0]], prior.quats[5:6])
-        ts = np.full(len(ts), 0.05)
     scan = PointCloud(rng.uniform(-20, 20, (len(ts), 3)), frame=FRAME_LIDAR,
                       normals=normals, timestamps=ts)
     out = deskew(scan, prior)

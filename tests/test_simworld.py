@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from trailnav.controller import Pose2D
 from trailnav.config import GlobalConfig, load_config, save_config
+from trailnav.geom import PointCloud
 from trailnav import simworld
 from trailnav.prior import dead_reckon, deskew
 from trailnav.runner import _rollout
@@ -288,6 +289,15 @@ def test_snowfall_count_radius_and_labels():
     same = apply_snowfall(scan, 500, near_radius=4.0, seed=9)
     assert np.array_equal(out.points, same.points)
     assert np.array_equal(apply_snowfall(scan, 0, 4.0, 1).points, scan.points)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize("field", [
+    {"normals": np.tile([0.0, 0.0, 1.0], (3, 1))}, {"dyn_prob": np.zeros(3)}])
+def test_snowfall_rejects_a_processed_scan_at_every_count(field, count):
+    scan = PointCloud(np.ones((3, 3)), timestamps=np.zeros(3), **field)
+    with pytest.raises(ValueError, match="raw scan"):
+        apply_snowfall(scan, count, near_radius=4.0, seed=9)
 
 
 def test_accumulate_snow_arithmetic():
