@@ -6,11 +6,14 @@
 Runs ``perfbench/run.py`` once in PARENT_DIR and once in CHANGE_DIR per
 pair, each in its own checkout; the parent runs first in odd pairs and the
 change first in even ones, so an effect of running first or second falls on
-both sides alike. It prints, for each side, the median and
-quartiles of every metric that CHANGE_DIR's ``BENCHMARK.json`` names
-(end-to-end with ``--trace 0``, per-layer with ``--trace 1``), the number of
-pairs the change won on each, the set of output digests and the set of lap
-counts (from the runs' ``lap i:`` lines; 0 for a workload without laps).
+both sides alike. Each pair's line gives its two runs' lap counts (from
+the runs' ``lap i:`` lines; 0 for a workload without laps). It prints, for
+each side, the median and quartiles of every metric that CHANGE_DIR's
+``BENCHMARK.json`` names (end-to-end with ``--trace 0``, per-layer with
+``--trace 1``), the number of pairs the change won on each, the set of
+output digests and the set of lap counts. The lap count sets a laps run's
+digest, tail and memory, so when the runs differ in it, one more table
+follows for each lap count that both sides ran.
 """
 
 from __future__ import annotations
@@ -55,16 +58,24 @@ def _quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(pairs, metrics) -> dict:
+def summarize(pairs, metrics, laps=None) -> dict:
     """Summary of ``pairs``, a list of (parent run, change run) as
     ``run_once`` returns them, over ``metrics``, a list of (name, "lower" or
     "higher" is better). Each metric maps to the parent's and the change's
     (first quartile, median, third quartile) and the number of pairs whose
-    change run was strictly better; ``digests``, ``laps`` and ``incorrect``
-    map each side to its set of digests, its set of lap counts and its
-    number of runs whose checks failed."""
+    change run was strictly better, out of ``pairs``; ``digests``, ``laps``
+    and ``incorrect`` map each side to its set of digests, its set of lap
+    counts and its number of runs whose checks failed.
+
+    With ``laps``, only the runs of that lap count enter: each side's
+    quartiles are over its runs of that count, and the wins over the pairs
+    whose two runs both have it."""
     sides = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
-    out = {}
+    if laps is not None:
+        sides = {side: [r for r in runs if r["laps"] == laps]
+                 for side, runs in sides.items()}
+        pairs = [(p, c) for p, c in pairs if p["laps"] == c["laps"] == laps]
+    out = {"pairs": len(pairs)}
     for name, better in metrics:
         sign = 1.0 if better == "lower" else -1.0
         out[name] = {
@@ -82,6 +93,20 @@ def summarize(pairs, metrics) -> dict:
 
 def _fmt(q) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def _print_table(title, summary, metrics) -> None:
+    print(title)
+    print(f"  {'metric':28s} {'parent median [q1, q3]':28s} "
+          f"{'change median [q1, q3]':28s} change won")
+    for name, _ in metrics:
+        row = summary[name]
+        print(f"  {name:28s} {_fmt(row['parent']):28s} "
+              f"{_fmt(row['change']):28s} {row['won']} of {summary['pairs']}")
+    for key in ("digests", "laps", "incorrect"):
+        print(f"  {key}: " + "; ".join(
+            f"{side} {sorted(v) if isinstance(v, set) else v}"
+            for side, v in summary[key].items()))
 
 
 def main(argv=None) -> int:
@@ -107,24 +132,24 @@ def main(argv=None) -> int:
                                       else (args.parent, args.change)))
         pair = (second, first) if swap else (first, second)
         pairs.append(pair)
-        print(f"pair {i + 1}, {'change' if swap else 'parent'} first: "
+        print(f"pair {i + 1}, {'change' if swap else 'parent'} first, "
+              f"laps {pair[0]['laps']} -> {pair[1]['laps']}: "
               + ", ".join(f"{name} {pair[0]['metrics'][name]:.4g} -> "
                           f"{pair[1]['metrics'][name]:.4g}"
                           for name, _ in metrics[:2]), flush=True)
 
     summary = summarize(pairs, metrics)
-    print(f"{args.workload} seed {args.seed}, {len(pairs)} pairs, "
-          f"--seconds {args.seconds} --trace {args.trace}")
-    print(f"  {'metric':28s} {'parent median [q1, q3]':28s} "
-          f"{'change median [q1, q3]':28s} change won")
-    for name, _ in metrics:
-        row = summary[name]
-        print(f"  {name:28s} {_fmt(row['parent']):28s} "
-              f"{_fmt(row['change']):28s} {row['won']} of {len(pairs)}")
-    for key in ("digests", "laps", "incorrect"):
-        print(f"  {key}: " + "; ".join(
-            f"{side} {sorted(v) if isinstance(v, set) else v}"
-            for side, v in summary[key].items()))
+    _print_table(f"{args.workload} seed {args.seed}, {len(pairs)} pairs, "
+                 f"--seconds {args.seconds} --trace {args.trace}",
+                 summary, metrics)
+    laps = summary["laps"]
+    if len(laps["parent"] | laps["change"]) > 1:
+        common = sorted(laps["parent"] & laps["change"])
+        if not common:
+            print("no lap count ran on both sides")
+        for count in common:
+            _print_table(f"runs of {count} laps only", summarize(
+                pairs, metrics, laps=count), metrics)
     return 0
 
 

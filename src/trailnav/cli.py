@@ -39,55 +39,57 @@ _OPTIONS = {
 }
 
 
-def _add_options(p, *names):
-    """Add the shared options ``names``; a command declares only those it
-    reads, so argparse rejects the rest."""
-    for name in names:
-        p.add_argument(name, **_OPTIONS[name])
+def _add_command(sub, name, run, *options, **kwargs):
+    """The sub-command ``name``, which ``main`` executes as ``run(args)``,
+    with the shared ``options``; a command declares only those it reads, so
+    argparse rejects the rest."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="trailnav")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    teach = sub.add_parser("teach", help="run a scripted teach pass")
-    _add_options(teach, "--config", "--seed", "--out-dir")
+    teach = _add_command(sub, "teach", _cmd_teach, "--config", "--seed",
+                         "--out-dir", help="run a scripted teach pass")
     teach.add_argument("--log-scans", action="store_true",
                        help="write each raw scan to OUT_DIR/scans as it is "
                        "simulated, plus imu/odom for replay")
 
-    rep = sub.add_parser("repeat", help="autonomous repeat of a database")
-    _add_options(rep, "--config", "--seed", "--out-dir")
+    rep = _add_command(sub, "repeat", _cmd_repeat, "--config", "--seed",
+                       "--out-dir", help="autonomous repeat of a database")
     rep.add_argument("--db", type=Path, required=True)
     rep.add_argument("--reverse", action="store_true")
     rep.add_argument("--start-x", type=float, default=0.0)
     rep.add_argument("--start-y", type=float, default=0.0)
     rep.add_argument("--start-theta", type=float, default=0.0)
 
-    replay = sub.add_parser("replay", help="run logged scans through the pipeline")
-    _add_options(replay, "--config", "--out-dir")
+    replay = _add_command(sub, "replay", _cmd_replay, "--config", "--out-dir",
+                          help="run logged scans through the pipeline")
     replay.add_argument("--scans", type=Path, required=True)
 
     an = sub.add_parser("analyze", help="evaluation metrics")
     an_sub = an.add_subparsers(dest="analyze_command", required=True)
 
-    ct = an_sub.add_parser("cross-track")
-    _add_options(ct, "--out-dir")
+    ct = _add_command(an_sub, "cross-track", _cmd_cross_track, "--out-dir")
     ct.add_argument("--executed", type=Path, required=True)
     ct.add_argument("--reference", type=Path, required=True)
 
-    cb = an_sub.add_parser("curvature-bins")
-    _add_options(cb, "--out-dir")
+    cb = _add_command(an_sub, "curvature-bins", _cmd_curvature_bins,
+                      "--out-dir")
     cb.add_argument("--cross-track", type=Path, nargs="+", required=True)
 
-    ov = an_sub.add_parser("overlap")
-    _add_options(ov, "--config", "--out-dir")
+    ov = _add_command(an_sub, "overlap", _cmd_overlap, "--config", "--out-dir")
     ov.add_argument("--db", type=Path, required=True)
     ov.add_argument("--scans", type=Path, required=True)
     ov.add_argument("--threshold", type=float, default=0.5)
 
-    pe = an_sub.add_parser("perturbation")
-    _add_options(pe, "--config", "--out-dir")
+    pe = _add_command(an_sub, "perturbation", _cmd_perturbation, "--config",
+                      "--out-dir")
     pe.add_argument("--db", type=Path, required=True)
     pe.add_argument("--scans", type=Path, required=True)
     pe.add_argument("--scan-index", type=int, default=0)
@@ -243,18 +245,7 @@ def _cmd_perturbation(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "teach":
-            return _cmd_teach(args)
-        if args.command == "repeat":
-            return _cmd_repeat(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "analyze":
-            return {"cross-track": _cmd_cross_track,
-                    "curvature-bins": _cmd_curvature_bins,
-                    "overlap": _cmd_overlap,
-                    "perturbation": _cmd_perturbation}[args.analyze_command](args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

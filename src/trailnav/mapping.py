@@ -97,8 +97,9 @@ class VoxelMap:
         self.voxels: dict[tuple, VoxelChunk] = {}
         self.nonlocal_manifest: dict[tuple, Path] = {}
         self.last_retile_voxel: tuple | None = None
-        # The last insertion's record, kept until the map next changes: its
-        # (key, rows) and the local points and kd-tree from before it.
+        # The last insertion's record, kept until the map's points or normals
+        # next change (a dyn_prob-only change keeps it): its (key, rows) and
+        # the local points and kd-tree from before it.
         self.last_inserted: list = []
         self._pre_insert = None
         if spill_dir is None:
@@ -310,8 +311,9 @@ def refresh_normals(vmap: VoxelMap, cfg: MappingConfig, sensor) -> None:
     a tree over the whole map gives, except among candidates at exactly the
     same distance, which that tree orders by its walk. The record of the
     insertion and its tree are dropped once the normals are written.
-    With nothing inserted since the map last changed, the map and its cache
-    are left untouched."""
+    A ``filter_dynamic`` pass that changes only dyn_prob keeps the record;
+    one that drops a point drops it. With nothing inserted since the map
+    last changed, the map and its cache are left untouched."""
     if not vmap.last_inserted:
         return
     base_pts, base_tree = vmap._pre_insert
@@ -333,8 +335,7 @@ def _sensor_position(position) -> np.ndarray:
     return np.asarray(position, dtype=np.float64).reshape(3)
 
 
-def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
-                rho: float) -> None:
+def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, rho: float) -> None:
     """Append scan points (in index order) whose nearest local map point, or
     point accepted earlier in this call, is farther than rho, and list the
     new rows in ``last_inserted``; the map keeps its cached local points and
@@ -342,7 +343,7 @@ def insert_scan(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
 
     A teach tick inserts while ``filter_dynamic`` searches, before the
     filter touches the map, so the cached arrays are the ones the scan was
-    registered on. ``sensor_pose`` is not used."""
+    registered on."""
     if scan_in_g.frame != FRAME_MAP:
         raise ValueError("insert_scan expects a registered (map-frame) scan")
     vmap.last_inserted, vmap._pre_insert = [], None
@@ -410,7 +411,8 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     rows, new voxels and reloaded spilled voxels keep what ``meanwhile``
     left. A new point sits on its own beam at that beam's range, coincident
     and not seen through, so its zero dyn_prob would stay 0 had it been
-    filtered: the map ends as if the filter had run first. When the pass or
+    filtered: the map ends as if the filter had run first. The cached local
+    arrays hold no dyn_prob, so only a drop invalidates them. When the pass or
     ``meanwhile`` raises, the other is waited for and the exception reaches
     the caller with the map unfiltered. The pass calls nothing the
     benchmark's tracer wraps, whose span stack is not thread-safe;
@@ -434,15 +436,14 @@ def filter_dynamic(vmap: VoxelMap, scan_in_g: PointCloud, sensor_pose,
     finally:
         wait([visibility])
     remove = visibility.result()
-    if remove is None:
-        return
     splits = np.cumsum(sizes)[:-1]
     for chunk, n, part, drop in zip(chunks, sizes, np.split(dyn, splits),
                                     np.split(remove, splits)):
         chunk.dyn_prob[:n] = part
         if drop.any():
             chunk.keep(np.concatenate([~drop, np.ones(len(chunk) - n, bool)]))
-    vmap._invalidate()
+    if remove.any():
+        vmap._invalidate()
 
 
 # Map rows per block of the visibility pass: it bounds the pass's
@@ -453,15 +454,11 @@ _VISIBILITY_ROWS = 4096
 def _visibility(pts, dyn, returns, sensor, cfg: MappingConfig):
     """``filter_dynamic``'s pass over the local points pts: update their
     dyn_prob dyn in place, block by block, and return the mask of rows to
-    drop, or None when the map is to stay as it is (no beam has a
-    direction, or no point was hit and none is over tau_d). Each row's new
-    value depends on that row alone; rows without a hit keep their value
-    bit for bit (x + 0.0 - 0.0 == x)."""
+    drop, those over tau_d. Each row's new value depends on that row alone;
+    rows without a hit keep their value bit for bit (x + 0.0 - 0.0 == x)."""
     beam_vec = returns - sensor
     beam_range = np.linalg.norm(beam_vec, axis=1)
     ok = beam_range > 1e-9
-    if not ok.any():
-        return None
     beam_dir = beam_vec[ok] / beam_range[ok, None]
     beam_range = beam_range[ok]
     beam_pts = returns[ok]
@@ -469,7 +466,6 @@ def _visibility(pts, dyn, returns, sensor, cfg: MappingConfig):
     # and answers them alike.
     dir_tree = cKDTree(beam_dir, balanced_tree=False)
     chord = 2.0 * np.sin(0.5 * cfg.beam_half_angle)
-    hit = False
     for lo in range(0, len(pts), _VISIBILITY_ROWS):
         block, block_dyn = (a[lo:lo + _VISIBILITY_ROWS] for a in (pts, dyn))
         rel = block - sensor
@@ -482,13 +478,10 @@ def _visibility(pts, dyn, returns, sensor, cfg: MappingConfig):
         seen_through = (dd <= chord) & (rng[rows] <= beam_range[bi] - cfg.rho)
         coincident = (np.linalg.norm(block[rows] - beam_pts[bi], axis=1)
                       < cfg.rho)
-        if seen_through.any() or coincident.any():
-            hit = True
-            dp = (block_dyn[rows] + cfg.delta_up * seen_through
-                  - cfg.delta_down * coincident)
-            block_dyn[rows] = np.clip(dp, 0.0, 1.0)
-    remove = dyn > cfg.tau_d
-    return remove if hit or remove.any() else None
+        dp = (block_dyn[rows] + cfg.delta_up * seen_through
+              - cfg.delta_down * coincident)
+        block_dyn[rows] = np.clip(dp, 0.0, 1.0)
+    return dyn > cfg.tau_d
 
 
 def _nearest_beams(dir_tree, dirs, rng, chord, rho):

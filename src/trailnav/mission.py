@@ -89,10 +89,13 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
     reading between the worker and this thread. Deskew, the input filters,
     the match and everything else the benchmark's tracer wraps run here.
 
-    Returns None when nothing survives the input filters. On an empty local
-    map the scan is placed at the prior pose (zero iterations, not
-    converged). Raises RegistrationFailure when the local map lacks a normal,
-    and whatever ``register`` raises, or the tree's build."""
+    Returns None for a scan with no point, and when nothing survives the
+    input filters. On an empty local map the scan is placed at the prior
+    pose (zero iterations, not converged). Raises RegistrationFailure when
+    the local map lacks a normal, and whatever ``register`` raises, or the
+    tree's build."""
+    if len(scan) == 0:
+        return None
     vmap.prefetch_reference()
     filtered = apply_input_filters(deskew(scan, prior_tail), reg_cfg)
     if len(filtered) == 0:
@@ -139,14 +142,14 @@ def teach_step(state: TeachState, scan: PointCloud,
     except RegistrationFailure as exc:
         raise TeachAbort(f"teach registration failed on scan {scan_id}: {exc}",
                          scan_id=scan_id, last_pose=state.current_pose) from exc
-    if result is None:   # nothing survived the input filters
+    if result is None:   # no point, or none survived the input filters
         return
     t_hat, reading_in_map = result.T_hat, result.reading_in_map
     sensor = t_hat.translation
     vmap, map_cfg = state.map, state.map_cfg
 
     def grow():
-        insert_scan(vmap, reading_in_map, sensor, map_cfg.rho)
+        insert_scan(vmap, reading_in_map, map_cfg.rho)
         refresh_normals(vmap, map_cfg, sensor)
 
     filter_dynamic(vmap, reading_in_map, sensor, map_cfg, meanwhile=grow)

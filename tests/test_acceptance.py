@@ -474,8 +474,7 @@ def test_criterion_09_voxel_manager(tmp_path):
         pos = pos + rng.uniform(0, 3.0) * np.array([np.cos(ang),
                                                     np.sin(ang), 0.0])
         pts = pos + rng.uniform(-8, 8, (40, 3)) * [1.0, 1.0, 0.2]
-        insert_scan(vmap, PointCloud(pts, FRAME_MAP), pos + [0, 0, 1.0],
-                    cfg.rho)
+        insert_scan(vmap, PointCloud(pts, FRAME_MAP), cfg.rho)
         _, actions = retile(vmap, pos, cfg)
         local = set(vmap.voxels)
         nonlocal_ = set(vmap.nonlocal_manifest)
@@ -494,7 +493,7 @@ def test_criterion_09_voxel_manager(tmp_path):
     # single-border dithering: at most one retile
     osc = VoxelMap(cfg.v_s)
     insert_scan(osc, PointCloud(np.array([[3.0, 3.0, 0.0]]), FRAME_MAP),
-                [3.0, 3.0, 1.0], cfg.rho)
+                cfg.rho)
     retile(osc, [3.0, 3.0, 0.0], cfg)
     dither_fires = 0
     for x in (5.2, 4.8, 5.6, 4.9, 6.1, 5.9, 6.2, 5.8):

@@ -133,7 +133,7 @@ def test_percentile_matches_sort_oracle(values, q):
 def _map_with(points):
     vmap = VoxelMap(20.0)
     insert_scan(vmap, PointCloud(np.asarray(points, dtype=float), FRAME_MAP),
-                [0, 0, 1.0], rho=0.01)
+                rho=0.01)
     return vmap
 
 
@@ -162,7 +162,7 @@ def test_scan_overlap_matches_a_whole_map_tree(tmp_path):
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     rng = np.random.default_rng(4)
     insert_scan(vmap, PointCloud(rng.uniform(-30, 30, (3000, 3)), FRAME_MAP),
-                [0, 0, 1.0], rho=0.1)
+                rho=0.1)
     scan = PointCloud(rng.uniform(-30, 30, (500, 3)), FRAME_MAP)
 
     def direct(threshold):

@@ -38,7 +38,7 @@ def test_retile_returns_its_actions_second(tmp_path):
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     cfg = MappingConfig(r=10.0, v_s=5.0)
     pts = np.random.default_rng(0).uniform(-40, 40, (500, 3))
-    insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 0], cfg.rho)
+    insert_scan(vmap, PointCloud(pts, FRAME_MAP), cfg.rho)
     out = retile(vmap, [0.0, 0.0, 0.0], cfg)
     assert len(out) == 2
     assert out[0] is vmap

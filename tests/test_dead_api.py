@@ -206,3 +206,29 @@ def test_every_allow_list_entry_still_names_a_defined_unread_name():
         + [attr for attr in ALLOWED_UNREAD_ATTRIBUTES
            if attr not in _unread_attributes()])
     assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
+def _unread_parameters():
+    """``module:function.parameter`` for every parameter of a function or
+    lambda in ``src/trailnav`` that its body, nested functions included,
+    never reads; ``self`` and ``cls`` are exempt."""
+    unread = []
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            label = getattr(node, "name", f"<lambda:{node.lineno}>")
+            unread += [f"{name}:{label}.{p}" for p in params
+                       if p not in ("self", "cls") and p not in read]
+    return sorted(unread)
+
+
+def test_every_parameter_is_read_by_its_function():
+    unread = _unread_parameters()
+    assert not unread, f"parameters never read: {unread}"

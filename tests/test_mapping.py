@@ -43,11 +43,11 @@ def test_voxel_key_floor_semantics():
 def test_insert_scan_density_gate():
     vmap = VoxelMap(20.0)
     cfg = _map_cfg()
-    insert_scan(vmap, _grid_cloud(spacing=0.5), [0.0, 0.0, 1.5], cfg.rho)
+    insert_scan(vmap, _grid_cloud(spacing=0.5), cfg.rho)
     n0 = vmap.local_point_count()
     assert n0 == len(_grid_cloud(spacing=0.5))
     # Re-inserting the identical scan adds nothing.
-    insert_scan(vmap, _grid_cloud(spacing=0.5), [0.0, 0.0, 1.5], cfg.rho)
+    insert_scan(vmap, _grid_cloud(spacing=0.5), cfg.rho)
     assert vmap.local_point_count() == n0
     # No two map points closer than rho.
     pts = vmap.all_points_cloud().points
@@ -58,7 +58,7 @@ def test_insert_scan_density_gate():
 def test_insert_scan_self_conflict_within_one_scan():
     vmap = VoxelMap(20.0)
     pts = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.2, 0, 0]])
-    insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 1.0], rho=0.1)
+    insert_scan(vmap, PointCloud(pts, FRAME_MAP), rho=0.1)
     out = vmap.all_points_cloud().points
     assert len(out) == 2   # the 0.05-away twin is dropped
     assert np.allclose(sorted(out[:, 0]), [0.0, 0.2])
@@ -68,10 +68,9 @@ def test_insert_scan_point_at_exactly_rho_is_not_a_candidate():
     # 0.25 and its square are exact, so the query returns exactly rho; only
     # points strictly farther than rho from the map may be inserted.
     vmap = VoxelMap(20.0)
-    insert_scan(vmap, PointCloud(np.zeros((1, 3)), FRAME_MAP), [0, 0, 1.0],
-                rho=0.25)
+    insert_scan(vmap, PointCloud(np.zeros((1, 3)), FRAME_MAP), rho=0.25)
     scan = np.array([[0.25, 0.0, 0.0], [0.0, 3.0, 0.0]])
-    insert_scan(vmap, PointCloud(scan, FRAME_MAP), [0, 0, 1.0], rho=0.25)
+    insert_scan(vmap, PointCloud(scan, FRAME_MAP), rho=0.25)
     out = vmap.all_points_cloud().points
     assert len(out) == 2
     assert not np.any(np.all(out == [0.25, 0.0, 0.0], axis=1))
@@ -101,14 +100,13 @@ def test_insert_scan_bounded_query_matches_unbounded():
 
     ref._local_arrays = unbounded
     base = rng.uniform(-6.0, 6.0, (800, 3))
-    for step in range(4):
+    for _ in range(4):
         near = base[rng.integers(0, len(base), 400)] + \
             rng.normal(0.0, rho * 0.6, (400, 3))
         scan = PointCloud(np.vstack([rng.uniform(-6.0, 6.0, (400, 3)), near]),
                           FRAME_MAP, labels=rng.integers(0, 3, 800))
-        sensor = [0.0, 0.0, float(step)]
-        insert_scan(fast, scan, sensor, rho)
-        insert_scan(ref, scan, sensor, rho)
+        insert_scan(fast, scan, rho)
+        insert_scan(ref, scan, rho)
         assert len(fast.last_inserted) > 0
         assert [k for k, _ in fast.last_inserted] == \
             [k for k, _ in ref.last_inserted]
@@ -124,7 +122,7 @@ def test_insert_scan_bounded_query_matches_unbounded():
 def test_insert_requires_map_frame():
     vmap = VoxelMap(20.0)
     with pytest.raises(ValueError):
-        insert_scan(vmap, PointCloud(np.zeros((1, 3)), "L"), [0, 0, 0], 0.1)
+        insert_scan(vmap, PointCloud(np.zeros((1, 3)), "L"), 0.1)
 
 
 def test_compute_normals_plane_oriented_to_viewpoint():
@@ -138,7 +136,7 @@ def test_compute_normals_plane_oriented_to_viewpoint():
 def test_refresh_normals_fills_missing(tmp_path):
     vmap = VoxelMap(20.0, spill_dir=tmp_path)
     cfg = _map_cfg()
-    insert_scan(vmap, _grid_cloud(spacing=0.4), [0.0, 0.0, 2.0], cfg.rho)
+    insert_scan(vmap, _grid_cloud(spacing=0.4), cfg.rho)
     assert vmap.registration_reference() is None   # NaN until refreshed
     refresh_normals(vmap, cfg, [0.0, 0.0, 2.0])
     normals = vmap.registration_reference()[0].normals
@@ -151,7 +149,7 @@ def test_filter_dynamic_seen_through_accumulates_and_removes(tmp_path):
     sensor = np.array([0.0, 0.0, 1.0])
     # A phantom point 5 m ahead of the sensor.
     phantom = PointCloud(np.array([[5.0, 0.0, 1.0]]), FRAME_MAP)
-    insert_scan(vmap, phantom, sensor, cfg.rho)
+    insert_scan(vmap, phantom, cfg.rho)
     # Scans keep returning a wall 10 m ahead: the beam passes through the
     # phantom (delta_up = 0.2 per observation; removal above tau_d = 0.8).
     wall = PointCloud(np.array([[10.0, 0.0, 1.0]]), FRAME_MAP)
@@ -168,7 +166,7 @@ def test_filter_dynamic_coincident_lowers_probability(tmp_path):
     cfg = _map_cfg()
     sensor = np.array([0.0, 0.0, 1.0])
     target = PointCloud(np.array([[5.0, 0.0, 1.0]]), FRAME_MAP)
-    insert_scan(vmap, target, sensor, cfg.rho)
+    insert_scan(vmap, target, cfg.rho)
     chunk = vmap.voxels[vmap.voxel_key([5.0, 0.0, 1.0])]
     chunk.dyn_prob[:] = 0.5
     # The scan re-observes the same point: probability must go down.
@@ -181,7 +179,7 @@ def test_filter_dynamic_ignores_points_beyond_range(tmp_path):
     cfg = _map_cfg(r=8.0)
     sensor = np.array([0.0, 0.0, 1.0])
     far = PointCloud(np.array([[9.0, 0.0, 1.0]]), FRAME_MAP)
-    insert_scan(vmap, far, sensor, cfg.rho)
+    insert_scan(vmap, far, cfg.rho)
     wall = PointCloud(np.array([[12.0, 0.0, 1.0]]), FRAME_MAP)
     chunk = vmap.voxels[vmap.voxel_key([9.0, 0.0, 1.0])]
     filter_dynamic(vmap, wall, sensor, cfg)
@@ -203,7 +201,7 @@ def test_retile_sizes_the_local_cube_in_the_maps_voxels(tmp_path):
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     cfg = _map_cfg(r=20.0, v_s=20.0)
     insert_scan(vmap, PointCloud(np.array([[17.0, 0.5, 0.5]]), FRAME_MAP),
-                [0, 0, 0], cfg.rho)
+                cfg.rho)
     _, actions = retile(vmap, [0.5, 0.5, 0.5], cfg)
     assert actions == []
     assert vmap.voxel_key([17.0, 0.5, 0.5]) in vmap.voxels
@@ -214,7 +212,7 @@ def test_retile_partitions_and_moves_voxels(tmp_path):
     cfg = _map_cfg(r=10.0, v_s=5.0)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-40, 40, (2000, 3))
-    insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 0], cfg.rho)
+    insert_scan(vmap, PointCloud(pts, FRAME_MAP), cfg.rho)
     _, actions = retile(vmap, [0.0, 0.0, 0.0], cfg)
     assert any(a == "unload" for a, _ in actions)
     # Partition invariant.
@@ -235,7 +233,7 @@ def test_retile_returns_the_map_and_leaves_its_cache_unbuilt(tmp_path):
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     cfg = _map_cfg(r=10.0, v_s=5.0)
     pts = np.random.default_rng(0).uniform(-40, 40, (2000, 3))
-    insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 0], cfg.rho)
+    insert_scan(vmap, PointCloud(pts, FRAME_MAP), cfg.rho)
     assert vmap._cache is None
     out, actions = retile(vmap, [0.0, 0.0, 0.0], cfg)     # fires
     assert out is vmap and actions
@@ -248,8 +246,7 @@ def test_retile_returns_the_map_and_leaves_its_cache_unbuilt(tmp_path):
 def test_retile_oscillation_guard(tmp_path):
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     cfg = _map_cfg(r=10.0, v_s=5.0)
-    insert_scan(vmap, PointCloud(np.zeros((1, 3)), FRAME_MAP), [0, 0, 0],
-                cfg.rho)
+    insert_scan(vmap, PointCloud(np.zeros((1, 3)), FRAME_MAP), cfg.rho)
     retile(vmap, [2.5, 2.5, 2.5], cfg)      # establish the reference voxel
     assert vmap.last_retile_voxel == (0, 0, 0)
     # Dither across the x=5 border without penetrating v_s/4 = 1.25 m.
@@ -267,7 +264,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     cfg = _map_cfg()
     rng = np.random.default_rng(1)
     pts = rng.uniform(-30, 30, (3000, 3))
-    insert_scan(vmap, PointCloud(pts, FRAME_MAP), [0, 0, 1.5], cfg.rho)
+    insert_scan(vmap, PointCloud(pts, FRAME_MAP), cfg.rho)
     refresh_normals(vmap, cfg, [0, 0, 1.5])
     save_map(vmap, tmp_path / "db")
     assert (tmp_path / "db" / "manifest.json").exists()
@@ -290,7 +287,7 @@ def test_load_map_validates(tmp_path):
 
 def test_load_map_missing_voxel_file(tmp_path):
     vmap = VoxelMap(20.0, spill_dir=tmp_path / "spill")
-    insert_scan(vmap, PointCloud(np.zeros((1, 3)), FRAME_MAP), [0, 0, 0], 0.1)
+    insert_scan(vmap, PointCloud(np.zeros((1, 3)), FRAME_MAP), 0.1)
     save_map(vmap, tmp_path / "db")
     (tmp_path / "db" / "vx_0_0_0.npcd").unlink()
     with pytest.raises(MapLoadError):
@@ -320,8 +317,7 @@ def _labelled_map(spill_dir):
     vmap = VoxelMap(5.0, spill_dir=spill_dir)
     pts = rng.uniform(-30, 30, (3000, 3)) * [1.0, 1.0, 0.05]
     insert_scan(vmap, PointCloud(pts, FRAME_MAP,
-                                 labels=rng.integers(1, 4, len(pts))),
-                [0, 0, 1.5], 0.1)
+                                 labels=rng.integers(1, 4, len(pts))), 0.1)
     refresh_normals(vmap, _map_cfg(), [0, 0, 1.5])
     for key in sorted(vmap.voxels):
         chunk = vmap.voxels[key]
@@ -387,13 +383,13 @@ def _bumpy_map(tmp_path):
     vmap = VoxelMap(5.0, spill_dir=tmp_path)
     cfg = _map_cfg()
     rng = np.random.default_rng(7)
-    for scan, sensor in enumerate(_BUMPY_SENSORS):
+    for scan in range(len(_BUMPY_SENSORS)):
         if scan:
             refresh_normals(vmap, cfg, _BUMPY_SENSORS[scan - 1])
         xy = rng.uniform(-9.0, 9.0, (1500, 2))
         z = 0.3 * np.sin(xy[:, 0]) * np.cos(0.7 * xy[:, 1])
         insert_scan(vmap, PointCloud(np.column_stack([xy, z]), FRAME_MAP),
-                    sensor, cfg.rho)
+                    cfg.rho)
     return vmap, cfg
 
 
@@ -447,9 +443,9 @@ def test_refresh_normals_matches_one_tree_over_the_map(tmp_path, case):
     base, scan = _REFRESH_CASES[case](np.random.default_rng(5))
     base_sensor, sensor = [-3.0, 1.0, 2.0], [4.0, -2.0, 2.5]
     if base is not None:
-        insert_scan(vmap, base, base_sensor, cfg.rho)
+        insert_scan(vmap, base, cfg.rho)
         refresh_normals(vmap, cfg, base_sensor)
-    insert_scan(vmap, scan, sensor, cfg.rho)
+    insert_scan(vmap, scan, cfg.rho)
     inserted = vmap.last_inserted
     assert len(inserted) >= 3
     expected, new_share = _full_tree_normals(vmap, cfg, sensor)
@@ -517,16 +513,54 @@ def test_refresh_normals_builds_one_tree_over_the_inserted_points(
     assert builds == []
 
 
-def test_a_map_change_drops_the_insertion_record(tmp_path):
-    vmap, cfg = _bumpy_map(tmp_path)
-    assert vmap._pre_insert is not None
-    key, rows = vmap.last_inserted[0]
-    # A return on one of the new points is a coincident hit: the map changes.
+def test_a_dyn_prob_change_keeps_the_insertion_record(tmp_path):
+    (vmap, cfg), (unfiltered, _) = (_bumpy_map(tmp_path / name)
+                                    for name in "ab")
+    inserted, pre_insert = vmap.last_inserted, vmap._pre_insert
+    cache = vmap._local_arrays()
+    key, rows = inserted[0]
+    # A return on one of the new points is a coincident hit: it lowers that
+    # point's dyn_prob, already 0, and drops nothing.
     filter_dynamic(vmap, PointCloud(vmap.voxels[key].points[rows[:1]],
                                     FRAME_MAP), [0.0, 0.0, 2.0], cfg)
+    assert vmap.voxels[key].dyn_prob[rows[0]] == 0.0
+    assert vmap.last_inserted is inserted and vmap._pre_insert is pre_insert
+    assert vmap._cache is cache
+    refresh_normals(vmap, cfg, _BUMPY_SENSORS[-1])
+    refresh_normals(unfiltered, cfg, _BUMPY_SENSORS[-1])
+    assert np.isfinite(vmap.voxels[key].normals[rows]).all()
+    assert vmap.voxels.keys() == unfiltered.voxels.keys()
+    for k, chunk in vmap.voxels.items():
+        assert np.array_equal(chunk.points, unfiltered.voxels[k].points), k
+        assert np.array_equal(chunk.normals, unfiltered.voxels[k].normals), k
+
+
+def test_a_drop_drops_the_insertion_record(tmp_path):
+    vmap, cfg = _bumpy_map(tmp_path)
+    key, rows = vmap.last_inserted[0]
+    chunk = vmap.voxels[key]
+    old = np.setdiff1d(np.arange(len(chunk)), rows)[0]
+    chunk.dyn_prob[old] = 0.7          # one more see-through drops it
+    sensor = np.array([0.0, 0.0, 2.0])
+    ray = chunk.points[old] - sensor
+    beyond = chunk.points[old] + ray / np.linalg.norm(ray)
+    n = len(chunk)
+    filter_dynamic(vmap, PointCloud(beyond[None], FRAME_MAP), sensor, cfg)
+    assert len(chunk) == n - 1
     assert vmap.last_inserted == [] and vmap._pre_insert is None
     refresh_normals(vmap, cfg, _BUMPY_SENSORS[-1])
-    assert np.isnan(vmap.voxels[key].normals[rows]).all()
+    assert vmap.registration_reference() is None   # new rows stay NaN
+
+
+def test_filter_dynamic_with_no_beam_direction_changes_nothing(tmp_path):
+    vmap, cfg = _bumpy_map(tmp_path)
+    cache = vmap._local_arrays()
+    dyn = {key: chunk.dyn_prob.copy() for key, chunk in vmap.voxels.items()}
+    sensor = np.array([0.0, 0.0, 2.0])
+    filter_dynamic(vmap, PointCloud(sensor[None], FRAME_MAP), sensor, cfg)
+    assert vmap._cache is cache and vmap.last_inserted
+    for key, chunk in vmap.voxels.items():
+        assert np.array_equal(chunk.dyn_prob, dyn[key])
 
 
 def _filter_dynamic_per_voxel(vmap, scan_in_g, sensor, cfg):
@@ -604,7 +638,7 @@ def test_filter_dynamic_leaves_the_scans_own_new_points_alone(tmp_path):
     ray = pts[pick] - sensor
     scan = PointCloud(pts[pick] + ray / np.linalg.norm(ray, axis=1,
                                                        keepdims=True), FRAME_MAP)
-    insert_scan(vmap, scan, sensor, cfg.rho)
+    insert_scan(vmap, scan, cfg.rho)
     inserted = {key: vmap.voxels[key].points[rows].copy()
                 for key, rows in vmap.last_inserted}
     assert sum(len(p) for p in inserted.values()) > 300
@@ -626,14 +660,14 @@ def _filter_then_grow(vmap, scan, sensor, cfg):
     registered = vmap._local_arrays()
     filter_dynamic(vmap, scan, sensor, cfg)
     vmap._cache = registered   # the insertion's base: the pre-filter arrays
-    insert_scan(vmap, scan, sensor, cfg.rho)
+    insert_scan(vmap, scan, cfg.rho)
     refresh_normals(vmap, cfg, sensor)
 
 
 def _grow_meanwhile(vmap, scan, sensor, cfg):
     """filter_dynamic with the insertion and the normals as its meanwhile."""
     def grow():
-        insert_scan(vmap, scan, sensor, cfg.rho)
+        insert_scan(vmap, scan, cfg.rho)
         refresh_normals(vmap, cfg, sensor)
     filter_dynamic(vmap, scan, sensor, cfg, meanwhile=grow)
 
@@ -659,7 +693,7 @@ def _upkeep_scene(seed, spill_dir):
     phantoms = grid + rng.uniform(-0.05, 0.05, grid.shape)
     insert_scan(vmap, PointCloud(np.vstack([ground, phantoms]), FRAME_MAP,
                                  labels=rng.integers(1, 4, len(ground) + len(grid))),
-                [0.0, 0.0, 2.0], 0.1)
+                0.1)
     refresh_normals(vmap, _map_cfg(), [0.0, 0.0, 2.0])
     for key in sorted(vmap.voxels):
         chunk = vmap.voxels[key]

@@ -16,6 +16,7 @@ from trailnav.mapping import VoxelMap
 from trailnav.mission import (RepeatState, TeachAbort, TeachState,
                               finalize_teach, initialize_localization,
                               load_database, repeat_step, teach_step)
+from trailnav.npcd import read_npcd
 import trailnav.runner as runner
 from trailnav.trajectory import Trajectory
 from trailnav.runner import (IMU_HEADER, ODOM_HEADER, RUN_LOG_HEADER,
@@ -230,6 +231,60 @@ def test_a_missing_normal_leaves_no_registration_reference(taught):
     assert isinstance(info.value.__cause__, RegistrationFailure)
 
 
+def _no_returns(scan):
+    return scan.select(np.zeros(len(scan), dtype=bool))
+
+
+def test_a_scan_with_no_returns_is_a_skipped_tick(taught):
+    """A scan with no point is skipped as one the input filters empty is:
+    teach registers nothing for it and repeat reports the tick skipped."""
+    world, cfg, result = taught
+    scan, tail = _origin_scan(world, cfg)
+    state = _teach_state(cfg)
+    teach_step(state, _no_returns(scan), tail)
+    assert state.scan_count == 1 and state.raw_poses == []
+    assert state.map.local_point_count() == 0
+    vmap, traj = load_database(result.db_dir)
+    repeat = RepeatState(vmap, traj, cfg.registration, cfg.mapping,
+                         cfg.path_following, tail.pose(-1))
+    out = repeat_step(repeat, _no_returns(scan), tail)
+    assert out.skipped and out.command is None
+    assert out.status is Status.CONTINUE and out.pose is repeat.current_pose
+    assert repeat.scan_count == 1 and repeat.intervention_count == 0
+
+
+def test_a_teach_out_of_range_of_everything_registers_nothing():
+    """Four beams within 15 degrees of level, 1.3 m up, reach flat ground
+    4.85 m out; with a 3 m range and no trees every scan is empty."""
+    cfg = GlobalConfig(seed=0)
+    cfg.sim.lidar = LidarParams(beams=4, azimuth_steps=90, max_range=3.0)
+    world = generate_world(0, WorldParams(trail_length=20.0, tree_density=0.0,
+                                          terrain_amplitude=0.0))
+    result = run_teach(world, cfg, waypoints=[(2.0, 0.0)])
+    assert result.state.scan_count >= 10 and result.state.raw_poses == []
+    assert result.state.map.local_point_count() == 0
+
+
+def test_a_teach_registers_the_ticks_after_its_first_return(monkeypatch):
+    """A lidar whose first three scans come back empty: the teach skips them
+    and registers every tick after them."""
+    calls = []
+
+    def late_lidar(*args, **kwargs):
+        calls.append(1)
+        scan = simulate_lidar(*args, **kwargs)
+        return _no_returns(scan) if len(calls) <= 3 else scan
+
+    simulate_lidar = runner.simulate_lidar
+    monkeypatch.setattr(runner, "simulate_lidar", late_lidar)
+    result = run_teach(_small_world(length=6.0), _small_cfg(),
+                       waypoints=[(6.0, 0.0)], v_teach=1.0)
+    state = result.state
+    assert state.scan_count == len(calls) >= 10
+    assert len(state.raw_poses) == state.scan_count - 3
+    assert state.map.local_point_count() > 1000
+
+
 def test_teach_rebuilds_the_local_map_once_a_tick(monkeypatch):
     import trailnav.mapping as mapping
     import trailnav.mission as mission
@@ -284,7 +339,7 @@ def _insert_first(vmap, scan, sensor, cfg):
     """Teach upkeep in the order insert, normals, dynamic filter, each step
     on the map the one before left."""
     from trailnav.mapping import filter_dynamic, insert_scan, refresh_normals
-    insert_scan(vmap, scan, sensor, cfg.rho)
+    insert_scan(vmap, scan, cfg.rho)
     refresh_normals(vmap, cfg, sensor)
     filter_dynamic(vmap, scan, sensor, cfg)
 
@@ -403,7 +458,7 @@ def test_finalize_teach_subsampling_example(tmp_path):
     state = _teach_state(cfg)
     from trailnav.mapping import insert_scan
     insert_scan(state.map, PointCloud(np.zeros((1, 3)), FRAME_MAP),
-                [0, 0, 1.0], cfg.mapping.rho)
+                cfg.mapping.rho)
     # Raw poses every 1 cm; d_ref = 5 cm keeps every 5th plus the endpoint.
     for i in range(101):
         state.raw_stamps.append(0.1 * i)
@@ -746,6 +801,45 @@ def test_degenerate_logged_scan_exits_three(taught, tmp_path, monkeypatch,
     assert main(["analyze", "overlap", "--db", str(result.db_dir),
                  "--out-dir", str(tmp_path / "overlap"), *common]) == 3
     assert "rank deficient" in capsys.readouterr().err
+
+
+def _database_without_normals(db, out):
+    """A copy of the database ``db`` at ``out`` whose voxel files carry no
+    normals."""
+    from trailnav.mapping import read_voxel, write_voxel
+    shutil.copytree(db, out)
+    for path in out.glob("vx_*.npcd"):
+        chunk = read_voxel(path)
+        chunk.normals[:] = np.nan
+        write_voxel(path, chunk)
+    return out
+
+
+def test_a_database_without_normals_exits_three(taught, tmp_path, capsys):
+    _, cfg, result = taught
+    db = _database_without_normals(result.db_dir, tmp_path / "db")
+    assert read_npcd(next(db.glob("vx_*.npcd"))).normals is None
+    assert main(["analyze", "overlap", "--db", str(db),
+                 "--out-dir", str(tmp_path / "overlap"),
+                 *_logged_args(cfg, result, tmp_path)]) == 3
+    assert "no usable normals" in capsys.readouterr().err
+    assert not (tmp_path / "overlap").exists()
+
+
+@pytest.mark.parametrize("command", ["overlap", "perturbation"])
+def test_an_empty_database_exits_three(taught, tmp_path, capsys, command):
+    """On an empty local map ``localize`` places a scan at its prior (teach's
+    first tick), so the analyses check the database map before they
+    register: with no map point there is nothing to register in."""
+    from trailnav.mapping import save_map
+    _, cfg, result = taught
+    db = tmp_path / "db"
+    save_map(VoxelMap(cfg.mapping.v_s), db)
+    shutil.copy(result.db_dir / "trajectory.csv", db)
+    assert main(["analyze", command, "--db", str(db),
+                 "--out-dir", str(tmp_path / "out"),
+                 *_logged_args(cfg, result, tmp_path)]) == 3
+    assert "map has no usable normals" in capsys.readouterr().err
 
 
 def test_each_closed_loop_tick_rolls_the_truth_out_once(taught, monkeypatch):

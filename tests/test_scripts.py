@@ -69,3 +69,55 @@ def test_bench_pairs_alternates_which_side_runs_first(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     assert out.count("10 -> 8") == 3                  # each run on its side
     assert "3 of 3" in out and "parent ['parent']; change ['change']" in out
+
+
+def test_bench_pairs_compares_runs_of_equal_lap_count(tmp_path, monkeypatch,
+                                                      capsys):
+    """Runs of 1 and 2 laps differ in tail and memory whatever the code, so
+    each pair line names its lap counts, and a side that mixes them gets a
+    table per lap count that both sides ran, wins counted over the pairs
+    whose runs both ran it."""
+    module = _load(SCRIPT_DIR / "bench_pairs.py")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "pipeline_ms_tail", "better": "lower"}]}))
+    # (parent laps, parent tail), (change laps, change tail), in pair order
+    # (the change runs first in even pairs).
+    runs = iter([(2, 26.0), (1, 16.0), (2, 24.0), (2, 27.0),
+                 (2, 28.0), (2, 25.0), (1, 15.0), (2, 26.5)])
+
+    def run_once(checkout, *_):
+        laps, tail = next(runs)
+        return {"metrics": {"pipeline_ms_tail": tail}, "digest": f"d{laps}",
+                "laps": laps, "correct": True}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    assert module.main([str(parent), str(change), "--workload", "w",
+                        "--seed", "1", "--pairs", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "pair 1, parent first, laps 2 -> 1:" in out
+    assert "pair 2, change first, laps 2 -> 2:" in out
+    assert "pair 4, change first, laps 2 -> 1:" in out
+    assert "laps: parent [2]; change [1, 2]" in out
+    assert out.count("runs of ") == 1
+    table = out[out.index("runs of 2 laps only"):]
+    # Parent 26, 27, 28, 26.5; change 24, 25: the change won both pairs that
+    # ran 2 laps on each side.
+    assert "26.75 [26.38, 27.25]" in table and "24.5 [24.25, 24.75]" in table
+    assert "2 of 2" in table
+    assert "laps: parent [2]; change [2]" in table
+
+
+    def run(laps, tail):
+        return {"metrics": {"pipeline_ms_tail": tail}, "digest": "d",
+                "laps": laps, "correct": True}
+
+    # Both sides ran 1 and 2 laps, never in the same pair.
+    crossed = module.summarize([(run(1, 16.0), run(2, 24.0)),
+                                (run(2, 27.0), run(1, 15.0))],
+                               [("pipeline_ms_tail", "lower")], laps=1)
+    assert crossed["pairs"] == 0 and crossed["pipeline_ms_tail"]["won"] == 0
+    assert crossed["pipeline_ms_tail"]["parent"] == (16.0, 16.0, 16.0)
+    assert crossed["pipeline_ms_tail"]["change"] == (15.0, 15.0, 15.0)
