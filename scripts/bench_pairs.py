@@ -11,9 +11,13 @@ the runs' ``lap i:`` lines; 0 for a workload without laps). It prints, for
 each side, the median and quartiles of every metric that CHANGE_DIR's
 ``BENCHMARK.json`` names (end-to-end with ``--trace 0``, per-layer with
 ``--trace 1``), the number of pairs the change won on each, the set of
-output digests and the set of lap counts. The lap count sets a laps run's
-digest, tail and memory, so when the runs differ in it, one more table
-follows for each lap count that both sides ran.
+output digests and the set of lap counts. Beside each end-to-end metric it
+prints the change's median against the parent's as a signed percentage,
+worse positive, with the metric's ``bound`` and a verdict: ``over`` past the
+bound; ``unresolved`` when the parent's quartile spread is wider than the
+bound and not every change run beats every parent run; ``ok`` otherwise.
+The lap count sets a laps run's digest, tail and memory, so when the runs
+differ in it, one more table follows for each lap count that both sides ran.
 """
 
 from __future__ import annotations
@@ -58,14 +62,32 @@ def _quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def verdict(parent, change, better, bound) -> tuple:
+    """(percent, tag): how much worse the median of the ``change`` values is
+    than that of the ``parent`` values, in percent of the parent's (negative
+    when better), and ``over``, ``unresolved`` or ``ok`` against ``bound``, a
+    fraction, as the module docstring says."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median, q3 = _quartiles(parent)
+    worse = 100.0 * sign * (statistics.median(change) - median) / abs(median)
+    if worse > 100.0 * bound:
+        return worse, "over"
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(median) and not beats_all:
+        return worse, "unresolved"
+    return worse, "ok"
+
+
 def summarize(pairs, metrics, laps=None) -> dict:
     """Summary of ``pairs``, a list of (parent run, change run) as
     ``run_once`` returns them, over ``metrics``, a list of (name, "lower" or
-    "higher" is better). Each metric maps to the parent's and the change's
-    (first quartile, median, third quartile) and the number of pairs whose
-    change run was strictly better, out of ``pairs``; ``digests``, ``laps``
-    and ``incorrect`` map each side to its set of digests, its set of lap
-    counts and its number of runs whose checks failed.
+    "higher" is better, bound or None). Each metric maps to the parent's and
+    the change's (first quartile, median, third quartile), the number of
+    pairs whose change run was strictly better, out of ``pairs``, and, when
+    it has a bound, ``worse_pct`` and ``verdict`` as ``verdict`` gives them;
+    ``digests``, ``laps`` and ``incorrect`` map each side to its set of
+    digests, its set of lap counts and its number of runs whose checks
+    failed.
 
     With ``laps``, only the runs of that lap count enter: each side's
     quartiles are over its runs of that count, and the wins over the pairs
@@ -76,13 +98,16 @@ def summarize(pairs, metrics, laps=None) -> dict:
                  for side, runs in sides.items()}
         pairs = [(p, c) for p, c in pairs if p["laps"] == c["laps"] == laps]
     out = {"pairs": len(pairs)}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         sign = 1.0 if better == "lower" else -1.0
-        out[name] = {
-            side: _quartiles([r["metrics"][name] for r in runs])
-            for side, runs in sides.items()}
+        values = {side: [r["metrics"][name] for r in runs]
+                  for side, runs in sides.items()}
+        out[name] = {side: _quartiles(v) for side, v in values.items()}
         out[name]["won"] = sum(sign * (c["metrics"][name] - p["metrics"][name])
                                < 0 for p, c in pairs)
+        if bound is not None:
+            out[name]["worse_pct"], out[name]["verdict"] = verdict(
+                values["parent"], values["change"], better, bound)
     for key, field in (("digests", "digest"), ("laps", "laps")):
         out[key] = {side: {r[field] for r in runs}
                     for side, runs in sides.items()}
@@ -98,11 +123,16 @@ def _fmt(q) -> str:
 def _print_table(title, summary, metrics) -> None:
     print(title)
     print(f"  {'metric':28s} {'parent median [q1, q3]':28s} "
-          f"{'change median [q1, q3]':28s} change won")
-    for name, _ in metrics:
+          f"{'change median [q1, q3]':28s} change won   worse  bound  verdict")
+    for name, _, bound in metrics:
         row = summary[name]
-        print(f"  {name:28s} {_fmt(row['parent']):28s} "
-              f"{_fmt(row['change']):28s} {row['won']} of {summary['pairs']}")
+        line = (f"  {name:28s} {_fmt(row['parent']):28s} "
+                f"{_fmt(row['change']):28s} "
+                f"{row['won']:>2} of {summary['pairs']:<3}")
+        if bound is not None:
+            line += (f" {row['worse_pct']:+6.1f}% {100 * bound:5.0f}%  "
+                     f"{row['verdict']}")
+        print(line.rstrip())
     for key in ("digests", "laps", "incorrect"):
         print(f"  {key}: " + "; ".join(
             f"{side} {sorted(v) if isinstance(v, set) else v}"
@@ -121,7 +151,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"])
+    metrics = [(m["name"], m["better"], m.get("bound"))
                for m in spec["per_layer" if args.trace else "end_to_end"]]
     pairs = []
     for i in range(args.pairs):
@@ -136,7 +166,7 @@ def main(argv=None) -> int:
               f"laps {pair[0]['laps']} -> {pair[1]['laps']}: "
               + ", ".join(f"{name} {pair[0]['metrics'][name]:.4g} -> "
                           f"{pair[1]['metrics'][name]:.4g}"
-                          for name, _ in metrics[:2]), flush=True)
+                          for name, *_ in metrics[:2]), flush=True)
 
     summary = summarize(pairs, metrics)
     _print_table(f"{args.workload} seed {args.seed}, {len(pairs)} pairs, "

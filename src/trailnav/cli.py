@@ -17,11 +17,11 @@ from .csvio import CsvFormatError, write_csv
 from .geom import transform_cloud
 from .icp import RegistrationFailure
 from .mapping import MapLoadError, PersistenceError
-from .mission import TeachAbort, load_database, localize
+from .mission import TeachAbort, load_database, localize, next_anchor
 from .npcd import NpcdError
 from .prior import PriorCoverageError, dead_reckon
-from .runner import (RUN_LOG_HEADER, level_anchor, read_scan_log, run_repeat,
-                     run_replay, run_teach)
+from .runner import (RUN_LOG_HEADER, read_scan_log, run_repeat, run_replay,
+                     run_teach)
 from .simworld import generate_world
 from .trajectory import Trajectory
 
@@ -187,21 +187,17 @@ def _cmd_curvature_bins(args) -> int:
 def _registered_scans(args, cfg: GlobalConfig, vmap, only=None):
     """Register each logged scan in the database map ``vmap`` as the log is
     read, each prior window anchored as the logged run anchored it: scan 0 at
-    the logged start, every later one at the last registered pose. With
+    the logged start, every later one at ``mission.next_anchor``. With
     ``only``, stop after that index, reading the log no further. Scans left
-    empty by the input filters are skipped. Yields (index, T_hat,
+    empty by the input filters yield nothing. Yields (index, T_hat,
     scan_in_map)."""
-    start, scans = read_scan_log(args.scans)
-    if vmap.registration_reference() is None:
-        raise RegistrationFailure("map has no usable normals")
-    anchor = start
+    anchor, scans = read_scan_log(args.scans)
     for i, (scan, stamp, samples) in enumerate(scans):
         window = dead_reckon(anchor, stamp, *samples, cfg.prior.beta)
         result = localize(vmap, scan, window, cfg.registration)
-        if result is not None:
-            anchor = level_anchor(result.T_hat)
-            if only in (None, i):
-                yield i, result.T_hat, result.reading_in_map
+        anchor = next_anchor(result, window)
+        if result is not None and only in (None, i):
+            yield i, result.T_hat, result.reading_in_map
         if i == only:
             return
 

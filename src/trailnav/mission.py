@@ -40,7 +40,7 @@ class TeachState:
     map: VoxelMap
     reg_cfg: RegistrationConfig
     map_cfg: MappingConfig
-    current_pose: RigidTransform | None = None
+    anchor: tuple   # level (x, y, z, yaw) the next prior window starts from
     scan_count: int = 0
     raw_stamps: list = field(default_factory=list)
     raw_poses: list = field(default_factory=list)
@@ -56,7 +56,7 @@ class RepeatState:
     reg_cfg: RegistrationConfig
     map_cfg: MappingConfig
     ctrl_cfg: ControllerConfig
-    current_pose: RigidTransform
+    anchor: tuple   # level (x, y, z, yaw) the next prior window starts from
     scan_count: int = 0
     intervention_count: int = 0
 
@@ -74,8 +74,31 @@ class RepeatStepResult:
     command: Command | None
     status: Status
     frenet: object = None
-    pose: RigidTransform | None = None
-    skipped: bool = False
+    pose: RigidTransform | None = None   # None: the tick registered nothing
+
+
+def level_anchor(pose: RigidTransform) -> tuple:
+    """The (x, y, z, yaw) anchor ``dead_reckon`` starts a window from."""
+    return (*pose.translation, pose.yaw)
+
+
+def next_anchor(result: RegistrationResult | None,
+                prior_tail: Trajectory) -> tuple:
+    """Where the prior window after this tick's starts: the registered
+    pose, or the end of this tick's window when it registered nothing, so
+    that the distance driven during such a tick is kept."""
+    return level_anchor(result.T_hat if result else prior_tail.pose(-1))
+
+
+def _filtered_scan(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
+                   reg_cfg: RegistrationConfig) -> PointCloud | None:
+    """The scan deskewed along the prior and input-filtered, or None when it
+    has no point or none survives; the local tree's build starts first."""
+    if len(scan) == 0:
+        return None
+    vmap.prefetch_reference()
+    filtered = apply_input_filters(deskew(scan, prior_tail), reg_cfg)
+    return filtered if len(filtered) else None
 
 
 def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
@@ -90,35 +113,26 @@ def localize(vmap: VoxelMap, scan: PointCloud, prior_tail: Trajectory,
     the match and everything else the benchmark's tracer wraps run here.
 
     Returns None for a scan with no point, and when nothing survives the
-    input filters. On an empty local map the scan is placed at the prior
-    pose (zero iterations, not converged). Raises RegistrationFailure when
-    the local map lacks a normal, and whatever ``register`` raises, or the
-    tree's build."""
-    if len(scan) == 0:
+    input filters. Raises RegistrationFailure when the local map is empty
+    or lacks a normal, and whatever ``register`` raises, or the tree's
+    build."""
+    filtered = _filtered_scan(vmap, scan, prior_tail, reg_cfg)
+    if filtered is None:
         return None
-    vmap.prefetch_reference()
-    filtered = apply_input_filters(deskew(scan, prior_tail), reg_cfg)
-    if len(filtered) == 0:
-        return None
-    prior_pose = prior_tail.pose(-1)
-    if vmap.local_point_count() == 0:
-        return RegistrationResult(prior_pose,
-                                  transform_cloud(filtered, prior_pose),
-                                  iterations=0, final_error=np.nan,
-                                  converged=False)
     ref = vmap.registration_reference()
     if ref is None:
         raise RegistrationFailure("local map has no usable normals")
     reference, tree = ref
-    return register(filtered, reference, prior_pose, reg_cfg, ref_index=tree)
+    return register(filtered, reference, prior_tail.pose(-1), reg_cfg,
+                    ref_index=tree)
 
 
 def teach_step(state: TeachState, scan: PointCloud,
                prior_tail: Trajectory) -> None:
-    """One teach tick: localize (an empty map starts at the prior), then
-    dynamic-filter the map while the scan is inserted and the new points'
-    normals computed, then retile; the registered pose joins the raw
-    trajectory.
+    """One teach tick: localize (on an empty local map, place the scan at
+    the prior), then dynamic-filter the map while the scan is inserted and
+    the new points' normals computed, then retile; the registered pose joins
+    the raw trajectory, and the next window starts at ``next_anchor``.
 
     The one worker thread (``geom.WORKER``) builds the local kd-tree while
     ``localize`` deskews and filters the scan, queries half of each large
@@ -137,16 +151,25 @@ def teach_step(state: TeachState, scan: PointCloud,
     near the robot) missed this tick's filter either way."""
     scan_id = state.scan_count
     state.scan_count += 1
-    try:
-        result = localize(state.map, scan, prior_tail, state.reg_cfg)
-    except RegistrationFailure as exc:
-        raise TeachAbort(f"teach registration failed on scan {scan_id}: {exc}",
-                         scan_id=scan_id, last_pose=state.current_pose) from exc
+    vmap, map_cfg = state.map, state.map_cfg
+    if vmap.local_point_count() == 0:   # nothing to register on
+        filtered = _filtered_scan(vmap, scan, prior_tail, state.reg_cfg)
+        prior_pose = prior_tail.pose(-1)
+        result = None if filtered is None else RegistrationResult(
+            prior_pose, transform_cloud(filtered, prior_pose), iterations=0,
+            final_error=np.nan, converged=False)
+    else:
+        try:
+            result = localize(vmap, scan, prior_tail, state.reg_cfg)
+        except RegistrationFailure as exc:
+            last = state.raw_poses[-1] if state.raw_poses else None
+            raise TeachAbort(f"teach registration failed on scan {scan_id}: "
+                             f"{exc}", scan_id=scan_id, last_pose=last) from exc
+    state.anchor = next_anchor(result, prior_tail)
     if result is None:   # no point, or none survived the input filters
         return
     t_hat, reading_in_map = result.T_hat, result.reading_in_map
     sensor = t_hat.translation
-    vmap, map_cfg = state.map, state.map_cfg
 
     def grow():
         insert_scan(vmap, reading_in_map, map_cfg.rho)
@@ -156,7 +179,6 @@ def teach_step(state: TeachState, scan: PointCloud,
     retile(vmap, sensor, map_cfg)
     state.raw_stamps.append(float(scan.timestamps.max()))
     state.raw_poses.append(t_hat)
-    state.current_pose = t_hat
 
 
 def finalize_teach(state: TeachState, d_ref: float, out_dir) -> Path:
@@ -187,8 +209,6 @@ def initialize_localization(vmap: VoxelMap, scan: PointCloud,
                             overlap_floor: float) -> InitResult:
     """Localize the first scan at the start prior; success requires
     convergence and scan overlap at or above the floor."""
-    if vmap.registration_reference() is None:
-        return InitResult(False, None, 0.0, "map has no usable normals")
     try:
         result = localize(vmap, scan, prior_tail, reg_cfg)
     except RegistrationFailure as exc:
@@ -216,14 +236,12 @@ def repeat_step(state: RepeatState, scan: PointCloud,
         result = localize(state.map, scan, prior_tail, state.reg_cfg)
     except RegistrationFailure:
         state.intervention_count += 1
-        return RepeatStepResult(None, Status.SAFETY_ABORT,
-                                pose=state.current_pose)
+        return RepeatStepResult(None, Status.SAFETY_ABORT)
+    state.anchor = next_anchor(result, prior_tail)
     if result is None:
-        return RepeatStepResult(None, Status.CONTINUE, pose=state.current_pose,
-                                skipped=True)
+        return RepeatStepResult(None, Status.CONTINUE)
     t_hat = result.T_hat
     retile(state.map, t_hat.translation, state.map_cfg)
-    state.current_pose = t_hat
     pose2d = Pose2D(float(t_hat.translation[0]), float(t_hat.translation[1]),
                     t_hat.yaw)
     frenet = project_onto_path(pose2d, state.trajectory)

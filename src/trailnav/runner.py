@@ -15,8 +15,8 @@ from .csvio import CsvFormatError, read_csv, read_float_csv, write_csv
 from .geom import RigidTransform
 from .mapping import VoxelMap
 from .mission import (InitResult, RepeatState, RepeatStepResult, TeachState,
-                      finalize_teach, initialize_localization, load_database,
-                      repeat_step, teach_step)
+                      finalize_teach, initialize_localization, level_anchor,
+                      load_database, repeat_step, teach_step)
 from .npcd import read_npcd, write_npcd
 from .prior import GRAVITY, dead_reckon
 from .simworld import RobotState, World, simulate_lidar, step_robot
@@ -30,11 +30,6 @@ SCANS_HEADER = ["stamp", "file"]
 START_HEADER = ["x", "y", "z", "yaw"]
 IMU_HEADER = ["scan", "stamp", "dt", "gx", "gy", "gz", "ax", "ay", "az"]
 ODOM_HEADER = ["scan", "stamp", "v"]
-
-
-def level_anchor(pose: RigidTransform) -> tuple:
-    """The (x, y, z, yaw) anchor ``dead_reckon`` starts a window from."""
-    return (*pose.translation, pose.yaw)
 
 
 @dataclass
@@ -110,8 +105,9 @@ def read_scan_log(scans_dir):
     The four tables are checked when this is called. The samples of a scan
     are (stamps, dts, gyro, accel, speeds), its IMU rows with the odometry
     speed interpolated at their stamps, for ``dead_reckon`` from the scan's
-    stamp; a replay anchors scan 0 at the start and each later scan at the
-    last registered pose, as the run did."""
+    stamp; a replay anchors scan 0 at the start and each later scan at
+    ``mission.next_anchor``, as the run did: at the registered pose, or at
+    the window's end when the tick registered nothing."""
     scans_dir = Path(scans_dir)
     rows = read_csv(scans_dir / "scans.csv", SCANS_HEADER, (float, str))
     if not rows:
@@ -163,11 +159,11 @@ def _rollout(state: RobotState, v: float, omega: float, slip_rot: float,
     return track, s
 
 
-def _prior_window(anchor: RigidTransform, t0: float, period: float,
+def _prior_window(anchor: tuple, t0: float, period: float,
                   rate_hz: float, beta: float, gyro_z: float, speed: float,
                   log: ScanLog | None = None) -> Trajectory:
-    """Integrate the IMU/odometry prior over one scan window, anchored at the
-    last registered pose. Simulated IMU: planar motion, gravity along +z."""
+    """Integrate the IMU/odometry prior over one scan window from the level
+    (x, y, z, yaw) ``anchor``. Simulated IMU: planar motion, gravity +z."""
     n = max(int(round(rate_hz * period)), 1)
     dt = period / n
     samples = (t0 + np.arange(1, n + 1) * dt, np.full(n, dt),
@@ -176,7 +172,7 @@ def _prior_window(anchor: RigidTransform, t0: float, period: float,
                np.full(n, float(speed)))
     if log is not None:
         log.add_samples(*samples)
-    return dead_reckon(level_anchor(anchor), t0, *samples, beta)
+    return dead_reckon(anchor, t0, *samples, beta)
 
 
 def _sensor_anchor(world: World, state: RobotState,
@@ -188,11 +184,11 @@ def _sensor_anchor(world: World, state: RobotState,
 
 
 def _sense(world: World, cfg: GlobalConfig, state: RobotState, v: float,
-           omega: float, anchor: RigidTransform, seed,
+           omega: float, anchor: tuple, seed,
            log: ScanLog | None = None):
     """One simulated tick from ``state`` under the command (v, omega): the
     true motion over one scan period, the scan taken along it and the prior
-    window anchored at ``anchor``, both also written to ``log`` when given.
+    window from the level ``anchor``, both also written to ``log`` when given.
 
     Returns (scan, prior window, RobotState at the end of the period)."""
     lp = cfg.sim.lidar
@@ -215,8 +211,8 @@ def initialize_at_rest(world: World, vmap: VoxelMap, cfg: GlobalConfig,
     anchor = _sensor_anchor(world, RobotState(pose=pose), lp.mount_height)
     scan = simulate_lidar(world, [[0.0], [pose.x], [pose.y], [pose.theta_r]],
                           lp, seed=seed)
-    tail = _prior_window(anchor, 0.0, 1.0 / lp.rate, cfg.prior.rate_hz,
-                         cfg.prior.beta, 0.0, 0.0)
+    tail = _prior_window(level_anchor(anchor), 0.0, 1.0 / lp.rate,
+                         cfg.prior.rate_hz, cfg.prior.beta, 0.0, 0.0)
     return initialize_localization(vmap, scan, tail, cfg.registration,
                                    cfg.mission.init_overlap_floor)
 
@@ -262,14 +258,14 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
     if start is None:
         start = Pose2D(0.0, 0.0, 0.0)
     state = RobotState(pose=start)
+    mount = cfg.sim.lidar.mount_height
     mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
-                         cfg.mapping)
+                         cfg.mapping,
+                         level_anchor(_sensor_anchor(world, state, mount)))
     truth_stamps, truth_poses = [], []
     wp_i = 0
-    mount = cfg.sim.lidar.mount_height
-    start_anchor = _sensor_anchor(world, state, mount)
     log = (None if scan_log_dir is None
-           else ScanLog(scan_log_dir, level_anchor(start_anchor)))
+           else ScanLog(scan_log_dir, mission.anchor))
 
     try:
         for tick in range(max_ticks):
@@ -277,8 +273,7 @@ def run_teach(world: World, cfg: GlobalConfig, waypoints,
                 break
             v, omega = _waypoint_command(state.pose, waypoints[wp_i], v_teach)
             scan, tail, state = _sense(world, cfg, state, v, omega,
-                                       mission.current_pose or start_anchor,
-                                       (cfg.seed, tick), log)
+                                       mission.anchor, (cfg.seed, tick), log)
             teach_step(mission, scan, tail)
             truth_stamps.append(state.stamp)
             truth_poses.append(_sensor_anchor(world, state, mount))
@@ -328,7 +323,7 @@ def run_repeat(world: World, db_dir, cfg: GlobalConfig,
                                log_rows=[], executed=None, truth=None)
 
     mission = RepeatState(vmap, trajectory, cfg.registration, cfg.mapping,
-                          cfg.path_following, init.pose)
+                          cfg.path_following, level_anchor(init.pose))
     # The first tick starts one scan period after the scan taken at rest.
     state = RobotState(pose=start, stamp=1.0 / cfg.sim.lidar.rate)
     v_cmd, om_cmd = 0.0, 0.0
@@ -338,11 +333,11 @@ def run_repeat(world: World, db_dir, cfg: GlobalConfig,
 
     for tick in range(max_ticks):
         scan, tail, state = _sense(world, cfg, state, v_cmd, om_cmd,
-                                   mission.current_pose,
+                                   mission.anchor,
                                    (cfg.seed, scan_seed_base + 1 + tick))
         step: RepeatStepResult = repeat_step(mission, scan, tail)
         status = step.status
-        if not step.skipped:
+        if step.pose is not None:
             stamps.append(state.stamp)
             exec_poses.append(step.pose)
             truth_poses.append(_sensor_anchor(world, state,
@@ -377,14 +372,12 @@ def run_replay(scans_dir, cfg: GlobalConfig, out_dir) -> Path:
     persist a database: a log of a teach on this config replays to that
     teach's database, or to its ``TeachAbort``. A log that registers fewer
     than two scans raises ``CsvFormatError``."""
-    mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
-                         cfg.mapping)
     start, scans = read_scan_log(scans_dir)
+    mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
+                         cfg.mapping, start)
     for scan, stamp, samples in scans:
-        pose = mission.current_pose
-        anchor = start if pose is None else level_anchor(pose)
-        teach_step(mission, scan,
-                   dead_reckon(anchor, stamp, *samples, cfg.prior.beta))
+        teach_step(mission, scan, dead_reckon(mission.anchor, stamp, *samples,
+                                              cfg.prior.beta))
     if len(mission.raw_poses) < 2:
         raise CsvFormatError(
             f"{Path(scans_dir) / 'scans.csv'}: {mission.scan_count} logged "

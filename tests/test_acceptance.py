@@ -29,7 +29,7 @@ from trailnav.icp import (MatchSet, RegistrationConfig, apply_input_filters,
                           gather_reference, point_to_plane_error, register)
 from trailnav.mapping import (MappingConfig, VoxelMap, compute_normals,
                               insert_scan, load_map, retile, save_map)
-from trailnav.mission import TeachState, teach_step
+from trailnav.mission import TeachState, level_anchor, teach_step
 from trailnav.prior import dead_reckon, deskew
 from trailnav.runner import _sense, _sensor_anchor, run_repeat, run_teach
 from trailnav.simworld import (CLASS_BUILDING, CLASS_SNOWFALL, LidarParams,
@@ -400,17 +400,16 @@ def _snowfall_teach(world, cfg, with_snow, n_ticks=40):
     """A straight 1 m/s teach on the runner's simulated tick, with snowfall
     particles added to the first 20 scans when ``with_snow``."""
     state = RobotState(pose=Pose2D(0.0, 0.0, 0.0))
-    mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
-                         cfg.mapping)
     anchor = _sensor_anchor(world, state, cfg.sim.lidar.mount_height)
+    mission = TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration,
+                         cfg.mapping, level_anchor(anchor))
     counts, admitted, prev = [], 0, 0
     for tick in range(n_ticks):
-        scan, tail, state = _sense(world, cfg, state, 1.0, 0.0, anchor,
-                                   (cfg.seed, tick))
+        scan, tail, state = _sense(world, cfg, state, 1.0, 0.0,
+                                   mission.anchor, (cfg.seed, tick))
         if with_snow and tick < 20:
             scan = apply_snowfall(scan, 500, near_radius=1.2, seed=500 + tick)
         teach_step(mission, scan, tail)
-        anchor = mission.current_pose
         c = sum(int((ch.labels == CLASS_SNOWFALL).sum())
                 for ch in mission.map.voxels.values())
         admitted += max(c - prev, 0)

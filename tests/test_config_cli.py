@@ -359,7 +359,7 @@ def test_cli_teach_abort_keeps_scan_log(tmp_path, monkeypatch, capsys):
 
     def failing_localize(*args, **kwargs):
         calls.append(1)
-        if len(calls) == k + 1:
+        if len(calls) == k:   # scan 0 sits at its prior, unregistered
             raise RegistrationFailure("forced failure")
         return localize(*args, **kwargs)
 

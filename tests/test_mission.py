@@ -15,7 +15,8 @@ from trailnav.icp import DegenerateRegistration, RegistrationFailure
 from trailnav.mapping import VoxelMap
 from trailnav.mission import (RepeatState, TeachAbort, TeachState,
                               finalize_teach, initialize_localization,
-                              load_database, repeat_step, teach_step)
+                              level_anchor, load_database, repeat_step,
+                              teach_step)
 from trailnav.npcd import read_npcd
 import trailnav.runner as runner
 from trailnav.trajectory import Trajectory
@@ -37,7 +38,9 @@ def _small_cfg(seed=0):
 
 
 def _teach_state(cfg):
-    return TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration, cfg.mapping)
+    # Each caller hands teach_step its own prior windows.
+    return TeachState(VoxelMap(cfg.mapping.v_s), cfg.registration, cfg.mapping,
+                      (0.0, 0.0, 0.0, 0.0))
 
 
 def _small_world(seed=0, length=15.0):
@@ -88,7 +91,7 @@ def _scan_log(result):
 
 
 def _stationary_tail(pose: RigidTransform, cfg) -> Trajectory:
-    return _prior_window(pose, 0.0, 1.0 / cfg.sim.lidar.rate,
+    return _prior_window(level_anchor(pose), 0.0, 1.0 / cfg.sim.lidar.rate,
                          cfg.prior.rate_hz, cfg.prior.beta, 0.0, 0.0)
 
 
@@ -160,7 +163,7 @@ def test_every_registration_runs_on_the_maps_cached_tree(taught, monkeypatch):
                                    cfg.mission.init_overlap_floor)
     assert init.success
     state = RepeatState(vmap, traj, cfg.registration, cfg.mapping,
-                        cfg.path_following, init.pose)
+                        cfg.path_following, level_anchor(init.pose))
     repeat_step(state, scan, tail)
     assert on_cached_tree == [True, True, True]
     assert index_builds == []
@@ -188,11 +191,11 @@ def test_repeat_tick_on_an_unchanged_map_builds_no_tree(taught, monkeypatch):
     scan, tail = _origin_scan(world, cfg)
     vmap, traj = load_database(result.db_dir)
     state = RepeatState(vmap, traj, cfg.registration, cfg.mapping,
-                        cfg.path_following, tail.pose(-1))
+                        cfg.path_following, level_anchor(tail.pose(-1)))
     repeat_step(state, scan, tail)
     builds = _count_tree_builds(monkeypatch, geom, mapping)
     out = repeat_step(state, scan, tail)
-    assert out.pose is not None and not out.skipped
+    assert out.pose is not None
     assert state.intervention_count == 0
     assert builds == []
 
@@ -223,7 +226,7 @@ def test_a_missing_normal_leaves_no_registration_reference(taught):
     init = initialize_localization(vmap, scan, tail, cfg.registration,
                                    cfg.mission.init_overlap_floor)
     assert not init.success
-    assert init.reason == "map has no usable normals"
+    assert init.reason == "registration failed: local map has no usable normals"
     state = _teach_state(cfg)
     state.map = vmap
     with pytest.raises(TeachAbort) as info:
@@ -237,20 +240,39 @@ def _no_returns(scan):
 
 def test_a_scan_with_no_returns_is_a_skipped_tick(taught):
     """A scan with no point is skipped as one the input filters empty is:
-    teach registers nothing for it and repeat reports the tick skipped."""
+    teach and repeat register nothing for it, and the next prior window
+    starts where the skipped one ended."""
     world, cfg, result = taught
     scan, tail = _origin_scan(world, cfg)
+    window_end = level_anchor(tail.pose(-1))
     state = _teach_state(cfg)
     teach_step(state, _no_returns(scan), tail)
     assert state.scan_count == 1 and state.raw_poses == []
     assert state.map.local_point_count() == 0
+    assert state.anchor == window_end
     vmap, traj = load_database(result.db_dir)
     repeat = RepeatState(vmap, traj, cfg.registration, cfg.mapping,
-                         cfg.path_following, tail.pose(-1))
+                         cfg.path_following, (0.0, 0.0, 0.0, 0.0))
     out = repeat_step(repeat, _no_returns(scan), tail)
-    assert out.skipped and out.command is None
-    assert out.status is Status.CONTINUE and out.pose is repeat.current_pose
+    assert out.pose is None and out.command is None
+    assert out.status is Status.CONTINUE
     assert repeat.scan_count == 1 and repeat.intervention_count == 0
+    assert repeat.anchor == window_end
+
+
+def test_a_repeat_on_an_empty_local_set_aborts(taught):
+    """With no local map point there is nothing to register in: the tick is
+    a counted intervention, not a drive on the prior."""
+    world, cfg, result = taught
+    scan, tail = _origin_scan(world, cfg)
+    _, traj = load_database(result.db_dir)
+    anchor = level_anchor(tail.pose(-1))
+    state = RepeatState(VoxelMap(cfg.mapping.v_s), traj, cfg.registration,
+                        cfg.mapping, cfg.path_following, anchor)
+    out = repeat_step(state, scan, tail)
+    assert out.status is Status.SAFETY_ABORT
+    assert out.pose is None and out.command is None
+    assert state.intervention_count == 1 and state.anchor == anchor
 
 
 def test_a_teach_out_of_range_of_everything_registers_nothing():
@@ -265,9 +287,12 @@ def test_a_teach_out_of_range_of_everything_registers_nothing():
     assert result.state.map.local_point_count() == 0
 
 
-def test_a_teach_registers_the_ticks_after_its_first_return(monkeypatch):
+def test_a_teach_registers_the_ticks_after_its_first_return(monkeypatch,
+                                                            tmp_path):
     """A lidar whose first three scans come back empty: the teach skips them
-    and registers every tick after them."""
+    and registers every tick after them, the first where the robot is, for
+    the prior kept integrating through the skipped ticks; its scan log
+    replays to the same database."""
     calls = []
 
     def late_lidar(*args, **kwargs):
@@ -277,12 +302,18 @@ def test_a_teach_registers_the_ticks_after_its_first_return(monkeypatch):
 
     simulate_lidar = runner.simulate_lidar
     monkeypatch.setattr(runner, "simulate_lidar", late_lidar)
-    result = run_teach(_small_world(length=6.0), _small_cfg(),
-                       waypoints=[(6.0, 0.0)], v_teach=1.0)
+    cfg = _small_cfg()
+    result = run_teach(_small_world(length=6.0), cfg, waypoints=[(6.0, 0.0)],
+                       out_dir=tmp_path / "db", v_teach=1.0,
+                       scan_log_dir=tmp_path / "scans")
     state = result.state
     assert state.scan_count == len(calls) >= 10
     assert len(state.raw_poses) == state.scan_count - 3
     assert state.map.local_point_count() > 1000
+    assert (np.linalg.norm(state.raw_poses[0].translation
+                           - result.truth.positions[3]) < cfg.mapping.rho)
+    replayed = runner.run_replay(tmp_path / "scans", cfg, tmp_path / "replay")
+    assert _same_files(replayed, result.db_dir)
 
 
 def test_teach_rebuilds_the_local_map_once_a_tick(monkeypatch):
@@ -345,11 +376,15 @@ def _insert_first(vmap, scan, sensor, cfg):
 
 
 def _replay_teach(logged_teach, upkeep, monkeypatch):
-    """The fixture teach's inputs replayed through localize, ``upkeep(vmap,
-    reading, sensor, map_cfg)`` and retile; asserts that the filter dropped
-    points and returns the replay's state and the taught one."""
+    """The fixture teach's inputs replayed through localize (the first scan
+    placed at its prior, as teach places it), ``upkeep(vmap, reading,
+    sensor, map_cfg)`` and retile; asserts that the filter dropped points
+    and returns the replay's state and the taught one."""
+    from trailnav.geom import transform_cloud
+    from trailnav.icp import apply_input_filters
     from trailnav.mapping import VoxelChunk, retile
     from trailnav.mission import localize
+    from trailnav.prior import deskew
     _, cfg, result, received, _ = logged_teach
     state = _teach_state(cfg)
     vmap, map_cfg = state.map, state.map_cfg
@@ -362,13 +397,19 @@ def _replay_teach(logged_teach, upkeep, monkeypatch):
 
     monkeypatch.setattr(VoxelChunk, "keep", counting_keep)
     for scan, prior_tail in received:
-        reg = localize(vmap, scan, prior_tail, state.reg_cfg)
-        if reg is None:
-            continue
-        sensor = reg.T_hat.translation
-        upkeep(vmap, reg.reading_in_map, sensor, map_cfg)
+        if vmap.local_point_count():
+            reg = localize(vmap, scan, prior_tail, state.reg_cfg)
+            if reg is None:
+                continue
+            t_hat, reading = reg.T_hat, reg.reading_in_map
+        else:   # as teach does, the first scan sits at its prior
+            t_hat = prior_tail.pose(-1)
+            reading = transform_cloud(apply_input_filters(
+                deskew(scan, prior_tail), state.reg_cfg), t_hat)
+        sensor = t_hat.translation
+        upkeep(vmap, reading, sensor, map_cfg)
         retile(vmap, sensor, map_cfg)
-        state.raw_poses.append(reg.T_hat)
+        state.raw_poses.append(t_hat)
     assert len(received) >= 20 and sum(dropped) > 0
     return state, result.state
 
@@ -828,9 +869,9 @@ def test_a_database_without_normals_exits_three(taught, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["overlap", "perturbation"])
 def test_an_empty_database_exits_three(taught, tmp_path, capsys, command):
-    """On an empty local map ``localize`` places a scan at its prior (teach's
-    first tick), so the analyses check the database map before they
-    register: with no map point there is nothing to register in."""
+    """With no map point there is nothing to register in: ``localize``
+    fails on the first scan as it does on a map without normals (only
+    teach places a scan on an empty map, at its prior)."""
     from trailnav.mapping import save_map
     _, cfg, result = taught
     db = tmp_path / "db"

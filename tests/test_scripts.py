@@ -33,8 +33,8 @@ def test_bench_pairs_summary_counts_wins_in_each_metrics_direction():
     pairs = [(run(10.0, 1.0), run(8.0, 1.2)),
              (run(12.0, 1.0), run(12.0, 0.9, laps=4)),
              (run(11.0, 1.1), run(9.0, 1.1, digest="d1", correct=False))]
-    summary = module.summarize(pairs, [("pipeline_ms_p50", "lower"),
-                                       ("realtime_factor", "higher")])
+    summary = module.summarize(pairs, [("pipeline_ms_p50", "lower", None),
+                                       ("realtime_factor", "higher", None)])
     ms = summary["pipeline_ms_p50"]
     assert ms["parent"] == (10.5, 11.0, 11.5)
     assert ms["change"] == (8.5, 9.0, 10.5)
@@ -117,7 +117,68 @@ def test_bench_pairs_compares_runs_of_equal_lap_count(tmp_path, monkeypatch,
     # Both sides ran 1 and 2 laps, never in the same pair.
     crossed = module.summarize([(run(1, 16.0), run(2, 24.0)),
                                 (run(2, 27.0), run(1, 15.0))],
-                               [("pipeline_ms_tail", "lower")], laps=1)
+                               [("pipeline_ms_tail", "lower", None)], laps=1)
     assert crossed["pairs"] == 0 and crossed["pipeline_ms_tail"]["won"] == 0
     assert crossed["pipeline_ms_tail"]["parent"] == (16.0, 16.0, 16.0)
     assert crossed["pipeline_ms_tail"]["change"] == (15.0, 15.0, 15.0)
+
+
+def test_bench_pairs_verdict_holds_each_metric_to_its_bound():
+    """Worse is positive in either direction; past the bound is ``over``; a
+    parent spread wider than the bound is ``unresolved`` unless every change
+    run beats every parent run."""
+    verdict = _load(SCRIPT_DIR / "bench_pairs.py").verdict
+    steady = [9.9, 10.0, 10.0, 10.1, 10.2]
+    assert verdict(steady, [10.1, 10.2, 10.2, 10.3, 10.4], "lower", 0.25) \
+        == (pytest.approx(2.0), "ok")
+    assert verdict(steady, [12.0, 13.0, 13.0, 13.0, 14.0], "lower", 0.25) \
+        == (pytest.approx(30.0), "over")
+    assert verdict(steady, [0.5, 0.6, 0.6, 0.7, 0.8], "higher", 0.25)[1] \
+        == "over"
+    assert verdict(steady, [10.6, 10.7, 10.7, 10.8, 10.9], "higher",
+                   0.05) == (pytest.approx(-7.0), "ok")
+    wide = [6.0, 8.0, 10.0, 12.0, 14.0]   # quartiles 8 and 12 about 10
+    assert verdict(wide, [7.0, 9.0, 10.0, 11.0, 13.0], "lower", 0.25) \
+        == (0.0, "unresolved")
+    assert verdict(wide, [5.0, 5.2, 5.5, 5.6, 5.9], "lower", 0.25)[1] == "ok"
+    assert verdict(wide, [5.0, 5.2, 5.5, 5.6, 6.0], "lower", 0.25)[1] \
+        == "unresolved"                   # a tie with a parent run
+
+
+def test_bench_pairs_prints_a_verdict_per_lap_count(tmp_path, monkeypatch,
+                                                    capsys):
+    """Each end-to-end row, in the pooled table and the one per lap count,
+    ends in the change's median against the parent's, its bound and its
+    verdict; a metric without a bound gets none."""
+    module = _load(SCRIPT_DIR / "bench_pairs.py")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "pipeline_ms_tail", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+        {"name": "ticks", "better": "higher"}]}))
+    # Per run, in pair order (the change runs first in even pairs): laps,
+    # tail, RSS. 2-lap runs read 27 ms and 91 MB, 1-lap runs 15 ms and
+    # 87 MB; the change's 2-lap RSS is 10 % up.
+    runs = iter([(2, 27.0, 91.0), (1, 15.0, 87.0), (2, 27.0, 100.1),
+                 (2, 27.0, 91.0), (1, 15.0, 87.0), (1, 15.0, 87.0),
+                 (2, 27.0, 100.1), (2, 27.0, 91.0)])
+
+    def run_once(checkout, *_):
+        laps, tail, rss = next(runs)
+        return {"metrics": {"pipeline_ms_tail": tail, "peak_rss_mb": rss,
+                            "ticks": 10.0},
+                "digest": "d", "laps": laps, "correct": True}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    assert module.main([str(parent), str(change), "--workload", "w",
+                        "--seed", "1", "--pairs", "4"]) == 0
+    out = capsys.readouterr().out
+    two = out[out.index("runs of 2 laps only"):]
+    one = out[out.index("runs of 1 laps only"):out.index("runs of 2 laps")]
+    assert "  +0.0%    25%  ok" in two
+    assert " +10.0%     5%  over" in two
+    assert "  +0.0%     5%  ok" in one
+    ticks = [line for line in out.splitlines() if line.startswith("  ticks ")]
+    assert len(ticks) == 3 and not any("%" in line for line in ticks)
